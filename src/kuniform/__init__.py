@@ -11,6 +11,7 @@ from .bounds import (
     BoundVerdict,
     alpha_closed_form,
     alpha_oracle,
+    alpha_oracle_vector,
     alpha_vector,
     conjecture_scan,
     k_upper_bound,

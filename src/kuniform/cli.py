@@ -16,11 +16,11 @@ non-existence certificate or table mismatch is a successful computation),
 1 for errors, 2 for usage errors, 3 for not-applicable requests.
 
 Global flags may also be set through environment variables with the
-KUNIFORM_ prefix (KUNIFORM_FORMAT, KUNIFORM_BUDGET, KUNIFORM_CAP_DIM,
-KUNIFORM_THREADS); explicit flags win.  Rationals are printed as exact
-"p/q" strings, never floats.  --threads is accepted for interface
-stability; every computation here runs single-threaded for reproducible
-timing.
+KUNIFORM_ prefix (KUNIFORM_FORMAT, KUNIFORM_BUDGET, KUNIFORM_CAP_DIM);
+explicit flags win, and an invalid environment value is a usage error.
+Rationals are printed as exact "p/q" strings, never floats.  Party counts
+above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
+`ame --dims` profile) are refused with a capacity error before any work.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from typing import Optional, Sequence
 
 from . import bounds, oracle, tables
 from .enumerators import shadow_transform
-from .errors import BudgetExceededError, CapacityError, NotApplicableError
+from .errors import (
+    BudgetExceededError,
+    CapacityError,
+    NotApplicableError,
+    check_party_count,
+)
 from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict, hetero_shadow
 
 ENV_PREFIX = "KUNIFORM_"
@@ -62,6 +67,16 @@ def _env_default(name: str, fallback):
     return raw
 
 
+def _env_int(name: str, fallback: int) -> int:
+    raw = os.environ.get(ENV_PREFIX + name)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise _UsageError(f"invalid {ENV_PREFIX}{name} {raw!r}, expected an integer") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -81,12 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="Hilbert-dimension cap for state brute force (env KUNIFORM_CAP_DIM)",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="thread budget; all commands currently run single-threaded",
     )
 
     parser = argparse.ArgumentParser(
@@ -151,6 +160,7 @@ def _run_bound(args) -> tuple[str, dict, Optional[str]]:
         lo, hi = _parse_n_range(args.n_range)
     if lo < 2:
         raise _UsageError("party counts must be >= 2")
+    check_party_count(hi)  # lo <= hi, so this bounds both ends
     records = tables.compute_bound_records(args.d, lo, hi)
     payload = {"d": args.d, "records": [r.to_json_dict() for r in records]}
     csv_lines = ["N,k_max,provenance"]
@@ -230,12 +240,7 @@ def _run_verify(args) -> tuple[str, dict, Optional[str]]:
     failures: list[str] = []
     checks = 0
     if args.suite == "alpha":
-        for n in range(2, 61):
-            for d in (2, 3, 4, 5):
-                for i in range(n // 2 + 1):
-                    checks += 1
-                    if bounds.alpha_closed_form(n, d, i) != bounds.alpha_oracle(n, d, i):
-                        failures.append(f"alpha mismatch at N={n} d={d} i={i}")
+        checks, failures = bounds.cross_validate_alpha()
     elif args.suite == "recurrence":
         for spec in bounds.recurrence_specs():
             report = bounds.verify_recurrence(spec, n_max=30)
@@ -283,14 +288,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if fmt not in ("json", "csv"):
         print(f"kuniform: invalid format {fmt!r}", file=sys.stderr)
         return EXIT_USAGE
-    budget = args.budget if args.budget is not None else int(
-        _env_default("BUDGET", DEFAULT_SUBSET_BUDGET)
-    )
-    cap_dim = args.cap_dim if args.cap_dim is not None else int(
-        _env_default("CAP_DIM", oracle.DEFAULT_DIM_CAP)
-    )
 
     try:
+        budget = args.budget if args.budget is not None else _env_int(
+            "BUDGET", DEFAULT_SUBSET_BUDGET
+        )
+        cap_dim = args.cap_dim if args.cap_dim is not None else _env_int(
+            "CAP_DIM", oracle.DEFAULT_DIM_CAP
+        )
         if args.command == "bound":
             status, payload, csv_text = _run_bound(args)
         elif args.command == "table":

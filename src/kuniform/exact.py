@@ -120,7 +120,3 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-
-GAUSS_ZERO = GaussianRational()
-GAUSS_ONE = GaussianRational(Fraction(1), Fraction(0))

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, NotApplicableError
+from .errors import BudgetExceededError, NotApplicableError, check_party_count
 from .exact import binom, elem_sym_prefix, rat_to_str
 
 DEFAULT_SUBSET_BUDGET = 10**7
@@ -81,14 +81,19 @@ class DimensionProfile:
 
     @classmethod
     def parse(cls, text: str) -> "DimensionProfile":
-        """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]"."""
+        """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]".
+
+        Raises CapacityError, before building the profile, when it has more
+        than `errors.MAX_PARTIES` parties.
+        """
         text = text.strip()
         if text.startswith("["):
             dims_list = json.loads(text)
             if not isinstance(dims_list, list):
                 raise ValueError(f"profile JSON must be an array, got {text!r}")
+            check_party_count(len(dims_list))
             return cls(tuple(int(d) for d in dims_list))
-        dims: list[int] = []
+        terms: list[tuple[int, int]] = []
         for term in text.split(","):
             term = term.strip()
             if not term:
@@ -99,6 +104,11 @@ class DimensionProfile:
             dim, count = int(parts[0]), int(parts[1])
             if count < 1:
                 raise ValueError(f"multiplicity must be >= 1 in {term!r}")
+            terms.append((dim, count))
+        # sized before any list is built, so a huge multiplicity allocates nothing
+        check_party_count(sum(count for _, count in terms))
+        dims: list[int] = []
+        for dim, count in terms:
             dims.extend([dim] * count)
         return cls(tuple(dims))
 

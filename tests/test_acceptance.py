@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from kuniform.bounds import (
     alpha_closed_form,
-    alpha_oracle,
+    cross_validate_alpha,
     k_upper_bound,
     rains_bound,
     recurrence_block,
@@ -78,13 +78,10 @@ def test_criterion_3_rains_consistency():
 
 def test_criterion_4_alpha_cross_validation():
     start = time.monotonic()
-    checked = 0
-    for n in range(2, 61):
-        for d in (2, 3, 4, 5):
-            for i in range(n // 2 + 1):
-                assert alpha_closed_form(n, d, i) == alpha_oracle(n, d, i), (n, d, i)
-                checked += 1
+    checked, failures = cross_validate_alpha()
     elapsed = time.monotonic() - start
+    assert failures == []
+    assert checked == 3836  # N = 2..60, d = 2..5, every index 0..N//2
     assert elapsed < 120
     print(f"ACCEPTANCE 4 PASS: {checked} alpha values, closed form == solve ({elapsed:.1f}s)")
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kuniform import bounds
 from kuniform.bounds import (
     PROVENANCE_AME_TABLE,
     PROVENANCE_SCOTT,
@@ -14,6 +16,7 @@ from kuniform.bounds import (
     alpha_vector,
     conjecture_scan,
     conjectured_range_formula,
+    cross_validate_alpha,
     k_upper_bound,
     known_ame_nonexistence,
     poly_eval,
@@ -53,6 +56,49 @@ def test_alpha_range_errors():
 def test_alpha_closed_form_matches_triangular_solve(n, d):
     for i in range(n // 2 + 1):
         assert alpha_closed_form(n, d, i) == alpha_oracle(n, d, i)
+
+
+def _alpha_reference(n, d, i):
+    """The direct sum with two fresh binomials per term, for comparison."""
+    if i == 0:
+        return Fraction(1)
+    total = 0
+    for j in range(i):
+        total += (
+            (1 - d) ** j
+            * math.comb(n - 2 * i + j, n - 2 * i)
+            * math.comb(2 * i - 2 - j, i - 1)
+        )
+    return Fraction(-n * (d - 1) * total, i)
+
+
+@pytest.mark.parametrize("n, d", [(503, 3), (704, 4), (809, 5)])
+def test_alpha_closed_form_matches_direct_sum_at_large_n(n, d):
+    half = n // 2
+    for i in sorted({*range(0, half + 1, half // 19), 1, half}):
+        got, want = alpha_closed_form(n, d, i), _alpha_reference(n, d, i)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), i
+
+
+def test_alpha_cross_validation_beyond_suite_range():
+    checks, failures = cross_validate_alpha(n_values=(61, 97, 150))
+    assert checks == 4 * (31 + 49 + 76)
+    assert failures == []
+
+
+def test_alpha_oracle_sweep_solves_once(monkeypatch):
+    solves = []
+    solve = bounds.a_to_c
+
+    def counting_solve(enum):
+        solves.append((enum.n_parties, enum.local_dim))
+        return solve(enum)
+
+    monkeypatch.setattr(bounds, "a_to_c", counting_solve)
+    bounds.alpha_oracle_vector.cache_clear()
+    values = [alpha_oracle(41, 3, i) for i in range(41 // 2 + 1)]
+    assert solves == [(41, 3)]
+    assert tuple(values) == bounds.alpha_oracle_vector(41, 3)
 
 
 def test_rains_bound_values():

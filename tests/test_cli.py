@@ -166,9 +166,29 @@ def test_env_variable_mirrors_flags(capsys, monkeypatch):
     assert json.loads(out)["status"] == "ok"
 
 
-def test_threads_flag_accepted(capsys):
-    code, doc = run_json(capsys, "bound", "--d", "2", "--n", "4", "--threads", "4")
-    assert code == 0
+@pytest.mark.parametrize("name", ["KUNIFORM_BUDGET", "KUNIFORM_CAP_DIM"])
+def test_non_integer_env_value_is_usage_error(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code = main(["ame", "--dims", "3x1,2x8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"kuniform: invalid {name} 'abc'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--d", "3", "--n-range", "2:100000"],
+        ["bound", "--d", "3", "--n", "4097"],
+        ["ame", "--dims", "2x100000000"],
+    ],
+)
+def test_party_counts_above_cap_fail_at_once(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["status"] == "error"
+    assert "exceeds the cap of 4096 parties" in doc["payload"]["error"]
 
 
 @given(st.text(min_size=1, max_size=20))

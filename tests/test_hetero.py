@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kuniform.bounds import scott_gap_condition
-from kuniform.errors import BudgetExceededError, NotApplicableError
+from kuniform.errors import (
+    MAX_PARTIES,
+    BudgetExceededError,
+    CapacityError,
+    NotApplicableError,
+)
 from kuniform.hetero import (
     DimensionProfile,
     ame_verdict,
@@ -35,6 +40,15 @@ def test_profile_parsing():
         DimensionProfile((2,))
     with pytest.raises(ValueError):
         DimensionProfile((2, 1))
+
+
+def test_profile_parsing_party_cap():
+    assert DimensionProfile.parse("2x4000,3x96").n_parties == MAX_PARTIES
+    assert DimensionProfile.parse(str([2] * MAX_PARTIES)).n_parties == MAX_PARTIES
+    with pytest.raises(CapacityError):
+        DimensionProfile.parse("2x4000,3x97")
+    with pytest.raises(CapacityError):
+        DimensionProfile.parse(str([2] * (MAX_PARTIES + 1)))
 
 
 def test_schmidt_feasibility():
