@@ -13,7 +13,9 @@ payload} (or plain CSV rows with --format csv where a tabular layout is
 defined).  Envelopes are byte-deterministic apart from the timestamp
 field.  Exit status: 0 for "ok" and for "violation-found" (a found
 non-existence certificate or table mismatch is a successful computation),
-1 for errors, 2 for usage errors, 3 for not-applicable requests.
+1 for errors, 2 for usage errors, 3 for not-applicable requests.  A
+reader that closes stdout early (`kuniform ... | head`) ends the run
+with exit 1 and nothing on stderr.
 
 Global flags may also be set through environment variables with the
 KUNIFORM_ prefix (KUNIFORM_FORMAT, KUNIFORM_BUDGET, KUNIFORM_CAP_DIM);
@@ -26,7 +28,6 @@ above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -41,7 +42,7 @@ from .errors import (
     NotApplicableError,
     check_party_count,
 )
-from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict, hetero_shadow
+from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict
 
 ENV_PREFIX = "KUNIFORM_"
 
@@ -249,14 +250,7 @@ def _run_verify(args) -> tuple[str, dict, Optional[str]]:
                 f"offset {spec.offset}: {msg}" for msg in report.failures
             )
     else:  # shadow-oracle
-        for n in (3, 5, 7, 9, 11):
-            for dims in itertools.combinations_with_replacement((2, 3, 4), n):
-                profile = DimensionProfile(dims)
-                if not profile.schmidt_feasible():
-                    continue
-                checks += 1
-                if oracle.ame_shadow_oracle(profile) != hetero_shadow(profile).s:
-                    failures.append(f"shadow mismatch on profile {dims}")
+        checks, failures = oracle.cross_validate_ame_shadow()
     payload = {"suite": args.suite, "checks": checks, "failures": failures}
     status = STATUS_OK if not failures else STATUS_ERROR
     return status, payload, None
@@ -281,6 +275,20 @@ def _emit(command: str, status: str, payload: dict, fmt: str, csv_text: Optional
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`kuniform ... | head`); the Python
+        # docs' idiom points stdout at devnull so the exit-time flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
+    return code
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 

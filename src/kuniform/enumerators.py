@@ -2,8 +2,7 @@
 
 A homogeneous degree-N polynomial A(x, y) = sum_j a_j x^(N-j) y^j is stored
 as its coefficient vector (a_0 .. a_N).  Three changes of representation
-are implemented here, all by exact expansion (binomial expansion of linear
-forms plus convolution), never by evaluation or interpolation:
+are implemented here, all exactly, never by evaluation or interpolation:
 
   * the duality substitution x -> (x + (d^2-1) y) / d, y -> (x - y) / d,
     under which enumerators of pure states are invariant;
@@ -11,10 +10,13 @@ forms plus convolution), never by evaluation or interpolation:
   * the invariant basis (x + (d-1) y)^(N-2i) (y (x - y))^i, whose
     coordinates c_0 .. c_(floor(N/2)) determine A completely.
 
-The a <-> c conversion solves a unitriangular linear system by forward
-substitution and is therefore exact; c <-> b (the compressed shadow, with
-b_j = s_(2j+t) and t = N mod 2) is a pair of mutually inverse closed-form
-linear maps.
+The two substitutions and the expansion c -> a each clear the
+denominators once, substitute integer binary forms with the Horner
+kernel `exact.homogeneous_horner` (O(N^2) integer operations), and
+divide once per coefficient at the end.  The a -> c direction solves a
+unitriangular linear system by forward substitution, independently of
+the kernel; c <-> b (the compressed shadow, with b_j = s_(2j+t) and
+t = N mod 2) is a pair of mutually inverse closed-form linear maps.
 
 `validate_state_constraints` evaluates every coefficient inequality and
 identity a pure-state enumerator must satisfy, returning a report rather
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .exact import binom, rat_from_str, rat_to_str
+from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
 
 
 def _coerce_coeffs(values: Sequence) -> tuple[Fraction, ...]:
@@ -139,67 +142,40 @@ class ShadowCompressed:
 # ---------------------------------------------------------------------------
 
 
-def _linear_powers(cx: Fraction, cy: Fraction, k_max: int) -> list[list[Fraction]]:
-    """Coefficient vectors (in the y-power index) of (cx x + cy y)^k, k <= k_max."""
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    for _ in range(k_max):
-        prev = rows[-1]
-        cur = [Fraction(0)] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            cur[i] += c * cx
-            cur[i + 1] += c * cy
-        rows.append(cur)
-    return rows
-
-
-def _convolve(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return out
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers m * c for each coefficient c, and m, the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _substitute(
     coeffs: Sequence[Fraction],
-    sub_x: tuple[Fraction, Fraction],
-    sub_y: tuple[Fraction, Fraction],
+    sub_x: tuple[int, int],
+    sub_y: tuple[int, int],
+    scale: int,
 ) -> tuple[Fraction, ...]:
-    """Coefficients of A(sub_x, sub_y) for homogeneous A given by `coeffs`."""
+    """Coefficients of A(sub_x / scale, sub_y / scale) for homogeneous A.
+
+    `sub_x` and `sub_y` are integer linear forms (coefficients of x, y).
+    """
     n = len(coeffs) - 1
-    pow_x = _linear_powers(*sub_x, n)
-    pow_y = _linear_powers(*sub_y, n)
-    out = [Fraction(0)] * (n + 1)
-    for j, aj in enumerate(coeffs):
-        if aj == 0:
-            continue
-        term = _convolve(pow_x[n - j], pow_y[j])
-        for idx, c in enumerate(term):
-            out[idx] += aj * c
-    return tuple(out)
+    ints, den = _clear_denominators(coeffs)
+    out = homogeneous_horner(ints, sub_x, sub_y)
+    den *= scale**n
+    return tuple(Fraction(v, den) for v in out)
 
 
 def macwilliams_transform(enum: WeightEnumerator) -> WeightEnumerator:
     """A((x + (d^2-1) y) / d, (x - y) / d), expanded exactly."""
     d = enum.local_dim
-    coeffs = _substitute(
-        enum.coeffs,
-        (Fraction(1, d), Fraction(d * d - 1, d)),
-        (Fraction(1, d), Fraction(-1, d)),
-    )
+    coeffs = _substitute(enum.coeffs, (1, d * d - 1), (1, -1), d)
     return WeightEnumerator(enum.n_parties, d, coeffs)
 
 
 def shadow_transform(enum: WeightEnumerator) -> ShadowEnumerator:
     """S(x, y) = A(((d-1) x + (d+1) y) / d, (y - x) / d), expanded exactly."""
     d = enum.local_dim
-    coeffs = _substitute(
-        enum.coeffs,
-        (Fraction(d - 1, d), Fraction(d + 1, d)),
-        (Fraction(-1, d), Fraction(1, d)),
-    )
+    coeffs = _substitute(enum.coeffs, (d - 1, d + 1), (-1, 1), d)
     return ShadowEnumerator(enum.n_parties, d, coeffs)
 
 
@@ -239,19 +215,18 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
 
 
 def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:
-    """Expand sum_i c_i (x + (d-1) y)^(N-2i) (y (x - y))^i into a_0 .. a_N."""
+    """Expand sum_i c_i (x + (d-1) y)^(N-2i) (y (x - y))^i into a_0 .. a_N.
+
+    With u = x + (d-1) y, v = y (x - y), h = floor(N/2) and t = N mod 2 the
+    sum is u^t sum_i c_i (u^2)^(h-i) v^i: one Horner pass over the
+    quadratic forms u^2 and v, then one multiplication by u for odd N.
+    """
     n, d = inv.n_parties, inv.local_dim
-    out = [Fraction(0)] * (n + 1)
-    base = _linear_powers(Fraction(1), Fraction(d - 1), n)
-    mix = _linear_powers(Fraction(1), Fraction(-1), n // 2)
-    for i, ci in enumerate(inv.coeffs):
-        if ci == 0:
-            continue
-        # (y (x - y))^i shifts the y-degree of (x - y)^i up by i
-        term = _convolve(base[n - 2 * i], mix[i])
-        for idx, coeff in enumerate(term):
-            out[idx + i] += ci * coeff
-    return WeightEnumerator(n, d, tuple(out))
+    ints, den = _clear_denominators(inv.coeffs)
+    out = homogeneous_horner(ints, (1, 2 * (d - 1), (d - 1) ** 2), (0, 1, -1))
+    if n % 2:
+        out = [a + (d - 1) * b for a, b in zip(out + [0], [0] + out)]
+    return WeightEnumerator(n, d, tuple(Fraction(v, den) for v in out))
 
 
 def c_to_b(inv: InvariantBasisCoeffs) -> ShadowCompressed:

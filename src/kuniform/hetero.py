@@ -23,8 +23,9 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
 
         s_j = sum_k [ sum_a (-1)^a C(N-k, N-j-a) C(k, a) ] A'_k,
 
-    with A'_k = A'_(N-k) above the midpoint.  Any s_j < 0 certifies
-    non-existence (`hetero_shadow`).
+    with A'_k = A'_(N-k) above the midpoint; these are the coefficients
+    of A'(x + y, y - x).  Any s_j < 0 certifies non-existence
+    (`hetero_shadow`).
 
 `ame_verdict` runs the cheap tests first (Schmidt feasibility, the pair
 threshold, the subset search, then the shadow) and reports the first
@@ -40,7 +41,7 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, NotApplicableError, check_party_count
-from .exact import binom, elem_sym_prefix, rat_to_str
+from .exact import elem_sym_prefix, homogeneous_horner, rat_to_str
 
 DEFAULT_SUBSET_BUDGET = 10**7
 
@@ -83,16 +84,24 @@ class DimensionProfile:
     def parse(cls, text: str) -> "DimensionProfile":
         """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]".
 
-        Raises CapacityError, before building the profile, when it has more
-        than `errors.MAX_PARTIES` parties.
+        A JSON array must hold JSON integers only; floats, booleans, null,
+        strings and nested arrays raise ValueError.  Raises CapacityError,
+        before building the profile, when it has more than
+        `errors.MAX_PARTIES` parties.
         """
         text = text.strip()
         if text.startswith("["):
-            dims_list = json.loads(text)
+            try:
+                dims_list = json.loads(text)
+            except RecursionError as exc:
+                raise ValueError("profile JSON is nested too deeply") from exc
             if not isinstance(dims_list, list):
                 raise ValueError(f"profile JSON must be an array, got {text!r}")
             check_party_count(len(dims_list))
-            return cls(tuple(int(d) for d in dims_list))
+            # an exact type test, since bool is a subclass of int
+            if any(type(d) is not int for d in dims_list):
+                raise ValueError(f"profile JSON must hold integers only, got {text!r}")
+            return cls(tuple(dims_list))
         terms: list[tuple[int, int]] = []
         for term in text.split(","):
             term = term.strip()
@@ -275,30 +284,28 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     Only defined for odd N (profiles with unequal dimensions admit AME
     states only at odd party counts).  Any s_j < 0 certifies that no AME
     state exists on the profile.
+
+    The shadow is the polynomial A'(x + y, y - x).  Scaled by the total
+    dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
+    for k <= floor(N/2), by an integer dynamic program, and one pass of
+    `exact.homogeneous_horner` expands the substitution in O(N^2) integer
+    operations; each coefficient is divided by D once at the end.  Raises
+    CapacityError above `errors.MAX_PARTIES` parties.
     """
     n = profile.n_parties
+    check_party_count(n)
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
-    half = (n - 1) // 2
-    reciprocals = [Fraction(1, d) for d in profile.dims]
-    a_prime = elem_sym_prefix(reciprocals, half)
-    a_full = [
-        a_prime[k] if k <= half else a_prime[n - k] for k in range(n + 1)
-    ]
-
-    # scale to integers: A'_k * total_dim is a sum of complement products
     total = profile.total_dim
-    a_int = [int(v * total) for v in a_full]
-    s: list[Fraction] = []
-    for j in range(n + 1):
-        acc = 0
-        for k in range(n + 1):
-            kernel = 0
-            for a in range(max(0, k - j), min(k, n - j) + 1):
-                kernel += (-1) ** a * binom(n - k, n - j - a) * binom(k, a)
-            acc += kernel * a_int[k]
-        s.append(Fraction(acc, total))
-    return HeteroShadow(profile, tuple(a_full), tuple(s))
+    e = elem_sym_prefix(profile.dims, n)
+    # D A'_k, with A'_k = A'_(N-k) above the midpoint
+    a_int = [e[max(k, n - k)] for k in range(n + 1)]
+    s = homogeneous_horner(a_int, (1, 1), (-1, 1))
+    return HeteroShadow(
+        profile,
+        tuple(Fraction(v, total) for v in a_int),
+        tuple(Fraction(v, total) for v in s),
+    )
 
 
 # ---------------------------------------------------------------------------

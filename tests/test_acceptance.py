@@ -5,7 +5,6 @@ criterion.  Every equality here is exact rational equality; the only
 tolerances are the stated wall-clock budgets.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -32,8 +31,8 @@ from kuniform.enumerators import (
 )
 from kuniform.hetero import DimensionProfile, hetero_shadow, scott_check
 from kuniform.oracle import (
-    ame_shadow_oracle,
     bundled_corpus,
+    cross_validate_ame_shadow,
     direct_enumerator,
     direct_shadow,
     is_k_uniform,
@@ -202,14 +201,9 @@ def test_criterion_10_algebra_invariants():
         )
         assert b_to_c(c_to_b(inv), d).coeffs == inv.coeffs
     # the two shadow routes agree on every feasible odd profile with dims <= 4
-    profiles = 0
-    for n in (3, 5, 7, 9, 11):
-        for dims in itertools.combinations_with_replacement((2, 3, 4), n):
-            profile = DimensionProfile(dims)
-            if not profile.schmidt_feasible():
-                continue
-            assert ame_shadow_oracle(profile) == hetero_shadow(profile).s, dims
-            profiles += 1
+    profiles, failures = cross_validate_ame_shadow()
+    assert failures == []
+    assert profiles == 89  # odd N = 3..11, dims in {2, 3, 4}, Schmidt-feasible
     elapsed = time.monotonic() - start
     print(f"ACCEPTANCE 10 PASS: 3x1000 randomized algebra instances and "
           f"{profiles} shadow cross-checks exact ({elapsed:.1f}s)")

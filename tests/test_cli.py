@@ -1,10 +1,13 @@
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kuniform.cli import main
+from kuniform.hetero import DimensionProfile
 from kuniform.oracle import ghz_state, product_zero_state
 
 
@@ -191,12 +194,69 @@ def test_party_counts_above_cap_fail_at_once(capsys, argv):
     assert "exceeds the cap of 4096 parties" in doc["payload"]["error"]
 
 
-@given(st.text(min_size=1, max_size=20))
+@given(st.one_of(
+    st.text(min_size=1, max_size=20),
+    st.text(alphabet="0123456789x,[] -+.e", min_size=1, max_size=12),
+    st.lists(
+        st.one_of(st.integers(-3, 9), st.floats(-9, 9), st.booleans(), st.none()),
+        max_size=9,
+    ).map(json.dumps),
+))
 def test_exit_code_contract_on_garbage_profiles(text):
-    # any profile string yields a clean exit code, never a stray exception
-    # (argparse itself exits 2 on flag-shaped input)
-    try:
-        code = main(["ame", "--dims", text])
-    except SystemExit as exc:
-        code = exc.code
+    # any profile text ends in one exit code of the contract with one
+    # envelope or one `kuniform:` stderr line, never a stray exception
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        try:
+            code = main(["ame", "--dims", text, "--budget", "1000"])
+        except SystemExit as exc:  # argparse itself rejects flag-shaped text
+            assert exc.code == 2
+            return
     assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("kuniform: ")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == 1
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"command", "status", "timestamp", "payload"}
+    statuses = {0: ("ok", "violation-found"), 1: ("error",), 3: ("not-applicable",)}
+    assert doc["status"] in statuses[code]
+    if code == 0:
+        assert doc["payload"]["profile"] == list(DimensionProfile.parse(text).dims)
+
+
+def test_ame_json_profile_holds_integers_only(capsys):
+    for text in ("[2.9,3,3]", "[[2],3,3]", "[null,2,2]", "[true,2,2]"):
+        assert main(["ame", "--dims", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kuniform: profile JSON must hold integers")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_quietly(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "w") as backing:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(backing.fileno()))
+        code = main(["table", "--paper", "I"])
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,3 +168,91 @@ def test_coefficient_length_validation():
         InvariantBasisCoeffs(4, 2, (1, 0))
     with pytest.raises(ValueError):
         ShadowCompressed(4, 1, (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# reference: the O(N^3) Fraction expansion the Horner kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def _linear_powers(cx, cy, k_max):
+    """Coefficient vectors (in the y-power index) of (cx x + cy y)^k, k <= k_max."""
+    rows = [[Fraction(1)]]
+    for _ in range(k_max):
+        prev = rows[-1]
+        cur = [Fraction(0)] * (len(prev) + 1)
+        for i, c in enumerate(prev):
+            cur[i] += c * cx
+            cur[i + 1] += c * cy
+        rows.append(cur)
+    return rows
+
+
+def _convolve(u, v):
+    out = [Fraction(0)] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _substitute_reference(coeffs, sub_x, sub_y):
+    n = len(coeffs) - 1
+    pow_x = _linear_powers(*sub_x, n)
+    pow_y = _linear_powers(*sub_y, n)
+    out = [Fraction(0)] * (n + 1)
+    for j, aj in enumerate(coeffs):
+        if aj == 0:
+            continue
+        term = _convolve(pow_x[n - j], pow_y[j])
+        for idx, c in enumerate(term):
+            out[idx] += aj * c
+    return tuple(out)
+
+
+def _c_to_a_reference(n, d, coeffs):
+    out = [Fraction(0)] * (n + 1)
+    base = _linear_powers(Fraction(1), Fraction(d - 1), n)
+    mix = _linear_powers(Fraction(1), Fraction(-1), n // 2)
+    for i, ci in enumerate(coeffs):
+        if ci == 0:
+            continue
+        term = _convolve(base[n - 2 * i], mix[i])
+        for idx, coeff in enumerate(term):
+            out[idx + i] += ci * coeff
+    return tuple(out)
+
+
+def _seeded_coeffs(rng, size):
+    # about a quarter zeros; numerators of both signs
+    return tuple(
+        Fraction(0)
+        if rng.random() < 0.25
+        else Fraction(rng.randint(-60, 60), rng.randint(1, 15))
+        for _ in range(size)
+    )
+
+
+def test_transforms_equal_the_reference_expansion():
+    rng = random.Random(20260418)
+    for n in range(1, 41):
+        # every d up to N = 16; above it one d per N, each d on an odd and an
+        # even N, since the O(N^3) reference dominates the time
+        for d in range(2, 10) if n <= 16 else (2 + n // 2 % 8,):
+            coeffs = _seeded_coeffs(rng, n + 1)
+            enum = WeightEnumerator(n, d, coeffs)
+            assert macwilliams_transform(enum).coeffs == _substitute_reference(
+                coeffs,
+                (Fraction(1, d), Fraction(d * d - 1, d)),
+                (Fraction(1, d), Fraction(-1, d)),
+            ), (n, d)
+            assert shadow_transform(enum).coeffs == _substitute_reference(
+                coeffs,
+                (Fraction(d - 1, d), Fraction(d + 1, d)),
+                (Fraction(-1, d), Fraction(1, d)),
+            ), (n, d)
+            inv_coeffs = _seeded_coeffs(rng, n // 2 + 1)
+            inv = InvariantBasisCoeffs(n, d, inv_coeffs)
+            assert c_to_a(inv).coeffs == _c_to_a_reference(n, d, inv_coeffs), (n, d)

@@ -10,6 +10,7 @@ from kuniform.exact import (
     elem_sym,
     elem_sym_prefix,
     falling_binom,
+    homogeneous_horner,
     rat_from_str,
     rat_to_str,
 )
@@ -125,3 +126,49 @@ def test_gaussian_ring_ops(z, w):
     assert z + w - w == z
     assert (z - w) + w == z
     assert (-z) + z == GaussianRational()
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+small_ints = st.integers(-9, 9)
+
+
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.integers(1, 3).flatmap(
+        lambda g: st.tuples(
+            st.lists(small_ints, min_size=g + 1, max_size=g + 1),
+            st.lists(small_ints, min_size=g + 1, max_size=g + 1),
+        )
+    ),
+)
+def test_homogeneous_horner_matches_term_by_term_expansion(coeffs, forms):
+    x_form, y_form = forms
+    n = len(coeffs) - 1
+    expected = [0] * ((len(x_form) - 1) * n + 1)
+    for j, a in enumerate(coeffs):
+        term = [a]
+        for _ in range(n - j):
+            term = _times(term, x_form)
+        for _ in range(j):
+            term = _times(term, y_form)
+        expected = [e + t for e, t in zip(expected, term)]
+    assert homogeneous_horner(coeffs, x_form, y_form) == expected
+
+
+def test_homogeneous_horner_needs_forms_of_one_degree():
+    with pytest.raises(ValueError):
+        homogeneous_horner([1, 2], [1, 1], [1, 0, 1])
+
+
+@given(st.lists(st.integers(-50, 50), max_size=10))
+def test_elem_sym_prefix_keeps_integers(values):
+    e = elem_sym_prefix(values, len(values))
+    assert all(type(v) is int for v in e)
+    assert e == elem_sym_prefix([Fraction(v) for v in values], len(values))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from kuniform.errors import (
     CapacityError,
     NotApplicableError,
 )
+from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
     DimensionProfile,
     ame_verdict,
@@ -49,6 +51,45 @@ def test_profile_parsing_party_cap():
         DimensionProfile.parse("2x4000,3x97")
     with pytest.raises(CapacityError):
         DimensionProfile.parse(str([2] * (MAX_PARTIES + 1)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[2.9,3,3]", "[1e1,3,3]", "[[2],3,3]", "[null,2,2]", "[true,2,2]",
+     '["2",2,2]', "[{},2,2]", "[" * 100000],
+    ids=["float", "exponent", "array", "null", "bool", "string", "object", "deep"],
+)
+def test_profile_json_holds_integers_only(text):
+    with pytest.raises(ValueError):
+        DimensionProfile.parse(text)
+
+
+profile_texts = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet="0123456789x,[] -+.e", max_size=16),
+    st.lists(
+        st.one_of(
+            st.integers(-3, 12),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.booleans(),
+            st.none(),
+            st.text(max_size=3),
+            st.lists(st.integers(0, 5), max_size=2),
+        ),
+        max_size=9,
+    ).map(json.dumps),
+)
+
+
+@given(profile_texts)
+def test_profile_parsing_fuzz(text):
+    # every text gives a profile of JSON or decimal integers, or a stated error
+    try:
+        profile = DimensionProfile.parse(text)
+    except (ValueError, CapacityError):
+        return
+    assert all(type(d) is int and d >= 2 for d in profile.dims)
+    assert 2 <= profile.n_parties <= MAX_PARTIES
 
 
 def test_schmidt_feasibility():
@@ -145,6 +186,47 @@ def test_hetero_shadow_worked_values():
     assert hetero_shadow(pair_profile(4, 2, 4)).s[1] == Fraction(-7, 4)
     assert hetero_shadow(pair_profile(3, 2, 5)).s[3] == Fraction(-65, 4)
     assert hetero_shadow(pair_profile(4, 2, 5)).s[3] == Fraction(-225, 16)
+
+
+def _hetero_shadow_reference(profile):
+    """The O(N^3) Krawtchouk triple loop the Horner kernel replaced."""
+    n = profile.n_parties
+    half = (n - 1) // 2
+    reciprocals = [Fraction(1, d) for d in profile.dims]
+    a_prime = elem_sym_prefix(reciprocals, half)
+    a_full = [a_prime[k] if k <= half else a_prime[n - k] for k in range(n + 1)]
+    total = profile.total_dim
+    a_int = [int(v * total) for v in a_full]
+    s = []
+    for j in range(n + 1):
+        acc = 0
+        for k in range(n + 1):
+            kernel = 0
+            for a in range(max(0, k - j), min(k, n - j) + 1):
+                kernel += (-1) ** a * binom(n - k, n - j - a) * binom(k, a)
+            acc += kernel * a_int[k]
+        s.append(Fraction(acc, total))
+    return tuple(a_full), tuple(s)
+
+
+def test_hetero_shadow_equals_the_reference_loop():
+    rng = random.Random(61121)
+    profiles = [
+        pair_profile(3, 2, 30),
+        DimensionProfile(tuple(rng.choice((2, 3, 5, 7)) for _ in range(61))),
+        pair_profile(9, 4, 60),
+        DimensionProfile(tuple(rng.randint(2, 9) for _ in range(121))),
+    ]
+    for profile in profiles:
+        shadow = hetero_shadow(profile)
+        assert (shadow.a_prime, shadow.s) == _hetero_shadow_reference(profile), (
+            profile.to_spec_string()
+        )
+
+
+def test_hetero_shadow_party_cap():
+    with pytest.raises(CapacityError):
+        hetero_shadow(DimensionProfile((2,) * (MAX_PARTIES + 1)))
 
 
 def test_hetero_shadow_requires_odd_party_count():
