@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from kuniform.tables import TABLE_IDS, diff_table, format_n_range  # noqa: E402
+from kuniform.tables import TABLE_IDS, diff_table, table_csv  # noqa: E402
 
 
 def main() -> int:
@@ -28,18 +28,7 @@ def main() -> int:
         diff = diff_table(table_id)
         elapsed = time.monotonic() - start
         path = out_dir / f"table_{table_id}.csv"
-        if table_id == "IV":
-            lines = ["d1,d2,threshold_n,shadow_certified_n"]
-            lines += [
-                f"{d1},{d2},{thr},{' '.join(map(str, ns))}"
-                for d1, d2, thr, ns in diff.computed
-            ]
-        else:
-            lines = ["N_range,k_max"]
-            lines += [
-                f"{format_n_range(lo, hi)},{k}" for lo, hi, k in diff.computed
-            ]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(table_csv(diff) + "\n")
         verdict = "MATCH" if diff.match else f"{len(diff.diffs)} DIFFS"
         print(f"table {table_id}: {verdict} ({elapsed:.1f}s) -> {path}")
         for cell in diff.diffs:

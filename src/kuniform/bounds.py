@@ -30,7 +30,8 @@ range formulas (`range_formula_d3`); for d = 4, 5 the analogous formulas
 are conjectural and `conjecture_scan` only tabulates agreement, never
 asserts it.  The three-term recurrences that certify the d = 3 sign facts
 ship as static data (one spec per offset of N mod 14) and
-`verify_recurrence` re-derives each sum directly to confirm them.
+`verify_recurrence` re-derives each sum directly to confirm them;
+`cross_validate_recurrences` runs it over every spec.
 """
 
 from __future__ import annotations
@@ -448,6 +449,22 @@ def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> RecurrenceReport:
         if any(v <= 0 for v in values):
             failures.append(f"polynomial not positive at n={n}")
     return RecurrenceReport(spec.offset, n_max, checked, tuple(failures))
+
+
+def cross_validate_recurrences(n_max: int = 30) -> tuple[int, list[str]]:
+    """Re-derive every shipped recurrence by direct summation, up to `n_max`.
+
+    Returns the number of recurrence identities checked and one message
+    per failure, prefixed with its offset.  The default n_max = 30 gives
+    420 checks.
+    """
+    checks = 0
+    failures: list[str] = []
+    for spec in recurrence_specs():
+        report = verify_recurrence(spec, n_max=n_max)
+        checks += report.checked_identities
+        failures.extend(f"offset {spec.offset}: {msg}" for msg in report.failures)
+    return checks, failures
 
 
 @lru_cache(maxsize=None)

@@ -176,15 +176,9 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
         "match": diff.match,
         "diffs": [d.to_json_dict() for d in diff.diffs],
     }
-    csv_lines: list[str]
     if diff.table_id == "IV":
         payload["rows"] = [
             {"d1": d1, "d2": d2, "threshold_n": thr, "shadow_certified_n": list(ns)}
-            for d1, d2, thr, ns in diff.computed
-        ]
-        csv_lines = ["d1,d2,threshold_n,shadow_certified_n"]
-        csv_lines += [
-            f"{d1},{d2},{thr},{' '.join(map(str, ns))}"
             for d1, d2, thr, ns in diff.computed
         ]
     else:
@@ -193,12 +187,8 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
             for lo, hi, k in diff.computed
         ]
         payload["records"] = [r.to_json_dict() for r in diff.records]
-        csv_lines = ["N_range,k_max"]
-        csv_lines += [
-            f"{tables.format_n_range(lo, hi)},{k}" for lo, hi, k in diff.computed
-        ]
     status = STATUS_OK if diff.match else STATUS_VIOLATION
-    return status, payload, "\n".join(csv_lines)
+    return status, payload, tables.table_csv(diff)
 
 
 def _run_ame(args, budget: int) -> tuple[str, dict, Optional[str]]:
@@ -238,17 +228,10 @@ def _run_state(args, cap_dim: int) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_verify(args) -> tuple[str, dict, Optional[str]]:
-    failures: list[str] = []
-    checks = 0
     if args.suite == "alpha":
         checks, failures = bounds.cross_validate_alpha()
     elif args.suite == "recurrence":
-        for spec in bounds.recurrence_specs():
-            report = bounds.verify_recurrence(spec, n_max=30)
-            checks += report.checked_identities
-            failures.extend(
-                f"offset {spec.offset}: {msg}" for msg in report.failures
-            )
+        checks, failures = bounds.cross_validate_recurrences()
     else:  # shadow-oracle
         checks, failures = oracle.cross_validate_ame_shadow()
     payload = {"suite": args.suite, "checks": checks, "failures": failures}

@@ -14,9 +14,12 @@ The two substitutions and the expansion c -> a each clear the
 denominators once, substitute integer binary forms with the Horner
 kernel `exact.homogeneous_horner` (O(N^2) integer operations), and
 divide once per coefficient at the end.  The a -> c direction solves a
-unitriangular linear system by forward substitution, independently of
-the kernel; c <-> b (the compressed shadow, with b_j = s_(2j+t) and
-t = N mod 2) is a pair of mutually inverse closed-form linear maps.
+unitriangular linear system with integer entries by forward
+substitution over integers, independently of the kernel: it clears the
+denominators of a_0 .. a_(floor(N/2)) once, keeps every intermediate an
+int and divides once per c_i at the end.  c <-> b (the compressed
+shadow, with b_j = s_(2j+t) and t = N mod 2) is a pair of mutually
+inverse closed-form linear maps.
 
 `validate_state_constraints` evaluates every coefficient inequality and
 identity a pure-state enumerator must satisfy, returning a report rather
@@ -202,16 +205,22 @@ def basis_matrix_entry(n_parties: int, local_dim: int, row: int, col: int) -> in
 
 
 def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
-    """Invariant-basis coordinates from a_0 .. a_(floor(N/2)), by forward solve."""
+    """Invariant-basis coordinates from a_0 .. a_(floor(N/2)), by forward solve.
+
+    The system is unitriangular with integer entries, so once the
+    denominators of a_0 .. a_(floor(N/2)) are cleared every m * c_i is an
+    integer; the solve runs on those and divides by m once per c_i.
+    """
     n, d = enum.n_parties, enum.local_dim
     half = n // 2
-    c: list[Fraction] = []
+    ints, den = _clear_denominators(enum.coeffs[: half + 1])
+    c: list[int] = []
     for j in range(half + 1):
-        acc = enum.coeffs[j]
+        acc = ints[j]
         for i in range(j):
             acc -= basis_matrix_entry(n, d, j, i) * c[i]
         c.append(acc)  # diagonal entry is 1
-    return InvariantBasisCoeffs(n, d, tuple(c))
+    return InvariantBasisCoeffs(n, d, tuple(Fraction(v, den) for v in c))
 
 
 def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:

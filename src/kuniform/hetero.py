@@ -48,12 +48,20 @@ DEFAULT_SUBSET_BUDGET = 10**7
 
 @dataclass(frozen=True)
 class DimensionProfile:
-    """Ordered local dimensions d_1 .. d_N of a multipartite system."""
+    """Ordered local dimensions d_1 .. d_N of a multipartite system.
+
+    Every dimension must be an exact int; a float, a bool or any other
+    value raises ValueError instead of being truncated.
+    """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        for d in self.dims:
+            # an exact type test, since bool is a subclass of int
+            if type(d) is not int:
+                raise ValueError(f"local dimensions must be integers, got {d!r}")
         if len(self.dims) < 2:
             raise ValueError("a profile needs at least 2 parties")
         if any(d < 2 for d in self.dims):

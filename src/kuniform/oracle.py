@@ -16,6 +16,12 @@ From the subset purities everything else follows exactly:
   * `direct_shadow` evaluates the definitional double subset sum
     s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) Tr(rho_S^2).
 
+Both run on integers: every purity is an integer numerator over the one
+common denominator norm2^2 (norm2 the squared norm of the state with its
+amplitudes scaled to Gaussian integers), so the inversion and the
+subset sum add and subtract ints only, and each output coefficient is
+one division at the end.
+
 These are test fixtures, not production paths: Hilbert dimension is
 capped (default 4096) and the shadow sum at 12 parties, with hard errors
 beyond.
@@ -24,7 +30,11 @@ beyond.
 profile of a hypothetical AME state on a dimension profile
 (Tr(rho_S^2) = 1 / min(D_S, D_complement)), giving an independent route
 to the heterogeneous shadow coefficients of `hetero.hetero_shadow`;
-`cross_validate_ame_shadow` compares the two routes.
+`cross_validate_ame_shadow` compares the two routes.  Every D_S divides
+the total dimension D, so that profile is the integer weight
+max(D_S, D / D_S) over the common denominator D.  The subset sum itself
+is one integer parity butterfly, `_parity_shadow`, shared by the state
+and AME routes and by `shadow_from_purities`.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
-from .enumerators import ShadowEnumerator, WeightEnumerator
+from .enumerators import ShadowEnumerator, WeightEnumerator, _clear_denominators
 from .errors import CapacityError, NotApplicableError
 from .exact import GaussianRational, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, hetero_shadow
@@ -45,6 +55,17 @@ DEFAULT_DIM_CAP = 4096
 DEFAULT_SHADOW_PARTY_CAP = 12
 
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple, refusing anything but exact ints (bool included)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be an array of integers, got {values!r}")
+    for x in values:
+        # an exact type test, since bool is a subclass of int
+        if type(x) is not int:
+            raise ValueError(f"{what} must hold integers only, got {x!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,7 @@ class PureState:
         n = self.profile.n_parties
         entries = []
         for ket, amp in self.amplitudes:
-            ket = tuple(int(x) for x in ket)
+            ket = _int_tuple(ket, "ket")
             if len(ket) != n:
                 raise ValueError(f"ket {ket} has wrong arity for {n} parties")
             for x, d in zip(ket, self.profile.dims):
@@ -95,14 +116,15 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PureState":
-        dims = [int(d) for d in doc["dims"]]
+        """Read `dims` and each `ket` as JSON arrays of integers only."""
+        dims = _int_tuple(doc["dims"], "dims")
         amps = []
         for rec in doc["amps"]:
             amp = GaussianRational(
                 rat_from_str(str(rec.get("re", "0"))),
                 rat_from_str(str(rec.get("im", "0"))),
             )
-            amps.append((tuple(int(x) for x in rec["ket"]), amp))
+            amps.append((_int_tuple(rec["ket"], "ket"), amp))
         return cls.from_amplitudes(dims, amps)
 
     @classmethod
@@ -231,6 +253,15 @@ def purity(
     return Fraction(_purity_numerator(entries, n, mask), norm2 * norm2)
 
 
+def _purity_numerators(state: PureState, dim_cap: int) -> tuple[list[int], int]:
+    """Integer purity numerators of every subset (bitmask indexed) over norm2^2."""
+    _check_dim_cap(state, dim_cap)
+    n = state.profile.n_parties
+    entries, norm2 = _scaled_integer_amplitudes(state)
+    nums = [_purity_numerator(entries, n, mask) for mask in range(1 << n)]
+    return nums, norm2 * norm2
+
+
 def purity_table(
     state: PureState, dim_cap: int = DEFAULT_DIM_CAP
 ) -> list[Fraction]:
@@ -240,14 +271,8 @@ def purity_table(
     purity 1) and the complementary symmetry table[m] == table[full ^ m],
     both exercised by the test suite.
     """
-    _check_dim_cap(state, dim_cap)
-    n = state.profile.n_parties
-    entries, norm2 = _scaled_integer_amplitudes(state)
-    denom = norm2 * norm2
-    return [
-        Fraction(_purity_numerator(entries, n, mask), denom)
-        for mask in range(1 << n)
-    ]
+    nums, denom = _purity_numerators(state, dim_cap)
+    return [Fraction(v, denom) for v in nums]
 
 
 def is_k_uniform(
@@ -266,7 +291,7 @@ def is_k_uniform(
     denom = norm2 * norm2
     for mask in _masks_of_weight(n, k):
         d_s = prod(d for t, d in enumerate(state.profile.dims) if mask >> t & 1)
-        if Fraction(_purity_numerator(entries, n, mask), denom) != Fraction(1, d_s):
+        if _purity_numerator(entries, n, mask) * d_s != denom:
             return False
     return True
 
@@ -294,8 +319,10 @@ def direct_enumerator(
 ) -> WeightEnumerator:
     """Weight distribution a_0 .. a_N by purity inclusion-exclusion.
 
-    Homogeneous profiles only: the per-weight grouping of the distribution
-    presumes a single local dimension.
+    The inversion runs on the integer purity numerators and divides by
+    their common denominator once per a_j.  Homogeneous profiles only: the
+    per-weight grouping of the distribution presumes a single local
+    dimension.
     """
     if not state.profile.is_homogeneous():
         raise NotApplicableError(
@@ -303,36 +330,34 @@ def direct_enumerator(
         )
     n = state.profile.n_parties
     d = state.profile.dims[0]
-    pur = purity_table(state, dim_cap)
-    a = [Fraction(0)] * (n + 1)
+    nums, denom = _purity_numerators(state, dim_cap)
+    a = [0] * (n + 1)
     for t_mask in range(1 << n):
-        acc = Fraction(0)
+        acc = 0
         weight_t = t_mask.bit_count()
         u_mask = t_mask
         while True:
-            sign = -1 if (weight_t - u_mask.bit_count()) % 2 else 1
-            acc += sign * d ** u_mask.bit_count() * pur[u_mask]
+            term = d ** u_mask.bit_count() * nums[u_mask]
+            acc += -term if (weight_t - u_mask.bit_count()) % 2 else term
             if u_mask == 0:
                 break
             u_mask = (u_mask - 1) & t_mask
         a[weight_t] += acc
-    return WeightEnumerator(n, d, tuple(a))
+    return WeightEnumerator(n, d, tuple(Fraction(v, denom) for v in a))
 
 
-def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Shadow coefficients from a full subset-purity table (bitmask indexed).
+def _parity_shadow(weights: list[int]) -> list[int]:
+    """s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) w(S) for integer weights w.
 
-    Evaluates s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) pur(S) through the
-    parity transform g(M) = sum_S (-1)^(|S cap M|) pur(S), computed by the
-    standard in-place butterfly; s_j then aggregates g over complements of
-    the weight-j masks.  Exactly equal to the nested double sum, which the
-    test suite pins on small instances.
+    The parity transform g(M) = sum_S (-1)^(|S cap M|) w(S) is computed by
+    the standard in-place butterfly on a copy of `weights`; s_j then
+    aggregates g over the complements of the weight-j masks.
     """
-    size = len(purities)
+    size = len(weights)
     n = size.bit_length() - 1
     if size != 1 << n:
         raise ValueError("purity table must have length 2^N")
-    g = list(purities)
+    g = list(weights)
     step = 1
     while step < size:
         for start in range(0, size, 2 * step):
@@ -340,11 +365,24 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
                 a, b = g[idx], g[idx + step]
                 g[idx], g[idx + step] = a + b, a - b
         step *= 2
-    full = size - 1
-    s = [Fraction(0)] * (n + 1)
-    for t_mask in range(size):
-        s[t_mask.bit_count()] += g[full ^ t_mask]
-    return tuple(s)
+    s = [0] * (n + 1)
+    for mask in range(size):
+        # T is the complement of mask, of weight n - |mask|
+        s[n - mask.bit_count()] += g[mask]
+    return s
+
+
+def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Shadow coefficients from a full subset-purity table (bitmask indexed).
+
+    Evaluates s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) pur(S): the
+    purities are brought to integer weights over one denominator, the lcm
+    of theirs, the integer parity butterfly `_parity_shadow` sums them,
+    and each s_j is one division at the end.  Exactly equal to the nested
+    double sum, which the test suite pins on small instances.
+    """
+    weights, den = _clear_denominators(purities)
+    return tuple(Fraction(v, den) for v in _parity_shadow(weights))
 
 
 def _shadow_from_purities_naive(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -377,7 +415,8 @@ def direct_shadow(
         raise CapacityError(
             f"shadow subset sum capped at {party_cap} parties, got {n}"
         )
-    s = shadow_from_purities(purity_table(state, dim_cap))
+    nums, denom = _purity_numerators(state, dim_cap)
+    s = tuple(Fraction(v, denom) for v in _parity_shadow(nums))
     return ShadowEnumerator(n, state.profile.dims[0], s)
 
 
@@ -404,11 +443,9 @@ def ame_shadow_oracle(
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
         d_sub[mask] = d_sub[mask & (mask - 1)] * profile.dims[low]
-    purities = [
-        Fraction(1, min(d_sub[mask], total // d_sub[mask]))
-        for mask in range(1 << n)
-    ]
-    return shadow_from_purities(purities)
+    # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
+    weights = [max(d_s, total // d_s) for d_s in d_sub]
+    return tuple(Fraction(v, total) for v in _parity_shadow(weights))
 
 
 def cross_validate_ame_shadow() -> tuple[int, list[str]]:

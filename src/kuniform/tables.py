@@ -8,7 +8,9 @@ certified by the shadow coefficients below each threshold).
 
 `diff_table` recomputes a table from scratch and reports every cell that
 differs; an empty diff is the reproduction statement the command-line
-`table` command prints.
+`table` command prints.  `table_csv` renders the computed table as the
+CSV that `table --format csv` prints and `scripts/reproduce_tables.py`
+writes.
 """
 
 from __future__ import annotations
@@ -170,6 +172,20 @@ def _diff_hetero_table() -> TableDiff:
                     )
                 )
     return TableDiff("IV", tuple(computed_rows), HETERO_TABLE, tuple(diffs))
+
+
+def table_csv(diff: TableDiff) -> str:
+    """The computed table as CSV lines, header first, without a final newline."""
+    if diff.table_id == "IV":
+        lines = ["d1,d2,threshold_n,shadow_certified_n"]
+        lines += [
+            f"{d1},{d2},{thr},{' '.join(map(str, ns))}"
+            for d1, d2, thr, ns in diff.computed
+        ]
+    else:
+        lines = ["N_range,k_max"]
+        lines += [f"{format_n_range(lo, hi)},{k}" for lo, hi, k in diff.computed]
+    return "\n".join(lines)
 
 
 def diff_table(table_id: str) -> TableDiff:

@@ -12,11 +12,11 @@ from fractions import Fraction
 from kuniform.bounds import (
     alpha_closed_form,
     cross_validate_alpha,
+    cross_validate_recurrences,
     k_upper_bound,
     rains_bound,
     recurrence_block,
     recurrence_specs,
-    verify_recurrence,
 )
 from kuniform.enumerators import (
     InvariantBasisCoeffs,
@@ -103,12 +103,12 @@ def test_criterion_5_sign_facts_and_recurrences():
     by_offset = {s.offset: s for s in recurrence_specs()}
     assert by_offset[-1].initial_terms == ((1, 4), (2, 36))
     assert by_offset[-2].initial_terms == ((1, 6), (2, 120), (3, 3150), (4, 80304))
-    for spec in by_offset.values():
-        report = verify_recurrence(spec, n_max=30)
-        assert report.ok, (spec.offset, report.failures)
+    identities, failures = cross_validate_recurrences(n_max=30)
+    assert failures == []
+    assert identities == 420  # 14 offsets, n = 1..30 each
     print(
         f"ACCEPTANCE 5 PASS: {checked} sign facts (3 stated exceptions) and "
-        f"14 recurrences verified to n=30"
+        f"{len(by_offset)} recurrences ({identities} identities) verified to n=30"
     )
 
 

@@ -135,6 +135,16 @@ def test_state_malformed_file(tmp_path, capsys):
     assert code == 1 and doc["status"] == "error"
 
 
+def test_state_file_holds_integers_only(tmp_path, capsys):
+    # dims 2.9 and ket 1.7 were once truncated and answered as a 2 x 2 state
+    path = tmp_path / "float.json"
+    doc = {"dims": [2.9, 2], "amps": [{"ket": [1.7, 1], "re": "1"}]}
+    path.write_text(json.dumps(doc))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"].startswith(f"cannot read state file {path}: dims")
+
+
 def test_state_capacity_error(tmp_path, capsys):
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))

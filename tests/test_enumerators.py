@@ -11,6 +11,7 @@ from kuniform.enumerators import (
     WeightEnumerator,
     a_to_c,
     b_to_c,
+    basis_matrix_entry,
     c_to_a,
     c_to_b,
     macwilliams_transform,
@@ -256,3 +257,23 @@ def test_transforms_equal_the_reference_expansion():
             inv_coeffs = _seeded_coeffs(rng, n // 2 + 1)
             inv = InvariantBasisCoeffs(n, d, inv_coeffs)
             assert c_to_a(inv).coeffs == _c_to_a_reference(n, d, inv_coeffs), (n, d)
+
+
+def _a_to_c_reference(n, d, coeffs):
+    """The forward solve the integer a_to_c replaced, on Fractions."""
+    c = []
+    for j in range(n // 2 + 1):
+        acc = coeffs[j]
+        for i in range(j):
+            acc -= basis_matrix_entry(n, d, j, i) * c[i]
+        c.append(acc)
+    return tuple(c)
+
+
+def test_a_to_c_equals_the_fraction_solve():
+    rng = random.Random(20261018)
+    for n in range(1, 41):
+        for d in range(2, 10):
+            coeffs = _seeded_coeffs(rng, n + 1)
+            enum = WeightEnumerator(n, d, coeffs)
+            assert a_to_c(enum).coeffs == _a_to_c_reference(n, d, coeffs), (n, d)

@@ -44,6 +44,17 @@ def test_profile_parsing():
         DimensionProfile((2, 1))
 
 
+@pytest.mark.parametrize(
+    "dims",
+    [(2.9, 3, 3), (2, 3.0, 3), (True, 2, 2), (2, "3", 3), (2, None), (2, Fraction(3))],
+    ids=["float", "integral-float", "bool", "string", "none", "fraction"],
+)
+def test_profile_dims_are_exact_ints(dims):
+    # a non-integer dimension is refused, never truncated to an int
+    with pytest.raises(ValueError, match="must be integers"):
+        DimensionProfile(dims)
+
+
 def test_profile_parsing_party_cap():
     assert DimensionProfile.parse("2x4000,3x96").n_parties == MAX_PARTIES
     assert DimensionProfile.parse(str([2] * MAX_PARTIES)).n_parties == MAX_PARTIES

@@ -1,13 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform.enumerators import shadow_transform, validate_state_constraints
 from kuniform.errors import CapacityError, NotApplicableError
 from kuniform.exact import GaussianRational
-from kuniform.hetero import DimensionProfile
+from kuniform.hetero import DimensionProfile, hetero_shadow
 from kuniform.oracle import (
     PureState,
     ame43_state,
@@ -96,15 +97,20 @@ def test_capacity_errors():
         direct_shadow(ghz_state(4, 2), party_cap=3)
 
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+# numerators over denominators 1..60, so one table mixes many denominators
+rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
 
 
-@given(st.integers(1, 5), st.data())
+@settings(max_examples=20, deadline=None)  # the naive sum is O(4^N)
+@given(st.integers(1, 8), st.data())
 def test_shadow_transform_matches_butterfly(n, data):
     table = data.draw(
         st.lists(rationals, min_size=1 << n, max_size=1 << n)
     )
-    assert shadow_from_purities(table) == _shadow_from_purities_naive(table)
+    got = shadow_from_purities(table)
+    # the fast reference first, so that shrinking a failure stays quick
+    assert got == _fraction_butterfly(table)
+    assert got == _shadow_from_purities_naive(table)
 
 
 @st.composite
@@ -177,8 +183,112 @@ def test_state_validation():
 
 
 def test_ame_shadow_oracle_equals_formula_route():
-    from kuniform.hetero import hetero_shadow
-
     for dims in ((3, 2, 2), (2, 3, 3), (4, 2, 2, 2, 2), (3, 3, 3, 3, 3)):
         prof = DimensionProfile(dims)
         assert ame_shadow_oracle(prof) == hetero_shadow(prof).s
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dims": [2.9, 2], "amps": [{"ket": [1, 1], "re": "1"}]},
+        {"dims": [2, 2], "amps": [{"ket": [1.7, 1], "re": "1"}]},
+        {"dims": [2, 2], "amps": [{"ket": [1.0, 1], "re": "1"}]},
+        {"dims": [True, 2], "amps": [{"ket": [0, 0], "re": "1"}]},
+        {"dims": [2, 2], "amps": [{"ket": [False, 0], "re": "1"}]},
+        {"dims": ["2", 2], "amps": [{"ket": [0, 0], "re": "1"}]},
+        {"dims": 4, "amps": [{"ket": [0, 0], "re": "1"}]},
+        {"dims": [2, 2], "amps": [{"ket": "00", "re": "1"}]},
+    ],
+    ids=["float-dim", "float-ket", "integral-float-ket", "bool-dim", "bool-ket",
+         "string-dim", "scalar-dims", "string-ket"],
+)
+def test_state_json_holds_integers_only(doc):
+    # dims 2.9 and ket 1.7 were once truncated to a 2 x 2 state
+    with pytest.raises(ValueError, match="integers"):
+        PureState.from_json_dict(doc)
+
+
+def test_state_kets_are_exact_ints():
+    for ket in ((1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="integers only"):
+            PureState.from_amplitudes((2, 2), [(ket, GaussianRational.of(1))])
+
+
+# ---------------------------------------------------------------------------
+# references: the Fraction routes the integer butterfly and inversion replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_butterfly(purities):
+    """The parity butterfly and weight-class sum, on Fractions."""
+    size = len(purities)
+    n = size.bit_length() - 1
+    g = list(purities)
+    step = 1
+    while step < size:
+        for start in range(0, size, 2 * step):
+            for idx in range(start, start + step):
+                a, b = g[idx], g[idx + step]
+                g[idx], g[idx + step] = a + b, a - b
+        step *= 2
+    full = size - 1
+    s = [Fraction(0)] * (n + 1)
+    for t_mask in range(size):
+        s[t_mask.bit_count()] += g[full ^ t_mask]
+    return tuple(s)
+
+
+def _ame_oracle_reference(dims):
+    total = 1
+    for d in dims:
+        total *= d
+    purities = []
+    for mask in range(1 << len(dims)):
+        d_s = 1
+        for t, d in enumerate(dims):
+            if mask >> t & 1:
+                d_s *= d
+        purities.append(Fraction(1, min(d_s, total // d_s)))
+    return _fraction_butterfly(purities)
+
+
+def _inversion_reference(n, d, pur):
+    """The Mobius inversion of direct_enumerator, on Fraction purities."""
+    a = [Fraction(0)] * (n + 1)
+    for t_mask in range(1 << n):
+        acc = Fraction(0)
+        weight_t = t_mask.bit_count()
+        u_mask = t_mask
+        while True:
+            sign = -1 if (weight_t - u_mask.bit_count()) % 2 else 1
+            acc += sign * d ** u_mask.bit_count() * pur[u_mask]
+            if u_mask == 0:
+                break
+            u_mask = (u_mask - 1) & t_mask
+        a[weight_t] += acc
+    return tuple(a)
+
+
+def test_ame_shadow_oracle_equals_the_fraction_route():
+    # every Schmidt-feasible profile with dims in {2, 3, 4}, N = 2..9, each
+    # in sorted and in reversed party order
+    checked = 0
+    for n in range(2, 10):
+        for dims in itertools.combinations_with_replacement((2, 3, 4), n):
+            if not DimensionProfile(dims).schmidt_feasible():
+                continue
+            for order in (dims, dims[::-1]):
+                assert ame_shadow_oracle(DimensionProfile(order)) == (
+                    _ame_oracle_reference(order)
+                ), order
+            checked += 1
+    assert checked == 80
+
+
+def test_direct_routes_equal_the_fraction_route():
+    for name, state in bundled_corpus():
+        n, d = state.profile.n_parties, state.profile.dims[0]
+        pur = purity_table(state)
+        assert direct_enumerator(state).coeffs == _inversion_reference(n, d, pur), name
+        assert direct_shadow(state).coeffs == _fraction_butterfly(pur), name
