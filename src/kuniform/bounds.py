@@ -12,10 +12,11 @@ contradicted and k <= i - 1.
 alpha_i(N) by walking its term ratio: each term is the previous one times
 a rational function of the summation index, so a sum of i terms costs one
 binomial and i - 1 exact integer multiply-divide steps.  `alpha_oracle`
-recomputes the same number from one forward solve of the triangular
-basis-change system on the unit-prefix enumerator, done once per (N, d)
-and cached (`alpha_oracle_vector`).  The two routes share no code, so
-`cross_validate_alpha` comparing them is an independent check.
+recomputes the same number from one basis change `enumerators.a_to_c` of
+the unit-prefix enumerator, a Lagrange inversion in O(N^2) integer
+operations, done once per (N, d) and cached (`alpha_oracle_vector`).  The
+two routes share no code, so `cross_validate_alpha` comparing them is an
+independent check.
 
 `k_upper_bound` combines the sign test with the trivial Schmidt bound,
 the classical even/odd party-count threshold (provenance "scott"), a
@@ -101,14 +102,14 @@ def alpha_closed_form(n_parties: int, local_dim: int, index: int) -> Fraction:
 
 
 def alpha_oracle(n_parties: int, local_dim: int, index: int) -> Fraction:
-    """Same coordinate via the triangular solve; independent of the closed form."""
+    """Same coordinate via a_to_c; independent of the closed form."""
     _check_alpha_args(n_parties, local_dim, index)
     return alpha_oracle_vector(n_parties, local_dim)[index]
 
 
 @lru_cache(maxsize=None)
 def alpha_oracle_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
-    """All alpha_i(N) for 0 <= i <= floor(N/2), from one triangular solve."""
+    """All alpha_i(N) for 0 <= i <= floor(N/2), from one a_to_c basis change."""
     unit_prefix = (Fraction(1),) + (Fraction(0),) * n_parties
     return a_to_c(WeightEnumerator(n_parties, local_dim, unit_prefix)).coeffs
 
@@ -125,7 +126,7 @@ def alpha_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
 def cross_validate_alpha(
     n_values: Iterable[int] = range(2, 61), local_dims: Sequence[int] = (2, 3, 4, 5)
 ) -> tuple[int, list[str]]:
-    """Compare the closed form with the triangular solve at every index.
+    """Compare the closed form with the a_to_c route at every index.
 
     Returns the number of values compared and one message per mismatch.
     The default range, N = 2..60 and d = 2..5, gives 3836 checks.

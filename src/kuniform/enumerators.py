@@ -13,11 +13,14 @@ are implemented here, all exactly, never by evaluation or interpolation:
 The two substitutions and the expansion c -> a each clear the
 denominators once, substitute integer binary forms with the Horner
 kernel `exact.homogeneous_horner` (O(N^2) integer operations), and
-divide once per coefficient at the end.  The a -> c direction solves a
-unitriangular linear system with integer entries by forward
-substitution over integers, independently of the kernel: it clears the
-denominators of a_0 .. a_(floor(N/2)) once, keeps every intermediate an
-int and divides once per c_i at the end.  c <-> b (the compressed
+divide once per coefficient at the end.  The a -> c direction is a
+Lagrange inversion, independent of the kernel: A(1, y) / (1 + (d-1) y)^N
+is a power series in z = y (1 - y) / (1 + (d-1) y)^2 with coefficients
+c_i, peeled off one at a time mod y^(floor(N/2)+1) with integer series
+operations (O(N^2) integer operations).  It clears the denominators of
+a_0 .. a_(floor(N/2)) once and divides once per c_i at the end.
+`basis_matrix_entry` gives the entries of the unitriangular matrix of
+the c -> a map directly, as a reference for tests.  c <-> b (the compressed
 shadow, with b_j = s_(2j+t) and t = N mod 2) is a pair of mutually
 inverse closed-form linear maps.
 
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
@@ -38,6 +43,14 @@ from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
 
 def _coerce_coeffs(values: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+def _exact_int(value, what: str) -> int:
+    """`value` itself when it is an exact int, else ValueError (bool too)."""
+    # an exact type test, since bool is a subclass of int
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,10 @@ class WeightEnumerator:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "WeightEnumerator":
+        """Read `n` and `d` as JSON integers only; floats and bools raise."""
         return cls(
-            int(doc["n"]),
-            int(doc["d"]),
+            _exact_int(doc["n"], "n"),
+            _exact_int(doc["d"], "d"),
             tuple(rat_from_str(str(c)) for c in doc["coeffs"]),
         )
 
@@ -85,6 +99,10 @@ class ShadowEnumerator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
+        if self.n_parties < 1:
+            raise ValueError("n_parties must be >= 1")
+        if self.local_dim < 2:
+            raise ValueError("local_dim must be >= 2")
         if len(self.coeffs) != self.n_parties + 1:
             raise ValueError(
                 f"need {self.n_parties + 1} coefficients, got {len(self.coeffs)}"
@@ -99,9 +117,10 @@ class ShadowEnumerator:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ShadowEnumerator":
+        """Read `n` and `d` as JSON integers only; floats and bools raise."""
         return cls(
-            int(doc["n"]),
-            int(doc["d"]),
+            _exact_int(doc["n"], "n"),
+            _exact_int(doc["d"], "d"),
             tuple(rat_from_str(str(c)) for c in doc["coeffs"]),
         )
 
@@ -205,21 +224,39 @@ def basis_matrix_entry(n_parties: int, local_dim: int, row: int, col: int) -> in
 
 
 def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
-    """Invariant-basis coordinates from a_0 .. a_(floor(N/2)), by forward solve.
+    """Invariant-basis coordinates from a_0 .. a_(floor(N/2)), by series inversion.
 
-    The system is unitriangular with integer entries, so once the
-    denominators of a_0 .. a_(floor(N/2)) are cleared every m * c_i is an
-    integer; the solve runs on those and divides by m once per c_i.
+    With e = d - 1, A(1, y) / (1 + e y)^N = sum_i c_i z^i for
+    z = y (1 - y) / (1 + e y)^2, and z = y + O(y^2), so c_0 .. c_h
+    (h = floor(N/2)) are the coefficients of that series expanded in powers
+    of z, read off mod y^(h+1).  Each step takes c_i = F(0) and replaces F
+    by (F - c_i) / z: drop the constant term and shift (divide by y), then
+    multiply by (1 + e y)^2 / (1 - y) = d^2 / (1 - y) - (d^2 - 1) - e^2 y,
+    that is d^2 times the prefix sums minus a two-term correction.  Every
+    multiplier is an integer series, so the whole solve runs on the cleared
+    numerators of a_0 .. a_h in O(N^2) integer operations and divides by
+    their lcm once per c_i.
     """
     n, d = enum.n_parties, enum.local_dim
     half = n // 2
+    e = d - 1
     ints, den = _clear_denominators(enum.coeffs[: half + 1])
-    c: list[int] = []
-    for j in range(half + 1):
-        acc = ints[j]
-        for i in range(j):
-            acc -= basis_matrix_entry(n, d, j, i) * c[i]
-        c.append(acc)  # diagonal entry is 1
+    # (1 + e y)^(-N) = sum_k C(N+k-1, k) (-e)^k y^k by term ratio, stored
+    # highest power first so that a slice lines up with ints in a product.
+    inverse = [1]
+    for k in range(1, half + 1):
+        inverse.append(inverse[-1] * (n + k - 1) * -e // k)
+    inverse.reverse()
+    series = [sum(map(mul, ints, inverse[half - k :])) for k in range(half + 1)]
+    c = [series[0]]
+    dd, lin, quad = d * d, d * d - 1, e * e
+    for _ in range(half):
+        s = series[1:]
+        series = [
+            dd * p - lin * v - quad * w
+            for p, v, w in zip(accumulate(s), s, [0] + s)
+        ]
+        c.append(series[0])
     return InvariantBasisCoeffs(n, d, tuple(Fraction(v, den) for v in c))
 
 

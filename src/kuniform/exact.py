@@ -120,11 +120,17 @@ def homogeneous_horner(
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse a decimal-free "p/q" (or bare integer "p") rational string."""
+    """Parse a decimal-free "p/q" (or bare integer "p") rational string.
+
+    Raises ValueError on anything else, a zero denominator included.
+    """
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"rational strings must be decimal-free, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"rational string has a zero denominator: {text!r}") from exc
 
 
 def rat_to_str(value: Fraction) -> str:

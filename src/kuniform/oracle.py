@@ -116,10 +116,21 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PureState":
-        """Read `dims` and each `ket` as JSON arrays of integers only."""
+        """Read `dims` and each `ket` as JSON arrays of integers only.
+
+        The document and every `amps` record must be JSON objects, and
+        `amps` an array; any other shape raises ValueError.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"a state must be a JSON object, got {doc!r}")
         dims = _int_tuple(doc["dims"], "dims")
+        records = doc["amps"]
+        if not isinstance(records, (list, tuple)):
+            raise ValueError(f"amps must be an array of objects, got {records!r}")
         amps = []
-        for rec in doc["amps"]:
+        for rec in records:
+            if not isinstance(rec, dict):
+                raise ValueError(f"amps must hold objects only, got {rec!r}")
             amp = GaussianRational(
                 rat_from_str(str(rec.get("re", "0"))),
                 rat_from_str(str(rec.get("im", "0"))),
@@ -130,7 +141,11 @@ class PureState:
     @classmethod
     def load(cls, path) -> "PureState":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError("state JSON is nested too deeply") from exc
+        return cls.from_json_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +398,6 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """
     weights, den = _clear_denominators(purities)
     return tuple(Fraction(v, den) for v in _parity_shadow(weights))
-
-
-def _shadow_from_purities_naive(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Literal nested double subset sum; reference for shadow_from_purities."""
-    size = len(purities)
-    n = size.bit_length() - 1
-    s = [Fraction(0)] * (n + 1)
-    for t_mask in range(size):
-        comp = (size - 1) ^ t_mask
-        acc = Fraction(0)
-        for s_mask in range(size):
-            sign = -1 if (s_mask & comp).bit_count() % 2 else 1
-            acc += sign * purities[s_mask]
-        s[t_mask.bit_count()] += acc
-    return tuple(s)
 
 
 def direct_shadow(

@@ -29,6 +29,7 @@ from kuniform.bounds import (
     verify_recurrence,
 )
 from kuniform.errors import NotApplicableError
+from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
 
 
 def test_alpha_base_cases():
@@ -84,6 +85,18 @@ def test_alpha_cross_validation_beyond_suite_range():
     checks, failures = cross_validate_alpha(n_values=(61, 97, 150))
     assert checks == 4 * (31 + 49 + 76)
     assert failures == []
+
+
+def test_alpha_routes_agree_at_every_table_n():
+    # both routes at every (N, d) behind the pinned Tables I-III
+    checks = 0
+    for table_id, d in RANGE_TABLE_DIMS.items():
+        cells = RANGE_TABLES[table_id]
+        n_values = range(cells[0][0], cells[-1][1] + 1)
+        got, failures = cross_validate_alpha(n_values=n_values, local_dims=(d,))
+        assert failures == [], table_id
+        checks += got
+    assert checks == 18866
 
 
 def test_alpha_oracle_sweep_solves_once(monkeypatch):

@@ -3,7 +3,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform.cli import main
@@ -145,6 +145,27 @@ def test_state_file_holds_integers_only(tmp_path, capsys):
     assert doc["payload"]["error"].startswith(f"cannot read state file {path}: dims")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"dims": [2, 2], "amps": [5]}),
+        json.dumps([1, 2]),
+        json.dumps({"dims": [2, 2], "amps": {"ket": [0, 0], "re": "1"}}),
+        json.dumps({"dims": [2, 2], "amps": [{"ket": [0, 0], "re": "1/0"}]}),
+        "[" * 100000,
+    ],
+    ids=["scalar-amp", "top-level-array", "amps-object", "zero-denominator",
+         "deep-nesting"],
+)
+def test_state_file_of_wrong_shape(tmp_path, capsys, text):
+    # each of these once ended in a traceback with no envelope
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"].startswith(f"cannot read state file {path}: ")
+
+
 def test_state_capacity_error(tmp_path, capsys):
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
@@ -238,6 +259,47 @@ def test_exit_code_contract_on_garbage_profiles(text):
     assert doc["status"] in statuses[code]
     if code == 0:
         assert doc["payload"]["profile"] == list(DimensionProfile.parse(text).dims)
+
+
+# JSON documents biased towards the state-file keys and small integers, so
+# that some come close to a valid state and reach the deeper checks
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["0", "1", "-1/2", "1/0", "1.5", "x"]),
+    st.text(max_size=4),
+)
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["dims", "amps", "ket", "re", "im"]) | st.text(max_size=3),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_docs)
+def test_exit_code_contract_on_arbitrary_state_files(tmp_path_factory, doc):
+    # any JSON document as a state file ends in exit 0 with an "ok" envelope
+    # or exit 1 with an "error" envelope, never a stray exception
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        code = main(["state", "--file", str(path), "--enumerate"])
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == 1
+    envelope = json.loads(out.getvalue())
+    assert set(envelope) == {"command", "status", "timestamp", "payload"}
+    assert (code, envelope["status"]) in ((0, "ok"), (1, "error"))
 
 
 def test_ame_json_profile_holds_integers_only(capsys):

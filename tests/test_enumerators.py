@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kuniform import enumerators
 from kuniform.enumerators import (
     InvariantBasisCoeffs,
     ShadowCompressed,
+    ShadowEnumerator,
     WeightEnumerator,
     a_to_c,
     b_to_c,
@@ -162,6 +164,17 @@ def test_json_round_trip():
     assert type(s).from_json_dict(s.to_json_dict()).coeffs == s.coeffs
 
 
+@pytest.mark.parametrize(
+    "n, d", [(2.9, 2), (2, 2.5), (2.0, 2), (True, 2), ("2", 2), (2, None)]
+)
+def test_json_reads_exact_ints_only(n, d):
+    # {"n": 2.9, "d": 2.5} was once read as a 2-party qubit enumerator
+    doc = {"n": n, "d": d, "coeffs": ["1", "0", "3"]}
+    for cls in (WeightEnumerator, ShadowEnumerator):
+        with pytest.raises(ValueError, match="must be an integer"):
+            cls.from_json_dict(doc)
+
+
 def test_coefficient_length_validation():
     with pytest.raises(ValueError):
         WeightEnumerator(3, 2, (1, 0, 0))
@@ -169,6 +182,11 @@ def test_coefficient_length_validation():
         InvariantBasisCoeffs(4, 2, (1, 0))
     with pytest.raises(ValueError):
         ShadowCompressed(4, 1, (1, 0, 0))
+    for cls in (WeightEnumerator, ShadowEnumerator):
+        with pytest.raises(ValueError, match="n_parties"):
+            cls(0, 2, (1,))
+        with pytest.raises(ValueError, match="local_dim"):
+            cls(2, 1, (1, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +278,7 @@ def test_transforms_equal_the_reference_expansion():
 
 
 def _a_to_c_reference(n, d, coeffs):
-    """The forward solve the integer a_to_c replaced, on Fractions."""
+    """Forward solve of the basis_matrix_entry matrix, on Fractions."""
     c = []
     for j in range(n // 2 + 1):
         acc = coeffs[j]
@@ -272,8 +290,27 @@ def _a_to_c_reference(n, d, coeffs):
 
 def test_a_to_c_equals_the_fraction_solve():
     rng = random.Random(20261018)
-    for n in range(1, 41):
-        for d in range(2, 10):
-            coeffs = _seeded_coeffs(rng, n + 1)
-            enum = WeightEnumerator(n, d, coeffs)
-            assert a_to_c(enum).coeffs == _a_to_c_reference(n, d, coeffs), (n, d)
+    cases = [(n, d) for n in range(1, 41) for d in range(2, 10)]
+    cases += [(n, d) for n in (61, 97, 150) for d in (2, 3, 5)]
+    for n, d in cases:
+        coeffs = _seeded_coeffs(rng, n + 1)
+        enum = WeightEnumerator(n, d, coeffs)
+        assert a_to_c(enum).coeffs == _a_to_c_reference(n, d, coeffs), (n, d)
+
+
+def test_a_to_c_builds_no_matrix(monkeypatch):
+    # the series inversion reads the basis change off a power series: it
+    # builds no basis_matrix_entry and shares no kernel with the other route
+    calls = []
+
+    def counted(name):
+        real = getattr(enumerators, name)
+        monkeypatch.setattr(
+            enumerators, name, lambda *args: calls.append(name) or real(*args)
+        )
+
+    counted("basis_matrix_entry")
+    counted("homogeneous_horner")
+    for n in (2, 9, 40):
+        a_to_c(WeightEnumerator(n, 3, (1,) + (0,) * n))
+    assert calls == []

@@ -25,7 +25,6 @@ from kuniform.oracle import (
     shadow_from_purities,
     w_state,
 )
-from kuniform.oracle import _shadow_from_purities_naive
 
 
 def test_purity_worked_values():
@@ -95,6 +94,21 @@ def test_capacity_errors():
         purity(big, [0], dim_cap=64)
     with pytest.raises(CapacityError):
         direct_shadow(ghz_state(4, 2), party_cap=3)
+
+
+def _shadow_from_purities_naive(purities):
+    """Literal nested double subset sum; reference for shadow_from_purities."""
+    size = len(purities)
+    n = size.bit_length() - 1
+    s = [Fraction(0)] * (n + 1)
+    for t_mask in range(size):
+        comp = (size - 1) ^ t_mask
+        acc = Fraction(0)
+        for s_mask in range(size):
+            sign = -1 if (s_mask & comp).bit_count() % 2 else 1
+            acc += sign * purities[s_mask]
+        s[t_mask.bit_count()] += acc
+    return tuple(s)
 
 
 # numerators over denominators 1..60, so one table mixes many denominators
