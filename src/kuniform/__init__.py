@@ -34,7 +34,7 @@ from .enumerators import (
     validate_state_constraints,
 )
 from .errors import BudgetExceededError, CapacityError, NotApplicableError
-from .exact import GaussianRational, Rat, binom, elem_sym, falling_binom
+from .exact import GaussianRational, binom, elem_sym, falling_binom
 from .hetero import (
     AmeVerdict,
     DimensionProfile,

@@ -227,37 +227,20 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
         raise ValueError("local_dim must be >= 2")
     half = n_parties // 2
     alphas = alpha_vector(n_parties, local_dim)
-    fired = [
-        i
-        for i in range(1, half + 1)
-        if ((-1) ** i) * alphas[i] < 0
-    ]
-    candidates: list[int] = [half]
-    if fired:
-        candidates.append(min(fired) - 1)
-    rains_k = rains_bound(n_parties) if local_dim == 2 else None
-    if rains_k is not None:
-        candidates.append(rains_k)
-    table_hit = known_ame_nonexistence(n_parties, local_dim)
-    if table_hit:
-        candidates.append(half - 1)
-    scott_hit = scott_gap_condition(n_parties, local_dim)
-    if scott_hit:
-        candidates.append(half - 1)
-    k_max = min(candidates)
-
-    if fired and min(fired) - 1 == k_max:
-        i0 = min(fired)
-        return BoundVerdict(
-            n_parties, local_dim, k_max, provenance_alpha(i0), alphas[i0]
-        )
-    if rains_k == k_max:
-        return BoundVerdict(n_parties, local_dim, k_max, PROVENANCE_RAINS)
-    if table_hit and half - 1 == k_max:
-        return BoundVerdict(n_parties, local_dim, k_max, PROVENANCE_AME_TABLE)
-    if scott_hit and half - 1 == k_max:
-        return BoundVerdict(n_parties, local_dim, k_max, PROVENANCE_SCOTT)
-    return BoundVerdict(n_parties, local_dim, k_max, PROVENANCE_TRIVIAL)
+    # (k, provenance, witness) in tie-break order; min keeps the first of equals
+    candidates: list[tuple[int, str, Optional[Fraction]]] = []
+    first = next((i for i in range(1, half + 1) if (-1) ** i * alphas[i] < 0), None)
+    if first is not None:
+        candidates.append((first - 1, provenance_alpha(first), alphas[first]))
+    if local_dim == 2:
+        candidates.append((rains_bound(n_parties), PROVENANCE_RAINS, None))
+    if known_ame_nonexistence(n_parties, local_dim):
+        candidates.append((half - 1, PROVENANCE_AME_TABLE, None))
+    if scott_gap_condition(n_parties, local_dim):
+        candidates.append((half - 1, PROVENANCE_SCOTT, None))
+    candidates.append((half, PROVENANCE_TRIVIAL, None))
+    k_max, provenance, witness = min(candidates, key=lambda c: c[0])
+    return BoundVerdict(n_parties, local_dim, k_max, provenance, witness)
 
 
 # ---------------------------------------------------------------------------

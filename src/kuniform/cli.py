@@ -205,7 +205,7 @@ def _run_ame(args, budget: int) -> tuple[str, dict, Optional[str]]:
 def _run_state(args, cap_dim: int) -> tuple[str, dict, Optional[str]]:
     try:
         state = oracle.PureState.load(args.file)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read state file {args.file}: {exc}") from exc
     if args.check_uniform is not None:
         k = args.check_uniform

@@ -24,6 +24,12 @@ the c -> a map directly, as a reference for tests.  c <-> b (the compressed
 shadow, with b_j = s_(2j+t) and t = N mod 2) is a pair of mutually
 inverse closed-form linear maps.
 
+The four coefficient records (`WeightEnumerator`, `ShadowEnumerator`,
+`InvariantBasisCoeffs`, `ShadowCompressed`) share one validation: N is an
+exact int >= 1 and d an exact int >= 2 (the compressed shadow holds
+N mod 2 in its place), and the coefficients are ints or Fractions only,
+floats and bools refused, N+1 of them or floor(N/2)+1.
+
 `validate_state_constraints` evaluates every coefficient inequality and
 identity a pure-state enumerator must satisfy, returning a report rather
 than raising on violations.
@@ -31,7 +37,7 @@ than raising on violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -41,122 +47,93 @@ from typing import Optional, Sequence
 from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
 
 
-def _coerce_coeffs(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-def _exact_int(value, what: str) -> int:
-    """`value` itself when it is an exact int, else ValueError (bool too)."""
+def _exact_int(value, what: str, least: int) -> int:
+    """`value` itself when it is an exact int >= `least`, else ValueError."""
     # an exact type test, since bool is a subclass of int
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
     return value
 
 
+def _exact_coeff(value) -> Fraction:
+    """`value` as a Fraction when it is an int or a Fraction; float and bool raise."""
+    if type(value) is int or isinstance(value, Fraction):
+        return Fraction(value)
+    raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
+
+
+class _Record:
+    """The module docstring's record rule; `half` means floor(N/2)+1 coefficients."""
+
+    half = False
+
+    def __post_init__(self) -> None:
+        n = _exact_int(self.n_parties, "n_parties", 1)
+        self._check_second(n)
+        coeffs = tuple(map(_exact_coeff, self.coeffs))
+        size = n // 2 + 1 if self.half else n + 1
+        if len(coeffs) != size:
+            raise ValueError(f"need {size} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def _check_second(self, n: int) -> None:
+        _exact_int(self.local_dim, "local_dim", 2)
+
+
 @dataclass(frozen=True)
-class WeightEnumerator:
+class _Enumerator(_Record):
+    """Fields and JSON form of the full-length enumerators; subclasses add no field."""
+
+    n_parties: int
+    local_dim: int
+    coeffs: tuple[Fraction, ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n_parties,
+            "d": self.local_dim,
+            "coeffs": [rat_to_str(c) for c in self.coeffs],
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        """Read `n` and `d` as JSON integers only; floats and bools raise."""
+        coeffs = tuple(rat_from_str(str(c)) for c in doc["coeffs"])
+        return cls(doc["n"], doc["d"], coeffs)
+
+
+class WeightEnumerator(_Enumerator):
     """Coefficients a_0 .. a_N of A(x, y) for an N-party, dimension-d system."""
 
-    n_parties: int
-    local_dim: int
-    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-        if self.n_parties < 1:
-            raise ValueError("n_parties must be >= 1")
-        if self.local_dim < 2:
-            raise ValueError("local_dim must be >= 2")
-        if len(self.coeffs) != self.n_parties + 1:
-            raise ValueError(
-                f"need {self.n_parties + 1} coefficients, got {len(self.coeffs)}"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_parties,
-            "d": self.local_dim,
-            "coeffs": [rat_to_str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WeightEnumerator":
-        """Read `n` and `d` as JSON integers only; floats and bools raise."""
-        return cls(
-            _exact_int(doc["n"], "n"),
-            _exact_int(doc["d"], "d"),
-            tuple(rat_from_str(str(c)) for c in doc["coeffs"]),
-        )
-
-
-@dataclass(frozen=True)
-class ShadowEnumerator:
+class ShadowEnumerator(_Enumerator):
     """Coefficients s_0 .. s_N of the shadow polynomial S(x, y)."""
 
-    n_parties: int
-    local_dim: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-        if self.n_parties < 1:
-            raise ValueError("n_parties must be >= 1")
-        if self.local_dim < 2:
-            raise ValueError("local_dim must be >= 2")
-        if len(self.coeffs) != self.n_parties + 1:
-            raise ValueError(
-                f"need {self.n_parties + 1} coefficients, got {len(self.coeffs)}"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_parties,
-            "d": self.local_dim,
-            "coeffs": [rat_to_str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ShadowEnumerator":
-        """Read `n` and `d` as JSON integers only; floats and bools raise."""
-        return cls(
-            _exact_int(doc["n"], "n"),
-            _exact_int(doc["d"], "d"),
-            tuple(rat_from_str(str(c)) for c in doc["coeffs"]),
-        )
-
 
 @dataclass(frozen=True)
-class InvariantBasisCoeffs:
+class InvariantBasisCoeffs(_Record):
     """Coordinates c_0 .. c_(floor(N/2)) in the duality-invariant basis."""
 
     n_parties: int
     local_dim: int
     coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-        if len(self.coeffs) != self.n_parties // 2 + 1:
-            raise ValueError(
-                f"need {self.n_parties // 2 + 1} coefficients, got {len(self.coeffs)}"
-            )
+    half = True
 
 
 @dataclass(frozen=True)
-class ShadowCompressed:
+class ShadowCompressed(_Record):
     """Nonvanishing shadow coefficients b_j = s_(2j+t), t = N mod 2."""
 
     n_parties: int
     parity: int
     coeffs: tuple[Fraction, ...]
+    half = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-        if self.parity != self.n_parties % 2:
+    def _check_second(self, n: int) -> None:
+        if _exact_int(self.parity, "parity", 0) != n % 2:
             raise ValueError("parity must equal n_parties mod 2")
-        if len(self.coeffs) != self.n_parties // 2 + 1:
-            raise ValueError(
-                f"need {self.n_parties // 2 + 1} coefficients, got {len(self.coeffs)}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -332,43 +309,13 @@ class StateConstraintReport:
     shadow_odd_tail_zero: bool
     uniform_prefix_zero: Optional[bool]  # None when no k was supplied
 
+    def failed_checks(self) -> tuple[str, ...]:
+        # uniform_prefix_zero is None, not a failure, when no k was supplied
+        return tuple(f.name for f in fields(self) if getattr(self, f.name) is False)
+
     @property
     def ok(self) -> bool:
-        checks = [
-            self.a0_is_one,
-            self.coeffs_nonnegative,
-            self.duality_invariant,
-            self.shadow_nonnegative,
-            self.shadow_odd_tail_zero,
-        ]
-        if self.uniform_prefix_zero is not None:
-            checks.append(self.uniform_prefix_zero)
-        return all(checks)
-
-    def failed_checks(self) -> tuple[str, ...]:
-        names = {
-            "a0_is_one": self.a0_is_one,
-            "coeffs_nonnegative": self.coeffs_nonnegative,
-            "duality_invariant": self.duality_invariant,
-            "shadow_nonnegative": self.shadow_nonnegative,
-            "shadow_odd_tail_zero": self.shadow_odd_tail_zero,
-        }
-        if self.uniform_prefix_zero is not None:
-            names["uniform_prefix_zero"] = self.uniform_prefix_zero
-        return tuple(name for name, passed in names.items() if not passed)
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "a0_is_one": self.a0_is_one,
-            "coeffs_nonnegative": self.coeffs_nonnegative,
-            "duality_invariant": self.duality_invariant,
-            "shadow_nonnegative": self.shadow_nonnegative,
-            "shadow_odd_tail_zero": self.shadow_odd_tail_zero,
-            "ok": self.ok,
-        }
-        if self.uniform_prefix_zero is not None:
-            doc["uniform_prefix_zero"] = self.uniform_prefix_zero
-        return doc
+        return not self.failed_checks()
 
 
 def validate_state_constraints(

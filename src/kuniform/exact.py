@@ -2,7 +2,6 @@
 
 All quantities in this package are rational and are kept as
 `fractions.Fraction` values end to end; no float ever enters a computation.
-`Rat` aliases Fraction so signatures read like the math they implement.
 Amplitudes of explicit states use `GaussianRational`, an exact complex
 number with rational real and imaginary parts.
 
@@ -27,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-Rat = Fraction
 
 RatLike = Union[Fraction, int, str]
 

@@ -68,6 +68,14 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _required(doc: dict, key: str, what: str):
+    """`doc[key]`, or a ValueError that names the key and where it is missing."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing key {key!r}") from None
+
+
 @dataclass(frozen=True)
 class PureState:
     """Sparse, unnormalized amplitude map over a computational basis."""
@@ -102,9 +110,6 @@ class PureState:
         items = amps.items() if isinstance(amps, Mapping) else amps
         return cls(profile, tuple((tuple(k), a) for k, a in items))
 
-    def norm_squared(self) -> Fraction:
-        return sum((a.abs2() for _, a in self.amplitudes), Fraction(0))
-
     def to_json_dict(self) -> dict:
         return {
             "dims": list(self.profile.dims),
@@ -119,23 +124,25 @@ class PureState:
         """Read `dims` and each `ket` as JSON arrays of integers only.
 
         The document and every `amps` record must be JSON objects, and
-        `amps` an array; any other shape raises ValueError.
+        `amps` an array; any other shape, or a missing `dims`, `amps` or
+        `ket`, raises ValueError.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"a state must be a JSON object, got {doc!r}")
-        dims = _int_tuple(doc["dims"], "dims")
-        records = doc["amps"]
+        dims = _int_tuple(_required(doc, "dims", "state"), "dims")
+        records = _required(doc, "amps", "state")
         if not isinstance(records, (list, tuple)):
             raise ValueError(f"amps must be an array of objects, got {records!r}")
         amps = []
-        for rec in records:
+        for index, rec in enumerate(records):
             if not isinstance(rec, dict):
                 raise ValueError(f"amps must hold objects only, got {rec!r}")
             amp = GaussianRational(
                 rat_from_str(str(rec.get("re", "0"))),
                 rat_from_str(str(rec.get("im", "0"))),
             )
-            amps.append((_int_tuple(rec["ket"], "ket"), amp))
+            ket = _required(rec, "ket", f"amps[{index}]")
+            amps.append((_int_tuple(ket, "ket"), amp))
         return cls.from_amplitudes(dims, amps)
 
     @classmethod
@@ -400,20 +407,16 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in _parity_shadow(weights))
 
 
-def direct_shadow(
-    state: PureState,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    party_cap: int = DEFAULT_SHADOW_PARTY_CAP,
-) -> ShadowEnumerator:
+def direct_shadow(state: PureState, dim_cap: int = DEFAULT_DIM_CAP) -> ShadowEnumerator:
     """Shadow coefficients from the definitional subset sum over purities."""
     if not state.profile.is_homogeneous():
         raise NotApplicableError(
             "the shadow distribution is defined for homogeneous profiles"
         )
     n = state.profile.n_parties
-    if n > party_cap:
+    if n > DEFAULT_SHADOW_PARTY_CAP:
         raise CapacityError(
-            f"shadow subset sum capped at {party_cap} parties, got {n}"
+            f"shadow subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n}"
         )
     nums, denom = _purity_numerators(state, dim_cap)
     s = tuple(Fraction(v, denom) for v in _parity_shadow(nums))
@@ -425,9 +428,7 @@ def direct_shadow(
 # ---------------------------------------------------------------------------
 
 
-def ame_shadow_oracle(
-    profile: DimensionProfile, party_cap: int = DEFAULT_SHADOW_PARTY_CAP
-) -> tuple[Fraction, ...]:
+def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     """Shadow coefficients of a hypothetical AME state, via the subset sum.
 
     An AME state's reduction to S is maximally mixed on the smaller side
@@ -436,8 +437,10 @@ def ame_shadow_oracle(
     compare the result against `hetero.hetero_shadow` there.
     """
     n = profile.n_parties
-    if n > party_cap:
-        raise CapacityError(f"subset sum capped at {party_cap} parties, got {n}")
+    if n > DEFAULT_SHADOW_PARTY_CAP:
+        raise CapacityError(
+            f"subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n}"
+        )
     total = profile.total_dim
     d_sub = [1] * (1 << n)
     for mask in range(1, 1 << n):

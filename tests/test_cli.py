@@ -166,6 +166,27 @@ def test_state_file_of_wrong_shape(tmp_path, capsys, text):
     assert doc["payload"]["error"].startswith(f"cannot read state file {path}: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "state is missing key 'dims'"),
+        ({"dims": [2, 2]}, "state is missing key 'amps'"),
+        (
+            {"dims": [2, 2], "amps": [{"ket": [0, 0], "re": "1"}, {"re": "1"}]},
+            "amps[1] is missing key 'ket'",
+        ),
+    ],
+    ids=["empty", "no-amps", "no-ket"],
+)
+def test_state_file_missing_key(tmp_path, capsys, doc, message):
+    # these once read "cannot read state file F: 'dims'", naming no key
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == f"cannot read state file {path}: {message}"
+
+
 def test_state_capacity_error(tmp_path, capsys):
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))

@@ -175,6 +175,29 @@ def test_json_reads_exact_ints_only(n, d):
             cls.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: InvariantBasisCoeffs(0, 1, (1,)), "n_parties"),
+        (lambda: InvariantBasisCoeffs(4, 2.5, (1, 0, 0)), "local_dim"),
+        (lambda: WeightEnumerator(2.0, 2, (1, 0, 0)), "n_parties"),
+        (lambda: InvariantBasisCoeffs(2, True, (1, 0)), "local_dim"),
+        (lambda: ShadowCompressed(0, 0, (1,)), "n_parties"),
+        (lambda: ShadowCompressed(3, True, (1, 0)), "parity"),
+        (lambda: b_to_c(ShadowCompressed(2, 0, (1, 3)), 1), "local_dim"),
+        (lambda: WeightEnumerator(2, 2, (1.0, 0.5, 0.1)), "int or Fraction"),
+        (lambda: InvariantBasisCoeffs(2, 2, (True, 0)), "int or Fraction"),
+        (lambda: ShadowCompressed(2, 0, (1, "3")), "int or Fraction"),
+    ],
+    ids=["basis-n0-d1", "basis-float-d", "float-n", "bool-d", "compressed-n0",
+         "bool-parity", "b_to_c-d1", "float-coeffs", "bool-coeff", "string-coeff"],
+)
+def test_one_record_rule(make, match):
+    # each of these was once accepted; 0.1 was stored as 3602879701896397/2^55
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_coefficient_length_validation():
     with pytest.raises(ValueError):
         WeightEnumerator(3, 2, (1, 0, 0))

@@ -92,8 +92,11 @@ def test_capacity_errors():
     big = ghz_state(7, 2)
     with pytest.raises(CapacityError):
         purity(big, [0], dim_cap=64)
-    with pytest.raises(CapacityError):
-        direct_shadow(ghz_state(4, 2), party_cap=3)
+    # 2^13 fits the dimension cap, so the 12-party shadow cap is what fires
+    with pytest.raises(CapacityError, match="12 parties"):
+        direct_shadow(ghz_state(13, 2), dim_cap=8192)
+    with pytest.raises(CapacityError, match="12 parties"):
+        ame_shadow_oracle(DimensionProfile((2,) * 13))
 
 
 def _shadow_from_purities_naive(purities):
