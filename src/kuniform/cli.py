@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Five subcommands cover the library surface:
+Five subcommands cover the library surface, each with the flags it reads:
 
   bound   upper bounds on k for homogeneous systems (single N or a range)
+            --format json|csv   env KUNIFORM_FORMAT
   table   recompute a pinned reference table and diff it cell by cell
+            --format json|csv   env KUNIFORM_FORMAT
   ame     AME non-existence verdict for a dimension profile
+            --budget B          env KUNIFORM_BUDGET (subset-search budget)
   state   brute-force checks on an explicit state file
+            --cap-dim D         env KUNIFORM_CAP_DIM (Hilbert-dimension cap)
   verify  internal cross-validation suites at desk scale
 
 Every run prints a single JSON envelope {command, status, timestamp,
@@ -17,9 +21,10 @@ non-existence certificate or table mismatch is a successful computation),
 reader that closes stdout early (`kuniform ... | head`) ends the run
 with exit 1 and nothing on stderr.
 
-Global flags may also be set through environment variables with the
-KUNIFORM_ prefix (KUNIFORM_FORMAT, KUNIFORM_BUDGET, KUNIFORM_CAP_DIM);
-explicit flags win, and an invalid environment value is a usage error.
+A subcommand reads only its own variables: an explicit flag wins over
+its variable, and an invalid value of a variable the subcommand reads is
+a usage error.  A flag given to a subcommand that does not take it is a
+usage error too.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 `ame --dims` profile) are refused with a capacity error before any work.
@@ -45,6 +50,7 @@ from .errors import (
 from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict
 
 ENV_PREFIX = "KUNIFORM_"
+FORMATS = ("json", "csv")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,73 +67,76 @@ class _UsageError(Exception):
     pass
 
 
-def _env_default(name: str, fallback):
+def _setting(flag, name: str, fallback, choices: Optional[Sequence[str]] = None):
+    """`flag` if given, else the variable KUNIFORM_<name> if set, else `fallback`.
+
+    The variable must hold one of `choices`, or an integer when there are
+    none; any other value is a usage error.
+    """
+    if flag is not None:
+        return flag
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
-    return raw
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"invalid {ENV_PREFIX}{name} {raw!r}, expected an integer") from exc
+    if choices is not None:
+        if raw in choices:
+            return raw
+        expected = "one of " + ", ".join(choices)
+    else:
+        try:
+            return int(raw)
+        except ValueError:
+            expected = "an integer"
+    raise _UsageError(f"invalid {ENV_PREFIX}{name} {raw!r}, expected {expected}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default=None,
-        help="output format (default json; env KUNIFORM_FORMAT)",
-    )
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="subset-search evaluation budget (env KUNIFORM_BUDGET)",
-    )
-    common.add_argument(
-        "--cap-dim",
-        type=int,
-        default=None,
-        help="Hilbert-dimension cap for state brute force (env KUNIFORM_CAP_DIM)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="kuniform",
         description="Exact bounds on k-uniform states and AME non-existence certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", parents=[common], help="upper bounds on k")
+    p_bound = sub.add_parser("bound", help="upper bounds on k")
+    p_bound.set_defaults(run=_run_bound)
     p_bound.add_argument("--d", type=int, required=True, help="local dimension")
     group = p_bound.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single party count")
     group.add_argument("--n-range", help="inclusive party-count range A:B")
 
-    p_table = sub.add_parser("table", parents=[common], help="reproduce a reference table")
+    p_table = sub.add_parser("table", help="reproduce a reference table")
+    p_table.set_defaults(run=_run_table)
     p_table.add_argument(
         "--paper", required=True, choices=tables.TABLE_IDS, help="table identifier"
     )
+    for p in (p_bound, p_table):
+        p.add_argument(
+            "--format", choices=FORMATS, help="output format (default json; env KUNIFORM_FORMAT)"
+        )
 
-    p_ame = sub.add_parser("ame", parents=[common], help="AME non-existence verdict")
+    p_ame = sub.add_parser("ame", help="AME non-existence verdict")
+    p_ame.set_defaults(run=_run_ame)
     p_ame.add_argument(
         "--dims", required=True, help='profile string "<dim>x<count>,...", e.g. "3x1,2x10"'
     )
+    p_ame.add_argument(
+        "--budget", type=int, help="subset-search evaluation budget (env KUNIFORM_BUDGET)"
+    )
 
-    p_state = sub.add_parser("state", parents=[common], help="explicit-state checks")
+    p_state = sub.add_parser("state", help="explicit-state checks")
+    p_state.set_defaults(run=_run_state)
     p_state.add_argument("--file", required=True, help="state JSON file")
     state_group = p_state.add_mutually_exclusive_group(required=True)
     state_group.add_argument("--check-uniform", type=int, metavar="K")
     state_group.add_argument("--enumerate", action="store_true")
+    p_state.add_argument(
+        "--cap-dim",
+        type=int,
+        help="Hilbert-dimension cap for state brute force (env KUNIFORM_CAP_DIM)",
+    )
 
-    p_verify = sub.add_parser("verify", parents=[common], help="cross-validation suites")
+    p_verify = sub.add_parser("verify", help="cross-validation suites")
+    p_verify.set_defaults(run=_run_verify)
     p_verify.add_argument(
         "--suite", required=True, choices=("alpha", "recurrence", "shadow-oracle")
     )
@@ -152,7 +161,12 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _csv_asked(args) -> bool:
+    return _setting(args.format, "FORMAT", "json", FORMATS) == "csv"
+
+
 def _run_bound(args) -> tuple[str, dict, Optional[str]]:
+    csv = _csv_asked(args)
     if args.d < 2:
         raise _UsageError("--d must be >= 2")
     if args.n is not None:
@@ -166,10 +180,11 @@ def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     payload = {"d": args.d, "records": [r.to_json_dict() for r in records]}
     csv_lines = ["N,k_max,provenance"]
     csv_lines += [f"{r.n_parties},{r.k_max},{r.provenance}" for r in records]
-    return STATUS_OK, payload, "\n".join(csv_lines)
+    return STATUS_OK, payload, "\n".join(csv_lines) if csv else None
 
 
 def _run_table(args) -> tuple[str, dict, Optional[str]]:
+    csv = _csv_asked(args)
     diff = tables.diff_table(args.paper)
     payload: dict = {
         "table": diff.table_id,
@@ -188,10 +203,11 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
         ]
         payload["records"] = [r.to_json_dict() for r in diff.records]
     status = STATUS_OK if diff.match else STATUS_VIOLATION
-    return status, payload, tables.table_csv(diff)
+    return status, payload, tables.table_csv(diff) if csv else None
 
 
-def _run_ame(args, budget: int) -> tuple[str, dict, Optional[str]]:
+def _run_ame(args) -> tuple[str, dict, Optional[str]]:
+    budget = _setting(args.budget, "BUDGET", DEFAULT_SUBSET_BUDGET)
     try:
         profile = DimensionProfile.parse(args.dims)
     except ValueError as exc:
@@ -202,7 +218,8 @@ def _run_ame(args, budget: int) -> tuple[str, dict, Optional[str]]:
     return status, payload, None
 
 
-def _run_state(args, cap_dim: int) -> tuple[str, dict, Optional[str]]:
+def _run_state(args) -> tuple[str, dict, Optional[str]]:
+    cap_dim = _setting(args.cap_dim, "CAP_DIM", oracle.DEFAULT_DIM_CAP)
     try:
         state = oracle.PureState.load(args.file)
     except (OSError, ValueError) as exc:
@@ -244,8 +261,8 @@ def _run_verify(args) -> tuple[str, dict, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(command: str, status: str, payload: dict, fmt: str, csv_text: Optional[str]) -> None:
-    if fmt == "csv" and csv_text is not None:
+def _emit(command: str, status: str, payload: dict, csv_text: Optional[str] = None) -> None:
+    if csv_text is not None:
         print(csv_text)
         return
     envelope = {
@@ -275,39 +292,19 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    fmt = args.format or _env_default("FORMAT", "json")
-    if fmt not in ("json", "csv"):
-        print(f"kuniform: invalid format {fmt!r}", file=sys.stderr)
-        return EXIT_USAGE
-
     try:
-        budget = args.budget if args.budget is not None else _env_int(
-            "BUDGET", DEFAULT_SUBSET_BUDGET
-        )
-        cap_dim = args.cap_dim if args.cap_dim is not None else _env_int(
-            "CAP_DIM", oracle.DEFAULT_DIM_CAP
-        )
-        if args.command == "bound":
-            status, payload, csv_text = _run_bound(args)
-        elif args.command == "table":
-            status, payload, csv_text = _run_table(args)
-        elif args.command == "ame":
-            status, payload, csv_text = _run_ame(args, budget)
-        elif args.command == "state":
-            status, payload, csv_text = _run_state(args, cap_dim)
-        else:
-            status, payload, csv_text = _run_verify(args)
+        status, payload, csv_text = args.run(args)
     except _UsageError as exc:
         print(f"kuniform: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotApplicableError as exc:
-        _emit(args.command, STATUS_NOT_APPLICABLE, {"error": str(exc)}, "json", None)
+        _emit(args.command, STATUS_NOT_APPLICABLE, {"error": str(exc)})
         return EXIT_NOT_APPLICABLE
     except (BudgetExceededError, CapacityError, ValueError) as exc:
-        _emit(args.command, STATUS_ERROR, {"error": str(exc)}, "json", None)
+        _emit(args.command, STATUS_ERROR, {"error": str(exc)})
         return EXIT_ERROR
 
-    _emit(args.command, status, payload, fmt, csv_text)
+    _emit(args.command, status, payload, csv_text)
     if status == STATUS_ERROR:
         return EXIT_ERROR
     return EXIT_OK

@@ -13,16 +13,22 @@ are implemented here, all exactly, never by evaluation or interpolation:
 The two substitutions and the expansion c -> a each clear the
 denominators once, substitute integer binary forms with the Horner
 kernel `exact.homogeneous_horner` (O(N^2) integer operations), and
-divide once per coefficient at the end.  The a -> c direction is a
-Lagrange inversion, independent of the kernel: A(1, y) / (1 + (d-1) y)^N
-is a power series in z = y (1 - y) / (1 + (d-1) y)^2 with coefficients
-c_i, peeled off one at a time mod y^(floor(N/2)+1) with integer series
-operations (O(N^2) integer operations).  It clears the denominators of
-a_0 .. a_(floor(N/2)) once and divides once per c_i at the end.
-`basis_matrix_entry` gives the entries of the unitriangular matrix of
-the c -> a map directly, as a reference for tests.  c <-> b (the compressed
-shadow, with b_j = s_(2j+t) and t = N mod 2) is a pair of mutually
-inverse closed-form linear maps.
+divide once per coefficient at the end.
+
+Each of the pairs c <-> a and c <-> b (the compressed shadow,
+b_j = s_(2j+t) with t = N mod 2) goes forward by the kernel, back by a
+closed form that shares nothing with it, so that a round trip compares
+two independent routes:
+
+  * c -> a is the kernel expansion above; a -> c is a Lagrange inversion,
+    the c_i peeled off a power series one at a time;
+  * c -> b expands c -> a, substitutes the shadow forms and compresses;
+    b -> c is Rains' lemma, an integer sum per c_i.
+
+Each closed form runs on cleared numerators in O(N^2) integer operations
+and divides once per c_i at the end.  `basis_matrix_entry` gives the
+entries of the unitriangular matrix of the c -> a map directly, as a
+reference for tests.
 
 The four coefficient records (`WeightEnumerator`, `ShadowEnumerator`,
 `InvariantBasisCoeffs`, `ShadowCompressed`) share one validation: N is an
@@ -253,35 +259,35 @@ def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:
 
 
 def c_to_b(inv: InvariantBasisCoeffs) -> ShadowCompressed:
-    """Compressed shadow coefficients b_j from the invariant coordinates."""
-    n, d = inv.n_parties, inv.local_dim
-    half, t = n // 2, n % 2
-    b: list[Fraction] = []
-    for j in range(half + 1):
-        acc = Fraction(0)
-        for m in range(j + 1):
-            acc += (
-                Fraction(2 ** (2 * m + t))
-                * Fraction(1, d ** (half - m))
-                * binom(half - m, half - j)
-                * (-1) ** (half - j)
-                * inv.coeffs[half - m]
-            )
-        b.append(acc)
-    return ShadowCompressed(n, t, tuple(b))
+    """Compressed shadow coefficients b_j from the invariant coordinates.
+
+    Forward by the kernel, back by a closed form: this direction expands
+    c -> a, substitutes the shadow forms and keeps s_(2j+t); `b_to_c` is
+    the closed-form way back.
+    """
+    return shadow_compress(shadow_transform(c_to_a(inv)))
 
 
 def b_to_c(compressed: ShadowCompressed, local_dim: int) -> InvariantBasisCoeffs:
-    """Exact inverse of c_to_b."""
+    """Invariant coordinates from the compressed shadow, by Rains' lemma.
+
+    Forward by the kernel, back by a closed form: `c_to_b` is the kernel
+    direction and this is the closed form.  With h = floor(N/2),
+    c_i = (-4d)^i / 2^N * sum_(j <= h-i) C(h-j, i) b_j,
+    so b >= 0 fixes the sign of every c_i.  The sums are the coefficients
+    of sum_j b_j (1 + x)^(h-j), built by Horner's rule in (1 + x) on the
+    cleared numerators of b, and one Fraction is made per c_i.
+    """
+    d = _exact_int(local_dim, "local_dim", 2)
     n = compressed.n_parties
-    half = n // 2
-    c: list[Fraction] = []
-    for i in range(half + 1):
-        acc = Fraction(0)
-        for j in range(half - i + 1):
-            acc += binom(half - j, i) * compressed.coeffs[j]
-        c.append((-1) ** i * Fraction(2 ** (2 * i), 2 ** n) * local_dim ** i * acc)
-    return InvariantBasisCoeffs(n, local_dim, tuple(c))
+    ints, den = _clear_denominators(compressed.coeffs)
+    sums: list[int] = []
+    for v in ints:
+        sums = [a + b for a, b in zip(sums + [0], [0] + sums)]
+        sums[0] += v
+    den <<= n
+    c = [Fraction(v * (-4 * d) ** i, den) for i, v in enumerate(sums)]
+    return InvariantBasisCoeffs(n, d, tuple(c))
 
 
 def shadow_compress(shadow: ShadowEnumerator) -> ShadowCompressed:

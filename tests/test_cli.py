@@ -222,13 +222,41 @@ def test_env_variable_mirrors_flags(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["KUNIFORM_BUDGET", "KUNIFORM_CAP_DIM"])
-def test_non_integer_env_value_is_usage_error(capsys, monkeypatch, name):
+def test_non_integer_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name):
+    # each variable is read by the one subcommand that takes its flag
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    argv = {
+        "KUNIFORM_BUDGET": ["ame", "--dims", "3x1,2x8"],
+        "KUNIFORM_CAP_DIM": ["state", "--file", str(path), "--enumerate"],
+    }[name]
     monkeypatch.setenv(name, "abc")
-    code = main(["ame", "--dims", "3x1,2x8"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"kuniform: invalid {name} 'abc'")
+
+
+def test_flags_and_variables_reach_only_their_subcommand(capsys, monkeypatch):
+    # an invalid variable a subcommand does not read once failed it with
+    # exit 2, and a flag it did not read was accepted and ignored
+    monkeypatch.setenv("KUNIFORM_BUDGET", "abc")
+    monkeypatch.setenv("KUNIFORM_CAP_DIM", "abc")
+    code, doc = run_json(capsys, "bound", "--d", "3", "--n", "5")
+    assert code == 0 and doc["status"] == "ok"
+    monkeypatch.delenv("KUNIFORM_BUDGET")
+    monkeypatch.setenv("KUNIFORM_FORMAT", "xml")
+    code, doc = run_json(capsys, "ame", "--dims", "2x4")
+    assert code == 0 and doc["payload"]["status"] == "unknown"
+    for argv in (
+        ["ame", "--dims", "3x1,2x8", "--format", "csv"],
+        ["bound", "--d", "3", "--n", "5", "--budget", "1"],
+        ["verify", "--suite", "recurrence", "--cap-dim", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize(

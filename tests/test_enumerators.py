@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kuniform import enumerators
@@ -17,7 +17,6 @@ from kuniform.enumerators import (
     c_to_a,
     c_to_b,
     macwilliams_transform,
-    shadow_compress,
     shadow_transform,
     validate_state_constraints,
 )
@@ -40,6 +39,16 @@ def invariant_coeffs(draw, max_parties=14):
     d = draw(st.sampled_from([2, 3, 4, 5]))
     coeffs = draw(st.lists(rationals, min_size=n // 2 + 1, max_size=n // 2 + 1))
     return InvariantBasisCoeffs(n, d, tuple(coeffs))
+
+
+def _seeded_coeffs(rng, size):
+    # about a quarter zeros; numerators of both signs
+    return tuple(
+        Fraction(0)
+        if rng.random() < 0.25
+        else Fraction(rng.randint(-60, 60), rng.randint(1, 15))
+        for _ in range(size)
+    )
 
 
 BELL = WeightEnumerator(2, 2, (1, 0, 3))
@@ -108,14 +117,41 @@ def test_c_to_b_worked_examples():
     assert ghz_b.coeffs == (3, 5) and ghz_b.parity == 1
 
 
-@given(invariant_coeffs())
-def test_c_to_b_matches_shadow_route(inv):
-    # expanding the shadow of the expanded enumerator and compressing must
-    # equal the direct linear map
-    via_shadow = shadow_compress(shadow_transform(c_to_a(inv)))
-    direct = c_to_b(inv)
-    assert via_shadow.coeffs == direct.coeffs
-    assert via_shadow.parity == direct.parity
+def _c_to_b_reference(inv):
+    """The closed-form c -> b double loop on Fractions that c_to_b replaced."""
+    n, d, c = inv.n_parties, inv.local_dim, inv.coeffs
+    half, t = n // 2, n % 2
+    b = []
+    for j in range(half + 1):
+        acc = Fraction(0)
+        for m in range(j + 1):
+            acc += (
+                Fraction(2 ** (2 * m + t))
+                * Fraction(1, d ** (half - m))
+                * binom(half - m, half - j)
+                * (-1) ** (half - j)
+                * c[half - m]
+            )
+        b.append(acc)
+    return tuple(b)
+
+
+def _with_large_cases(test):
+    """Add seeded explicit examples at N = 61, 97, 150 and d = 2, 3, 5."""
+    rng = random.Random(20261019)
+    for n in (61, 97, 150):
+        for d in (2, 3, 5):
+            coeffs = _seeded_coeffs(rng, n // 2 + 1)
+            test = example(InvariantBasisCoeffs(n, d, coeffs))(test)
+    return test
+
+
+@_with_large_cases
+@given(invariant_coeffs(max_parties=30))
+def test_c_to_b_equals_the_closed_form(inv):
+    b = c_to_b(inv)
+    assert b.coeffs == _c_to_b_reference(inv)
+    assert (b.n_parties, b.parity) == (inv.n_parties, inv.n_parties % 2)
 
 
 def test_b_to_c_worked_example():
@@ -125,6 +161,7 @@ def test_b_to_c_worked_example():
     assert all(c == 0 for c in zeros.coeffs)
 
 
+@_with_large_cases
 @given(invariant_coeffs(max_parties=30))
 def test_b_to_c_inverts_c_to_b(inv):
     assert b_to_c(c_to_b(inv), inv.local_dim).coeffs == inv.coeffs
@@ -185,12 +222,14 @@ def test_json_reads_exact_ints_only(n, d):
         (lambda: ShadowCompressed(0, 0, (1,)), "n_parties"),
         (lambda: ShadowCompressed(3, True, (1, 0)), "parity"),
         (lambda: b_to_c(ShadowCompressed(2, 0, (1, 3)), 1), "local_dim"),
+        (lambda: b_to_c(ShadowCompressed(2, 0, (1, 3)), 2.5), "local_dim"),
         (lambda: WeightEnumerator(2, 2, (1.0, 0.5, 0.1)), "int or Fraction"),
         (lambda: InvariantBasisCoeffs(2, 2, (True, 0)), "int or Fraction"),
         (lambda: ShadowCompressed(2, 0, (1, "3")), "int or Fraction"),
     ],
     ids=["basis-n0-d1", "basis-float-d", "float-n", "bool-d", "compressed-n0",
-         "bool-parity", "b_to_c-d1", "float-coeffs", "bool-coeff", "string-coeff"],
+         "bool-parity", "b_to_c-d1", "b_to_c-float-d", "float-coeffs", "bool-coeff",
+         "string-coeff"],
 )
 def test_one_record_rule(make, match):
     # each of these was once accepted; 0.1 was stored as 3602879701896397/2^55
@@ -267,16 +306,6 @@ def _c_to_a_reference(n, d, coeffs):
     return tuple(out)
 
 
-def _seeded_coeffs(rng, size):
-    # about a quarter zeros; numerators of both signs
-    return tuple(
-        Fraction(0)
-        if rng.random() < 0.25
-        else Fraction(rng.randint(-60, 60), rng.randint(1, 15))
-        for _ in range(size)
-    )
-
-
 def test_transforms_equal_the_reference_expansion():
     rng = random.Random(20260418)
     for n in range(1, 41):
@@ -321,19 +350,32 @@ def test_a_to_c_equals_the_fraction_solve():
         assert a_to_c(enum).coeffs == _a_to_c_reference(n, d, coeffs), (n, d)
 
 
+def _record_calls(monkeypatch, names):
+    """Wrap each named enumerators global so that a call appends its name."""
+    calls = []
+    for name in names:
+        real = getattr(enumerators, name)
+        monkeypatch.setattr(
+            enumerators,
+            name,
+            lambda *args, name=name, real=real: calls.append(name) or real(*args),
+        )
+    return calls
+
+
 def test_a_to_c_builds_no_matrix(monkeypatch):
     # the series inversion reads the basis change off a power series: it
     # builds no basis_matrix_entry and shares no kernel with the other route
-    calls = []
-
-    def counted(name):
-        real = getattr(enumerators, name)
-        monkeypatch.setattr(
-            enumerators, name, lambda *args: calls.append(name) or real(*args)
-        )
-
-    counted("basis_matrix_entry")
-    counted("homogeneous_horner")
+    calls = _record_calls(monkeypatch, ("basis_matrix_entry", "homogeneous_horner"))
     for n in (2, 9, 40):
         a_to_c(WeightEnumerator(n, 3, (1,) + (0,) * n))
+    assert calls == []
+
+
+def test_b_to_c_calls_no_kernel(monkeypatch):
+    # the lemma is the closed-form route back: it calls neither the Horner
+    # kernel of c_to_b nor the other basis conversions
+    calls = _record_calls(monkeypatch, ("homogeneous_horner", "c_to_a", "a_to_c"))
+    for n in (1, 2, 9, 40):
+        b_to_c(ShadowCompressed(n, n % 2, (1,) * (n // 2 + 1)), 3)
     assert calls == []

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kuniform.exact import (
-    GaussianRational,
     binom,
     elem_sym,
     elem_sym_prefix,
@@ -104,28 +103,6 @@ def test_rat_string_round_trip(q):
 def test_rat_from_str_rejects_decimals():
     with pytest.raises(ValueError):
         rat_from_str("0.5")
-
-
-gauss = st.builds(GaussianRational, rationals, rationals)
-
-
-@given(gauss, gauss)
-def test_gaussian_modulus_is_multiplicative(z, w):
-    assert (z * w).abs2() == z.abs2() * w.abs2()
-
-
-@given(gauss)
-def test_gaussian_conjugation(z):
-    assert (z * z.conjugate()).im == 0
-    assert (z * z.conjugate()).re == z.abs2()
-    assert z.conjugate().conjugate() == z
-
-
-@given(gauss, gauss)
-def test_gaussian_ring_ops(z, w):
-    assert z + w - w == z
-    assert (z - w) + w == z
-    assert (-z) + z == GaussianRational()
 
 
 def _times(p, q):
