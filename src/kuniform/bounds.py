@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .enumerators import WeightEnumerator, a_to_c
-from .errors import NotApplicableError
+from .errors import NotApplicableError, exact_int
 from .exact import binom, falling_binom, rat_from_str, rat_to_str
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -69,11 +69,9 @@ def provenance_alpha(index: int) -> str:
 
 
 def _check_alpha_args(n_parties: int, local_dim: int, index: int) -> None:
-    if n_parties < 1:
-        raise ValueError("n_parties must be >= 1")
-    if local_dim < 2:
-        raise ValueError("local_dim must be >= 2")
-    if not 0 <= index <= n_parties // 2:
+    exact_int(n_parties, "n_parties", 1)
+    exact_int(local_dim, "local_dim", 2)
+    if exact_int(index, "index", 0) > n_parties // 2:
         raise ValueError(
             f"index {index} out of range 0..{n_parties // 2} for N={n_parties}"
         )
@@ -149,8 +147,7 @@ def cross_validate_alpha(
 
 def rains_bound(n_parties: int) -> int:
     """Piecewise qubit bound: N = 6m + l gives 2m + 1, or 2m + 2 when l = 5."""
-    if n_parties < 2:
-        raise ValueError("n_parties must be >= 2")
+    exact_int(n_parties, "n_parties", 2)
     m, ell = divmod(n_parties, 6)
     return 2 * m + 2 if ell == 5 else 2 * m + 1
 
@@ -221,10 +218,8 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     facts.  Ties report the first test in the fixed order: alpha-sign
     (smallest index), rains, non-existence table, scott, trivial.
     """
-    if n_parties < 2:
-        raise ValueError("n_parties must be >= 2")
-    if local_dim < 2:
-        raise ValueError("local_dim must be >= 2")
+    exact_int(n_parties, "n_parties", 2)
+    exact_int(local_dim, "local_dim", 2)
     half = n_parties // 2
     alphas = alpha_vector(n_parties, local_dim)
     # (k, provenance, witness) in tie-break order; min keeps the first of equals

@@ -23,8 +23,8 @@ with exit 1 and nothing on stderr.
 
 A subcommand reads only its own variables: an explicit flag wins over
 its variable, and an invalid value of a variable the subcommand reads is
-a usage error.  A flag given to a subcommand that does not take it is a
-usage error too.
+a usage error, as are a --budget or --cap-dim below 1 (`errors.exact_int`)
+and a flag given to a subcommand that does not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 `ame --dims` profile) are refused with a capacity error before any work.
@@ -46,6 +46,7 @@ from .errors import (
     CapacityError,
     NotApplicableError,
     check_party_count,
+    exact_int,
 )
 from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict
 
@@ -67,27 +68,37 @@ class _UsageError(Exception):
     pass
 
 
-def _setting(flag, name: str, fallback, choices: Optional[Sequence[str]] = None):
-    """`flag` if given, else the variable KUNIFORM_<name> if set, else `fallback`.
+def _csv_asked(args) -> bool:
+    """--format if given, else KUNIFORM_FORMAT if set, else json; csv or not."""
+    if args.format is not None:
+        return args.format == "csv"
+    raw = os.environ.get(ENV_PREFIX + "FORMAT", "json")
+    if raw not in FORMATS:
+        expected = ", ".join(FORMATS)
+        raise _UsageError(f"invalid {ENV_PREFIX}FORMAT {raw!r}, expected one of {expected}")
+    return raw == "csv"
 
-    The variable must hold one of `choices`, or an integer when there are
-    none; any other value is a usage error.
+
+def _count(flag: Optional[int], option: str, fallback: int) -> int:
+    """`flag` if given, else the variable KUNIFORM_<OPTION> if set, else `fallback`.
+
+    Flag or variable passes the exact-int rule with least 1; any other
+    value is a usage error naming its source.
     """
-    if flag is not None:
-        return flag
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    if choices is not None:
-        if raw in choices:
-            return raw
-        expected = "one of " + ", ".join(choices)
-    else:
+    what, value = "--" + option, flag
+    if flag is None:
+        what = ENV_PREFIX + option.upper().replace("-", "_")
+        value = os.environ.get(what)
+        if value is None:
+            return fallback
         try:
-            return int(raw)
+            value = int(value)
         except ValueError:
-            expected = "an integer"
-    raise _UsageError(f"invalid {ENV_PREFIX}{name} {raw!r}, expected {expected}")
+            pass  # the rule names the text it refuses
+    try:
+        return exact_int(value, what, 1)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,10 +172,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _csv_asked(args) -> bool:
-    return _setting(args.format, "FORMAT", "json", FORMATS) == "csv"
-
-
 def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     csv = _csv_asked(args)
     if args.d < 2:
@@ -207,7 +214,7 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_ame(args) -> tuple[str, dict, Optional[str]]:
-    budget = _setting(args.budget, "BUDGET", DEFAULT_SUBSET_BUDGET)
+    budget = _count(args.budget, "budget", DEFAULT_SUBSET_BUDGET)
     try:
         profile = DimensionProfile.parse(args.dims)
     except ValueError as exc:
@@ -219,7 +226,7 @@ def _run_ame(args) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_state(args) -> tuple[str, dict, Optional[str]]:
-    cap_dim = _setting(args.cap_dim, "CAP_DIM", oracle.DEFAULT_DIM_CAP)
+    cap_dim = _count(args.cap_dim, "cap-dim", oracle.DEFAULT_DIM_CAP)
     try:
         state = oracle.PureState.load(args.file)
     except (OSError, ValueError) as exc:
@@ -233,8 +240,9 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
             "uniform": answer,
         }
         return STATUS_OK, payload, None
-    a = oracle.direct_enumerator(state, dim_cap=cap_dim)
+    # the shadow refuses above its party cap before any purity is computed
     s_direct = oracle.direct_shadow(state, dim_cap=cap_dim)
+    a = oracle.direct_enumerator(state, dim_cap=cap_dim)
     payload = {
         "dims": list(state.profile.dims),
         "a": a.to_json_dict(),

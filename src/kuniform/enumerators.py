@@ -33,8 +33,9 @@ reference for tests.
 The four coefficient records (`WeightEnumerator`, `ShadowEnumerator`,
 `InvariantBasisCoeffs`, `ShadowCompressed`) share one validation: N is an
 exact int >= 1 and d an exact int >= 2 (the compressed shadow holds
-N mod 2 in its place), and the coefficients are ints or Fractions only,
-floats and bools refused, N+1 of them or floor(N/2)+1.
+N mod 2 in its place), both by the input rule `errors.exact_int`, and
+the coefficients are ints or Fractions only, floats and bools refused,
+N+1 of them or floor(N/2)+1.
 
 `validate_state_constraints` evaluates every coefficient inequality and
 identity a pure-state enumerator must satisfy, returning a report rather
@@ -50,17 +51,8 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
+from .errors import exact_int, required
 from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
-
-
-def _exact_int(value, what: str, least: int) -> int:
-    """`value` itself when it is an exact int >= `least`, else ValueError."""
-    # an exact type test, since bool is a subclass of int
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}")
-    return value
 
 
 def _exact_coeff(value) -> Fraction:
@@ -76,7 +68,7 @@ class _Record:
     half = False
 
     def __post_init__(self) -> None:
-        n = _exact_int(self.n_parties, "n_parties", 1)
+        n = exact_int(self.n_parties, "n_parties", 1)
         self._check_second(n)
         coeffs = tuple(map(_exact_coeff, self.coeffs))
         size = n // 2 + 1 if self.half else n + 1
@@ -85,7 +77,7 @@ class _Record:
         object.__setattr__(self, "coeffs", coeffs)
 
     def _check_second(self, n: int) -> None:
-        _exact_int(self.local_dim, "local_dim", 2)
+        exact_int(self.local_dim, "local_dim", 2)
 
 
 @dataclass(frozen=True)
@@ -105,9 +97,11 @@ class _Enumerator(_Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        """Read `n` and `d` as JSON integers only; floats and bools raise."""
-        coeffs = tuple(rat_from_str(str(c)) for c in doc["coeffs"])
-        return cls(doc["n"], doc["d"], coeffs)
+        """Read a JSON object of integers `n`, `d` and an array `coeffs`, else ValueError."""
+        n, d, coeffs = (required(doc, k, "enumerator") for k in ("n", "d", "coeffs"))
+        if not isinstance(coeffs, list):
+            raise ValueError(f"coeffs must be an array, got {coeffs!r}")
+        return cls(n, d, tuple(rat_from_str(str(c)) for c in coeffs))
 
 
 class WeightEnumerator(_Enumerator):
@@ -138,7 +132,7 @@ class ShadowCompressed(_Record):
     half = True
 
     def _check_second(self, n: int) -> None:
-        if _exact_int(self.parity, "parity", 0) != n % 2:
+        if exact_int(self.parity, "parity", 0) != n % 2:
             raise ValueError("parity must equal n_parties mod 2")
 
 
@@ -278,7 +272,7 @@ def b_to_c(compressed: ShadowCompressed, local_dim: int) -> InvariantBasisCoeffs
     of sum_j b_j (1 + x)^(h-j), built by Horner's rule in (1 + x) on the
     cleared numerators of b, and one Fraction is made per c_i.
     """
-    d = _exact_int(local_dim, "local_dim", 2)
+    d = exact_int(local_dim, "local_dim", 2)
     n = compressed.n_parties
     ints, den = _clear_denominators(compressed.coeffs)
     sums: list[int] = []

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the input rules.
 
 These mark the three failure modes the library distinguishes from plain
 programming errors: a computation that does not apply to the given input,
@@ -9,7 +9,13 @@ would overrun its evaluation budget.
 program, so that a huge request fails at once with a `CapacityError`
 instead of running without end or exhausting memory.  It sits well above
 every size in use (the published tables reach N = 276).
+
+Every value from outside the program (an argument, a JSON document, a
+command-line count) passes one input rule below, once, where it enters;
+each raises ValueError naming the value it refuses.
 """
+
+import json
 
 MAX_PARTIES = 4096
 
@@ -32,3 +38,40 @@ def check_party_count(n_parties: int) -> None:
         raise CapacityError(
             f"party count {n_parties} exceeds the cap of {MAX_PARTIES} parties"
         )
+
+
+def exact_int(value, what: str, least: int) -> int:
+    """`value` itself when it is an exact int >= `least`, else ValueError."""
+    # an exact type test, since bool is a subclass of int
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def exact_ints(values, what: str, least: int) -> tuple[int, ...]:
+    """`values` as a tuple of exact ints >= `least`; a bad entry is named as `what[i]`."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be an array of integers, got {values!r}")
+    for index, value in enumerate(values):
+        exact_int(value, f"{what}[{index}]", least)
+    return tuple(values)
+
+
+def read_json(text: str, what: str):
+    """The document in `text`; nesting too deep to parse raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"{what} is nested too deeply") from exc
+
+
+def required(doc, key: str, what: str):
+    """`doc[key]`; ValueError naming `what` if `doc` is no JSON object or lacks `key`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing key {key!r}") from None

@@ -30,17 +30,26 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
 `ame_verdict` runs the cheap tests first (Schmidt feasibility, the pair
 threshold, the subset search, then the shadow) and reports the first
 certificate found; it never claims existence.
+
+A profile's dimensions pass the input rule `errors.exact_ints` once, in
+the `DimensionProfile` constructor, however the profile was written.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceededError, NotApplicableError, check_party_count
+from .errors import (
+    BudgetExceededError,
+    NotApplicableError,
+    check_party_count,
+    exact_int,
+    exact_ints,
+    read_json,
+)
 from .exact import elem_sym_prefix, homogeneous_horner, rat_to_str
 
 DEFAULT_SUBSET_BUDGET = 10**7
@@ -50,22 +59,17 @@ DEFAULT_SUBSET_BUDGET = 10**7
 class DimensionProfile:
     """Ordered local dimensions d_1 .. d_N of a multipartite system.
 
-    Every dimension must be an exact int; a float, a bool or any other
-    value raises ValueError instead of being truncated.
+    `dims` is a list or tuple of exact ints >= 2 (`errors.exact_ints`); a
+    float, a bool or any other value raises ValueError instead of being
+    truncated.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(self.dims))
-        for d in self.dims:
-            # an exact type test, since bool is a subclass of int
-            if type(d) is not int:
-                raise ValueError(f"local dimensions must be integers, got {d!r}")
+        object.__setattr__(self, "dims", exact_ints(self.dims, "dims", 2))
         if len(self.dims) < 2:
             raise ValueError("a profile needs at least 2 parties")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("every local dimension must be >= 2")
 
     @property
     def n_parties(self) -> int:
@@ -93,35 +97,24 @@ class DimensionProfile:
         """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]".
 
         A JSON array must hold JSON integers only; floats, booleans, null,
-        strings and nested arrays raise ValueError.  Raises CapacityError,
-        before building the profile, when it has more than
-        `errors.MAX_PARTIES` parties.
+        strings and nested arrays raise ValueError from the constructor's
+        rule.  Raises CapacityError, before building the profile, when it
+        has more than `errors.MAX_PARTIES` parties.
         """
         text = text.strip()
         if text.startswith("["):
-            try:
-                dims_list = json.loads(text)
-            except RecursionError as exc:
-                raise ValueError("profile JSON is nested too deeply") from exc
-            if not isinstance(dims_list, list):
-                raise ValueError(f"profile JSON must be an array, got {text!r}")
+            # text starting with "[" parses to an array or not at all
+            dims_list = read_json(text, "profile JSON")
             check_party_count(len(dims_list))
-            # an exact type test, since bool is a subclass of int
-            if any(type(d) is not int for d in dims_list):
-                raise ValueError(f"profile JSON must hold integers only, got {text!r}")
-            return cls(tuple(dims_list))
+            return cls(dims_list)
         terms: list[tuple[int, int]] = []
         for term in text.split(","):
             term = term.strip()
-            if not term:
-                raise ValueError(f"empty term in profile string {text!r}")
             parts = term.split("x")
             if len(parts) != 2:
                 raise ValueError(f"bad profile term {term!r}, expected <dim>x<count>")
             dim, count = int(parts[0]), int(parts[1])
-            if count < 1:
-                raise ValueError(f"multiplicity must be >= 1 in {term!r}")
-            terms.append((dim, count))
+            terms.append((dim, exact_int(count, f"multiplicity in {term!r}", 1)))
         # sized before any list is built, so a huge multiplicity allocates nothing
         check_party_count(sum(count for _, count in terms))
         dims: list[int] = []
@@ -239,8 +232,8 @@ def scott_pair_threshold(d1: int, d2: int) -> int:
     odd party plus small parties otherwise.  Requires d1 <= d2^2; larger d1
     makes the profile Schmidt-infeasible outright.
     """
-    if d1 < 2 or d2 < 2:
-        raise ValueError("dimensions must be >= 2")
+    exact_int(d1, "d1", 2)
+    exact_int(d2, "d2", 2)
     if d1 > d2 * d2:
         raise NotApplicableError(
             f"profile {d1} x {d2}^(2n) is Schmidt-infeasible (d1 > d2^2)"

@@ -12,7 +12,7 @@ From the subset purities everything else follows exactly:
     normalized state;
   * `direct_enumerator` recovers the weight distribution a_j by Mobius
     inversion over the subset lattice, a'_T = sum_{U <= T} (-1)^(|T|-|U|)
-    (prod_{i in U} d) Tr(rho_U^2), avoiding any explicit operator basis;
+    (prod_{i in U} d) Tr(rho_U^2), summed over |T| = j by subset size;
   * `direct_shadow` evaluates the definitional double subset sum
     s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) Tr(rho_S^2).
 
@@ -25,6 +25,9 @@ one division at the end.
 These are test fixtures, not production paths: Hilbert dimension is
 capped (default 4096) and the shadow sum at 12 parties, with hard errors
 beyond.
+
+A state's `dims` and kets pass the input rule `errors.exact_ints` once,
+in the constructors; state files go through `read_json` and `required`.
 
 `ame_shadow_oracle` applies the same double subset sum to the purity
 profile of a hypothetical AME state on a dimension profile
@@ -40,14 +43,20 @@ and AME routes and by `shadow_from_purities`.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
 from .enumerators import ShadowEnumerator, WeightEnumerator, _clear_denominators
-from .errors import CapacityError, NotApplicableError
+from .errors import (
+    CapacityError,
+    NotApplicableError,
+    exact_int,
+    exact_ints,
+    read_json,
+    required,
+)
 from .exact import GaussianRational, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, hetero_shadow
 
@@ -55,25 +64,6 @@ DEFAULT_DIM_CAP = 4096
 DEFAULT_SHADOW_PARTY_CAP = 12
 
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
-
-
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    """`values` as a tuple, refusing anything but exact ints (bool included)."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} must be an array of integers, got {values!r}")
-    for x in values:
-        # an exact type test, since bool is a subclass of int
-        if type(x) is not int:
-            raise ValueError(f"{what} must hold integers only, got {x!r}")
-    return tuple(values)
-
-
-def _required(doc: dict, key: str, what: str):
-    """`doc[key]`, or a ValueError that names the key and where it is missing."""
-    try:
-        return doc[key]
-    except KeyError:
-        raise ValueError(f"{what} is missing key {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -87,12 +77,11 @@ class PureState:
         n = self.profile.n_parties
         entries = []
         for ket, amp in self.amplitudes:
-            ket = _int_tuple(ket, "ket")
+            ket = exact_ints(ket, "ket", 0)
             if len(ket) != n:
                 raise ValueError(f"ket {ket} has wrong arity for {n} parties")
-            for x, d in zip(ket, self.profile.dims):
-                if not 0 <= x < d:
-                    raise ValueError(f"ket {ket} out of range for dims {self.profile.dims}")
+            if any(x >= d for x, d in zip(ket, self.profile.dims)):
+                raise ValueError(f"ket {ket} out of range for dims {self.profile.dims}")
             if not amp.is_zero():
                 entries.append((ket, amp))
         if not entries:
@@ -106,9 +95,9 @@ class PureState:
         dims: Union[DimensionProfile, Sequence[int]],
         amps: Union[AmplitudeMap, Iterable[tuple[Sequence[int], GaussianRational]]],
     ) -> "PureState":
-        profile = dims if isinstance(dims, DimensionProfile) else DimensionProfile(tuple(dims))
+        profile = dims if isinstance(dims, DimensionProfile) else DimensionProfile(dims)
         items = amps.items() if isinstance(amps, Mapping) else amps
-        return cls(profile, tuple((tuple(k), a) for k, a in items))
+        return cls(profile, tuple(items))
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,38 +110,28 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PureState":
-        """Read `dims` and each `ket` as JSON arrays of integers only.
+        """Read a JSON object with `dims` and an array `amps` of objects.
 
-        The document and every `amps` record must be JSON objects, and
-        `amps` an array; any other shape, or a missing `dims`, `amps` or
-        `ket`, raises ValueError.
+        Each `amps` record holds a `ket` and optional rational strings `re`
+        and `im`.  Any other shape, or a missing `dims`, `amps` or `ket`,
+        raises ValueError; `dims` and every `ket` are then checked once, by
+        the constructors, as arrays of integers.
         """
-        if not isinstance(doc, dict):
-            raise ValueError(f"a state must be a JSON object, got {doc!r}")
-        dims = _int_tuple(_required(doc, "dims", "state"), "dims")
-        records = _required(doc, "amps", "state")
+        dims = required(doc, "dims", "state")
+        records = required(doc, "amps", "state")
         if not isinstance(records, (list, tuple)):
             raise ValueError(f"amps must be an array of objects, got {records!r}")
         amps = []
         for index, rec in enumerate(records):
-            if not isinstance(rec, dict):
-                raise ValueError(f"amps must hold objects only, got {rec!r}")
-            amp = GaussianRational(
-                rat_from_str(str(rec.get("re", "0"))),
-                rat_from_str(str(rec.get("im", "0"))),
-            )
-            ket = _required(rec, "ket", f"amps[{index}]")
-            amps.append((_int_tuple(ket, "ket"), amp))
+            ket = required(rec, "ket", f"amps[{index}]")
+            re, im = (rat_from_str(str(rec.get(key, "0"))) for key in ("re", "im"))
+            amps.append((ket, GaussianRational(re, im)))
         return cls.from_amplitudes(dims, amps)
 
     @classmethod
     def load(cls, path) -> "PureState":
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError("state JSON is nested too deeply") from exc
-        return cls.from_json_dict(doc)
+            return cls.from_json_dict(read_json(fh.read(), "state JSON"))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +247,7 @@ def purity(
     n = state.profile.n_parties
     mask = 0
     for i in subset:
-        if not 0 <= i < n:
+        if exact_int(i, "party index", 0) >= n:
             raise ValueError(f"party index {i} out of range")
         mask |= 1 << i
     entries, norm2 = _scaled_integer_amplitudes(state)
@@ -306,29 +285,17 @@ def is_k_uniform(
     mixed exactly when Tr(rho_S^2) = 1 / prod_{i in S} d_i.
     """
     n = state.profile.n_parties
-    if not 0 <= k <= n // 2:
+    if exact_int(k, "k", 0) > n // 2:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
     _check_dim_cap(state, dim_cap)
     entries, norm2 = _scaled_integer_amplitudes(state)
     denom = norm2 * norm2
-    for mask in _masks_of_weight(n, k):
-        d_s = prod(d for t, d in enumerate(state.profile.dims) if mask >> t & 1)
+    for subset in itertools.combinations(range(n), k):
+        mask = sum(1 << t for t in subset)
+        d_s = prod(state.profile.dims[t] for t in subset)
         if _purity_numerator(entries, n, mask) * d_s != denom:
             return False
     return True
-
-
-def _masks_of_weight(n: int, k: int):
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> (low.bit_length() + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +303,44 @@ def _masks_of_weight(n: int, k: int):
 # ---------------------------------------------------------------------------
 
 
+def _local_dim(state: PureState) -> int:
+    """The one local dimension of a homogeneous state, else NotApplicableError."""
+    if not state.profile.is_homogeneous():
+        raise NotApplicableError(
+            "weight and shadow distributions are defined for homogeneous profiles"
+        )
+    return state.profile.dims[0]
+
+
 def direct_enumerator(
     state: PureState, dim_cap: int = DEFAULT_DIM_CAP
 ) -> WeightEnumerator:
     """Weight distribution a_0 .. a_N by purity inclusion-exclusion.
 
-    The inversion runs on the integer purity numerators and divides by
-    their common denominator once per a_j.  Homogeneous profiles only: the
-    per-weight grouping of the distribution presumes a single local
-    dimension.
+    Each U of size u lies in C(N-u, j-u) sets T of size j, so
+    a_j = sum_u (-1)^(j-u) C(N-u, j-u) d^u W_u, with W_u the integer purity
+    numerators summed over the subsets of size u, divided by their common
+    denominator once per a_j.  Homogeneous profiles only: the per-weight
+    grouping of the distribution presumes a single local dimension.
     """
-    if not state.profile.is_homogeneous():
-        raise NotApplicableError(
-            "the weight distribution is defined for homogeneous profiles"
-        )
-    n = state.profile.n_parties
-    d = state.profile.dims[0]
+    n, d = state.profile.n_parties, _local_dim(state)
     nums, denom = _purity_numerators(state, dim_cap)
-    a = [0] * (n + 1)
-    for t_mask in range(1 << n):
-        acc = 0
-        weight_t = t_mask.bit_count()
-        u_mask = t_mask
-        while True:
-            term = d ** u_mask.bit_count() * nums[u_mask]
-            acc += -term if (weight_t - u_mask.bit_count()) % 2 else term
-            if u_mask == 0:
-                break
-            u_mask = (u_mask - 1) & t_mask
-        a[weight_t] += acc
+    w = [0] * (n + 1)
+    for mask, v in enumerate(nums):
+        w[mask.bit_count()] += v
+    a = (
+        sum((-1) ** (j - u) * comb(n - u, j - u) * d**u * w[u] for u in range(j + 1))
+        for j in range(n + 1)
+    )
     return WeightEnumerator(n, d, tuple(Fraction(v, denom) for v in a))
+
+
+def _check_shadow_party_count(n_parties: int) -> None:
+    """Raise CapacityError above the subset sum's party cap, before any work."""
+    if n_parties > DEFAULT_SHADOW_PARTY_CAP:
+        raise CapacityError(
+            f"shadow subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n_parties}"
+        )
 
 
 def _parity_shadow(weights: list[int]) -> list[int]:
@@ -409,18 +384,11 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def direct_shadow(state: PureState, dim_cap: int = DEFAULT_DIM_CAP) -> ShadowEnumerator:
     """Shadow coefficients from the definitional subset sum over purities."""
-    if not state.profile.is_homogeneous():
-        raise NotApplicableError(
-            "the shadow distribution is defined for homogeneous profiles"
-        )
-    n = state.profile.n_parties
-    if n > DEFAULT_SHADOW_PARTY_CAP:
-        raise CapacityError(
-            f"shadow subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n}"
-        )
+    n, d = state.profile.n_parties, _local_dim(state)
+    _check_shadow_party_count(n)
     nums, denom = _purity_numerators(state, dim_cap)
     s = tuple(Fraction(v, denom) for v in _parity_shadow(nums))
-    return ShadowEnumerator(n, state.profile.dims[0], s)
+    return ShadowEnumerator(n, d, s)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +405,7 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     compare the result against `hetero.hetero_shadow` there.
     """
     n = profile.n_parties
-    if n > DEFAULT_SHADOW_PARTY_CAP:
-        raise CapacityError(
-            f"subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n}"
-        )
+    _check_shadow_party_count(n)
     total = profile.total_dim
     d_sub = [1] * (1 << n)
     for mask in range(1, 1 << n):

@@ -273,3 +273,19 @@ def test_recurrence_sum_ties_back_to_alpha():
 def test_poly_eval():
     assert poly_eval((3, 2, 1), 5) == 3 + 2 * 5 + 25
     assert poly_eval((7,), 100) == 7
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: rains_bound(7.5), "n_parties"),
+        (lambda: k_upper_bound(7.0, 3), "n_parties"),
+        (lambda: alpha_closed_form(6, 2.5, 2), "local_dim"),
+        (lambda: alpha_closed_form(6, 2, 1.0), "index"),
+    ],
+    ids=["rains-float-n", "k-bound-float-n", "alpha-float-d", "alpha-float-index"],
+)
+def test_int_arguments_pass_the_rule(call, name):
+    # rains_bound(7.5) once returned 3.0 and the others raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()

@@ -1,14 +1,17 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuniform import oracle, tables
 from kuniform.cli import main
+from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile
-from kuniform.oracle import ghz_state, product_zero_state
+from kuniform.oracle import PureState, ghz_state, product_zero_state
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +65,13 @@ def test_table_reproduction(capsys, table_id):
     assert doc["status"] == "ok"
     assert doc["payload"]["match"] is True
     assert doc["payload"]["diffs"] == []
+
+
+@pytest.mark.parametrize("table_id", ["I", "II", "III", "IV"])
+def test_committed_table_csvs_are_current(table_id):
+    # the exact text scripts/reproduce_tables.py writes into out/
+    path = Path(__file__).resolve().parents[1] / "out" / f"table_{table_id}.csv"
+    assert path.read_text() == tables.table_csv(tables.diff_table(table_id)) + "\n"
 
 
 def test_table_csv_layout(capsys):
@@ -196,6 +206,33 @@ def test_state_capacity_error(tmp_path, capsys):
     assert code == 1 and doc["status"] == "error"
 
 
+def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch):
+    # the 2^N purity table and its O(3^N) inversion once ran before the
+    # shadow's party cap refused the state
+    calls = []
+    real = oracle._purity_numerators
+    monkeypatch.setattr(
+        oracle, "_purity_numerators", lambda *a: calls.append(a) or real(*a)
+    )
+    path = tmp_path / "ghz16.json"
+    path.write_text(json.dumps(ghz_state(16, 2).to_json_dict()))
+    code, doc = run_json(
+        capsys, "state", "--file", str(path), "--enumerate", "--cap-dim", "1048576"
+    )
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "shadow subset sum capped at 12 parties, got 16"
+    assert calls == []
+
+
+def test_state_enumerate_heterogeneous_is_not_applicable(tmp_path, capsys):
+    state = PureState.from_amplitudes((3, 2, 2), {(0, 0, 0): GaussianRational.of(1)})
+    path = tmp_path / "hetero.json"
+    path.write_text(json.dumps(state.to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 3 and doc["status"] == "not-applicable"
+    assert "homogeneous profiles" in doc["payload"]["error"]
+
+
 @pytest.mark.parametrize("suite", ["alpha", "recurrence", "shadow-oracle"])
 def test_verify_suites_pass(capsys, suite):
     code, doc = run_json(capsys, "verify", "--suite", suite)
@@ -235,7 +272,42 @@ def test_non_integer_env_value_is_usage_error(tmp_path, capsys, monkeypatch, nam
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"kuniform: invalid {name} 'abc'")
+    assert captured.err == f"kuniform: {name} must be an integer, got 'abc'\n"
+
+
+def _count_argv(option, path):
+    """A run of the one subcommand that reads --budget or --cap-dim."""
+    if option == "budget":
+        return ["ame", "--dims", "3x1,2x8"]
+    return ["state", "--file", str(path), "--enumerate"]
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize(
+    "option, source",
+    [
+        ("budget", "--budget"),
+        ("budget", "KUNIFORM_BUDGET"),
+        ("cap-dim", "--cap-dim"),
+        ("cap-dim", "KUNIFORM_CAP_DIM"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(
+    tmp_path, capsys, monkeypatch, option, source, value
+):
+    # each once ended in "exceeded budget of -5" or "exceeds cap 0", exit 1
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    argv = _count_argv(option, path)
+    if source.startswith("--"):
+        argv += [source, value]
+    else:
+        monkeypatch.setenv(source, value)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"kuniform: {source} must be >= 1, got {value}\n"
 
 
 def test_flags_and_variables_reach_only_their_subcommand(capsys, monkeypatch):
@@ -274,6 +346,39 @@ def test_party_counts_above_cap_fail_at_once(capsys, argv):
     assert "exceeds the cap of 4096 parties" in doc["payload"]["error"]
 
 
+def _run_contract(argv, env=()):
+    """Run `argv` with the variables `env` set and check the exit contract.
+
+    Returns the exit code and the envelope, or None for a usage error:
+    one exit code of the contract with one envelope or one `kuniform:`
+    stderr line, never a stray exception.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        for name, value in env:
+            mp.setenv(name, value)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse itself rejects flag-shaped text
+            assert exc.code == 2
+            return 2, None
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("kuniform: ")
+        assert err.getvalue().count("\n") == 1
+        return code, None
+    assert err.getvalue() == ""
+    assert out.getvalue().count("\n") == 1
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"command", "status", "timestamp", "payload"}
+    statuses = {0: ("ok", "violation-found"), 1: ("error",), 3: ("not-applicable",)}
+    assert doc["status"] in statuses[code]
+    return code, doc
+
+
 @given(st.one_of(
     st.text(min_size=1, max_size=20),
     st.text(alphabet="0123456789x,[] -+.e", min_size=1, max_size=12),
@@ -283,31 +388,67 @@ def test_party_counts_above_cap_fail_at_once(capsys, argv):
     ).map(json.dumps),
 ))
 def test_exit_code_contract_on_garbage_profiles(text):
-    # any profile text ends in one exit code of the contract with one
-    # envelope or one `kuniform:` stderr line, never a stray exception
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdout", out)
-        mp.setattr(sys, "stderr", err)
-        try:
-            code = main(["ame", "--dims", text, "--budget", "1000"])
-        except SystemExit as exc:  # argparse itself rejects flag-shaped text
-            assert exc.code == 2
-            return
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("kuniform: ")
-        assert err.getvalue().count("\n") == 1
-        return
-    assert err.getvalue() == ""
-    assert out.getvalue().count("\n") == 1
-    doc = json.loads(out.getvalue())
-    assert set(doc) == {"command", "status", "timestamp", "payload"}
-    statuses = {0: ("ok", "violation-found"), 1: ("error",), 3: ("not-applicable",)}
-    assert doc["status"] in statuses[code]
+    code, doc = _run_contract(["ame", "--dims", text, "--budget", "1000"])
     if code == 0:
         assert doc["payload"]["profile"] == list(DimensionProfile.parse(text).dims)
+
+
+# party counts up to 300 as plain integers, short garbage texts, and ranges
+# at most a few wide, so that no example computes hundreds of bounds
+_garbage = st.text(alphabet="0123456789:-+. x", max_size=4)
+_n_text = st.one_of(st.integers(-5, 300).map(str), _garbage)
+_range_text = st.one_of(
+    st.tuples(st.integers(-5, 300), st.integers(-2, 4)).map(
+        lambda p: f"{p[0]}:{p[0] + p[1]}"
+    ),
+    _garbage,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-3, 12),
+    st.one_of(
+        st.tuples(st.just("--n"), _n_text), st.tuples(st.just("--n-range"), _range_text)
+    ),
+)
+def test_exit_code_contract_on_bound_arguments(d, n_arg):
+    code, doc = _run_contract(["bound", "--d", str(d), *n_arg])
+    if d < 2:
+        assert code == 2
+    if code == 0:
+        for record in doc["payload"]["records"]:
+            assert record["d"] == d and 0 <= record["k_max"] <= record["n"] // 2
+
+
+def _positive_int(text):
+    try:
+        return int(text) >= 1
+    except ValueError:
+        return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["budget", "cap-dim"]),
+    st.booleans(),
+    st.one_of(
+        st.integers(-10, 10).map(str),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=5),
+    ),
+)
+def test_exit_code_contract_on_counts(tmp_path_factory, option, as_variable, text):
+    # a count that is not an integer >= 1 is a usage error, flag or variable
+    path = tmp_path_factory.mktemp("state") / "ghz3.json"
+    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    argv, env = _count_argv(option, path), []
+    if as_variable:
+        env.append(("KUNIFORM_" + option.upper().replace("-", "_"), text))
+    else:
+        argv += ["--" + option, text]
+    code, _ = _run_contract(argv, env)
+    assert (code == 2) == (not _positive_int(text))
 
 
 # JSON documents biased towards the state-file keys and small integers, so
@@ -356,7 +497,7 @@ def test_ame_json_profile_holds_integers_only(capsys):
         assert main(["ame", "--dims", text]) == 2, text
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("kuniform: profile JSON must hold integers")
+        assert captured.err.startswith("kuniform: dims[0] must be an integer")
 
 
 class _ClosedPipe:

@@ -213,6 +213,25 @@ def test_json_reads_exact_ints_only(n, d):
 
 
 @pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"n": 2, "d": 2, "coeffs": "103"}, "coeffs must be an array, got '103'"),
+        ({"n": 2, "d": 2}, "enumerator is missing key 'coeffs'"),
+        ({"d": 2, "coeffs": ["1", "0", "3"]}, "enumerator is missing key 'n'"),
+        ({"n": 2, "coeffs": ["1", "0", "3"]}, "enumerator is missing key 'd'"),
+        ([1, 2], r"enumerator must be a JSON object, got \[1, 2\]"),
+    ],
+    ids=["string-coeffs", "no-coeffs", "no-n", "no-d", "top-level-array"],
+)
+def test_json_reads_one_shape(doc, match):
+    # "103" was once read one character at a time as (1, 0, 3); a missing
+    # key was a bare KeyError and an array a TypeError
+    for cls in (WeightEnumerator, ShadowEnumerator):
+        with pytest.raises(ValueError, match=match):
+            cls.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
     "make, match",
     [
         (lambda: InvariantBasisCoeffs(0, 1, (1,)), "n_parties"),

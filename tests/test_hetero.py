@@ -51,7 +51,7 @@ def test_profile_parsing():
 )
 def test_profile_dims_are_exact_ints(dims):
     # a non-integer dimension is refused, never truncated to an int
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be an integer"):
         DimensionProfile(dims)
 
 
@@ -118,6 +118,14 @@ def test_scott_check_worked_values():
         scott_check(DimensionProfile((2,) * 8), range(5))
     with pytest.raises(ValueError):
         scott_check(DimensionProfile((2,) * 8), [0, 0, 1, 2, 3, 4])
+
+
+def test_pair_threshold_takes_exact_ints():
+    # scott_pair_threshold(3, 2.5) once raised TypeError from Fraction
+    with pytest.raises(ValueError, match="^d2 must be an integer"):
+        scott_pair_threshold(3, 2.5)
+    with pytest.raises(ValueError, match="^d1 must be >= 2"):
+        scott_pair_threshold(1, 3)
 
 
 @st.composite
