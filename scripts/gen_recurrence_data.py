@@ -4,14 +4,14 @@
 The three-term recurrences certifying the d=3 sign facts are recorded
 below in factored form (integer constant times a product of integer
 polynomials in n).  This script expands each product into a plain
-coefficient list, determines empirically the first n from which the
-recurrence identity holds and from which all three polynomials are
-positive, and writes the packaged data file.
+coefficient list, determines empirically the first n from which all
+three polynomials are positive, and writes the packaged data file.
 
-The expansion is cross-checked at generation time: for every offset the
-identity lead(n) p_(n+2) = mid(n) p_(n+1) + low(n) p_n is required to
-hold for a long stretch of n, with p_n recomputed by direct summation.
-A transcription typo in any factor makes the identity fail loudly.
+Each spec is checked at generation time by `kuniform.bounds.verify_recurrence`,
+the check the package runs on the shipped data: the stated initial
+terms, and the identity lead(n) p_(n+2) = mid(n) p_(n+1) + low(n) p_n for
+every n from BASE_N to N_CHECK, with p_n recomputed by direct summation.
+A transcription typo in any factor makes the check fail loudly.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from kuniform.bounds import poly_eval, recurrence_sum  # noqa: E402
+from kuniform.bounds import RecurrenceSpec, poly_eval, verify_recurrence  # noqa: E402
 
 N_CHECK = 40
+BASE_N = 1  # every shipped identity holds from n = 1
 
 
 def expand(constant: int, factors: list[list[int]]) -> list[int]:
@@ -151,23 +152,6 @@ def main() -> None:
         lead = expand(*lead_raw)
         mid = expand(*mid_raw)
         low = expand(*low_raw)
-        p = {n: recurrence_sum(offset, n) for n in range(1, N_CHECK + 3)}
-
-        for n0, expected in initial:
-            assert p[n0] == expected, (offset, n0, p[n0], expected)
-
-        holds = [
-            poly_eval(lead, n) * p[n + 2]
-            == poly_eval(mid, n) * p[n + 1] + poly_eval(low, n) * p[n]
-            for n in range(1, N_CHECK + 1)
-        ]
-        base_n = None
-        for n, ok in enumerate(holds, start=1):
-            if ok and all(holds[n - 1 :]):
-                base_n = n
-                break
-        assert base_n is not None, f"offset {offset}: recurrence never settles"
-
         positive_from = None
         for start in range(1, N_CHECK + 1):
             if all(
@@ -179,7 +163,13 @@ def main() -> None:
                 break
         assert positive_from is not None, f"offset {offset}: never all positive"
 
-        print(f"offset {offset:+d}: base_n={base_n} positive_from={positive_from}")
+        spec = RecurrenceSpec(
+            offset, tuple(lead), tuple(mid), tuple(low), tuple(initial), BASE_N, positive_from
+        )
+        _, failures = verify_recurrence(spec, N_CHECK)
+        assert not failures, (offset, failures)
+
+        print(f"offset {offset:+d}: base_n={BASE_N} positive_from={positive_from}")
         specs.append(
             {
                 "offset": offset,
@@ -187,7 +177,7 @@ def main() -> None:
                 "mid": mid,
                 "low": low,
                 "initial_terms": [[n, str(v)] for n, v in initial],
-                "base_n": base_n,
+                "base_n": BASE_N,
                 "positive_from": positive_from,
             }
         )

@@ -388,23 +388,12 @@ def recurrence_sum(offset: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    offset: int
-    n_max: int
-    checked_identities: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> RecurrenceReport:
+def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> tuple[int, list[str]]:
     """Recompute p_n by direct summation and check the recurrence exactly.
 
     Also checks the stated initial terms and positivity of the recurrence
-    polynomials from `positive_from` on.  Any failure names the offending
+    polynomials from `positive_from` on.  Returns the number of recurrence
+    identities checked and one message per failure, naming the offending
     n; a failure signals a transcription error in the static data.
     """
     p = {n: recurrence_sum(spec.offset, n) for n in range(1, n_max + 3)}
@@ -427,7 +416,7 @@ def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> RecurrenceReport:
         )
         if any(v <= 0 for v in values):
             failures.append(f"polynomial not positive at n={n}")
-    return RecurrenceReport(spec.offset, n_max, checked, tuple(failures))
+    return checked, failures
 
 
 def cross_validate_recurrences(n_max: int = 30) -> tuple[int, list[str]]:
@@ -440,9 +429,9 @@ def cross_validate_recurrences(n_max: int = 30) -> tuple[int, list[str]]:
     checks = 0
     failures: list[str] = []
     for spec in recurrence_specs():
-        report = verify_recurrence(spec, n_max=n_max)
-        checks += report.checked_identities
-        failures.extend(f"offset {spec.offset}: {msg}" for msg in report.failures)
+        checked, spec_failures = verify_recurrence(spec, n_max=n_max)
+        checks += checked
+        failures.extend(f"offset {spec.offset}: {msg}" for msg in spec_failures)
     return checks, failures
 
 

@@ -23,8 +23,9 @@ with exit 1 and nothing on stderr.
 
 A subcommand reads only its own variables: an explicit flag wins over
 its variable, and an invalid value of a variable the subcommand reads is
-a usage error, as are a --budget or --cap-dim below 1 (`errors.exact_int`)
-and a flag given to a subcommand that does not take it.
+a usage error, as are a --budget or --cap-dim below 1, a --d or a party
+count of `bound` below 2 (each checked once, by `errors.exact_int`) and a
+flag given to a subcommand that does not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 `ame --dims` profile) are refused with a capacity error before any work.
@@ -63,6 +64,13 @@ STATUS_VIOLATION = "violation-found"
 STATUS_NOT_APPLICABLE = "not-applicable"
 STATUS_ERROR = "error"
 
+# each suite returns (checks, failures)
+_VERIFY_SUITES = {
+    "alpha": bounds.cross_validate_alpha,
+    "recurrence": bounds.cross_validate_recurrences,
+    "shadow-oracle": oracle.cross_validate_ame_shadow,
+}
+
 
 class _UsageError(Exception):
     pass
@@ -95,8 +103,13 @@ def _count(flag: Optional[int], option: str, fallback: int) -> int:
             value = int(value)
         except ValueError:
             pass  # the rule names the text it refuses
+    return _usage_int(value, what, 1)
+
+
+def _usage_int(value, what: str, least: int) -> int:
+    """`errors.exact_int` on a command-line value; a refusal is a usage error."""
     try:
-        return exact_int(value, what, 1)
+        return exact_int(value, what, least)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -149,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-validation suites")
     p_verify.set_defaults(run=_run_verify)
     p_verify.add_argument(
-        "--suite", required=True, choices=("alpha", "recurrence", "shadow-oracle")
+        "--suite", required=True, choices=_VERIFY_SUITES
     )
     return parser
 
@@ -169,22 +182,19 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         raise _UsageError(f"--n-range expects integers, got {text!r}") from exc
     if lo > hi:
         raise _UsageError(f"--n-range expects A <= B, got {text!r}")
-    return lo, hi
+    return _usage_int(lo, "--n-range A", 2), _usage_int(hi, "--n-range B", 2)
 
 
 def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     csv = _csv_asked(args)
-    if args.d < 2:
-        raise _UsageError("--d must be >= 2")
+    d = _usage_int(args.d, "--d", 2)
     if args.n is not None:
-        lo = hi = args.n
+        lo = hi = _usage_int(args.n, "--n", 2)
     else:
         lo, hi = _parse_n_range(args.n_range)
-    if lo < 2:
-        raise _UsageError("party counts must be >= 2")
     check_party_count(hi)  # lo <= hi, so this bounds both ends
-    records = tables.compute_bound_records(args.d, lo, hi)
-    payload = {"d": args.d, "records": [r.to_json_dict() for r in records]}
+    records = tables.compute_bound_records(d, lo, hi)
+    payload = {"d": d, "records": [r.to_json_dict() for r in records]}
     csv_lines = ["N,k_max,provenance"]
     csv_lines += [f"{r.n_parties},{r.k_max},{r.provenance}" for r in records]
     return STATUS_OK, payload, "\n".join(csv_lines) if csv else None
@@ -253,12 +263,7 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_verify(args) -> tuple[str, dict, Optional[str]]:
-    if args.suite == "alpha":
-        checks, failures = bounds.cross_validate_alpha()
-    elif args.suite == "recurrence":
-        checks, failures = bounds.cross_validate_recurrences()
-    else:  # shadow-oracle
-        checks, failures = oracle.cross_validate_ame_shadow()
+    checks, failures = _VERIFY_SUITES[args.suite]()
     payload = {"suite": args.suite, "checks": checks, "failures": failures}
     status = STATUS_OK if not failures else STATUS_ERROR
     return status, payload, None

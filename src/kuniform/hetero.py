@@ -10,12 +10,16 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
     certifies that no AME state exists.  `scott_check` evaluates the left
     side exactly; `scott_search` looks for a negative subset.  The value
     depends only on the multiset of dimensions inside A, so the search
-    enumerates dimension multisets (largest dimensions concentrated
-    first), which is exhaustive over subsets up to the permutation
-    symmetry the test suite verifies.  For the two-dimension family
-    d1 x d2^(2n), `scott_pair_threshold` gives the smallest n certified in
-    closed form by the two structured subsets (the whole small-dimension
-    block, or the odd party plus a small-dimension block).
+    enumerates dimension multisets, which is exhaustive over subsets up
+    to the permutation symmetry the test suite verifies.  It reads the
+    profile's one class view, `DimensionProfile.classes` (the distinct
+    dimensions, largest first, each with its parties in ascending order),
+    and draws the larger classes in full first, so its first candidate
+    is the largest-first subset: the floor(N/2)+2 parties of largest
+    dimension, lowest index first among equals.  For the two-dimension
+    family d1 x d2^(2n), `scott_pair_threshold` gives the smallest n
+    certified in closed form by that subset, which `ame_verdict` reads
+    from the same class view as its Corollary 7 witness.
 
   * the shadow inequality: for odd N the hypothetical AME purity profile
     makes every shadow coefficient a finite combination of the elementary
@@ -40,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -79,8 +83,20 @@ class DimensionProfile:
     def total_dim(self) -> int:
         return prod(self.dims)
 
+    @property
+    def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The distinct dimensions, largest first, each with its party indices ascending.
+
+        The one grouping of a profile by dimension: the subset search, the
+        pair-family test and the Corollary 7 witness all read it.
+        """
+        by_dim: dict[int, list[int]] = {}
+        for idx, d in enumerate(self.dims):
+            by_dim.setdefault(d, []).append(idx)
+        return tuple((d, tuple(by_dim[d])) for d in sorted(by_dim, reverse=True))
+
     def is_homogeneous(self) -> bool:
-        return len(set(self.dims)) == 1
+        return len(self.classes) == 1
 
     def schmidt_feasible(self) -> bool:
         """Every floor(N/2)-subset must have product at most its complement's.
@@ -164,33 +180,21 @@ def scott_check(profile: DimensionProfile, subset: Iterable[int]) -> Fraction:
     return ratio * deficit + half + 1
 
 
-def _dimension_classes(profile: DimensionProfile) -> list[tuple[int, list[int]]]:
-    """Distinct dimensions, largest first, with the party indices carrying them."""
-    by_dim: dict[int, list[int]] = {}
-    for idx, d in enumerate(profile.dims):
-        by_dim.setdefault(d, []).append(idx)
-    return [(d, by_dim[d]) for d in sorted(by_dim, reverse=True)]
+def _candidates(classes, size: int):
+    """Every way to draw `size` parties from `classes`, one draw per dimension multiset.
 
-
-def _class_count_vectors(capacities: Sequence[int], size: int):
-    """All ways to draw `size` parties from classes with the given capacities.
-
-    Yields count vectors in the order that concentrates earlier (larger)
-    classes first.
+    Each class gives its lowest-numbered parties, and the earlier (larger)
+    classes are drawn in full first, so the first draw is the `size`
+    parties of largest dimension, lowest index first among equals.
     """
-
-    def rec(pos: int, remaining: int, prefix: tuple[int, ...]):
-        if pos == len(capacities):
-            if remaining == 0:
-                yield prefix
-            return
-        tail_capacity = sum(capacities[pos + 1 :])
-        lo = max(0, remaining - tail_capacity)
-        hi = min(capacities[pos], remaining)
-        for c in range(hi, lo - 1, -1):
-            yield from rec(pos + 1, remaining - c, prefix + (c,))
-
-    yield from rec(0, size, ())
+    if not classes:
+        yield ()  # the bounds on c below leave size == 0 here
+        return
+    (_, idxs), rest = classes[0], classes[1:]
+    room = sum(len(tail_idxs) for _, tail_idxs in rest)
+    for c in range(min(len(idxs), size), max(0, size - room) - 1, -1):
+        for tail in _candidates(rest, size - c):
+            yield idxs[:c] + tail
 
 
 def scott_search(
@@ -206,31 +210,26 @@ def scott_search(
     size = profile.n_parties // 2 + 2
     if size > profile.n_parties:
         return None
-    classes = _dimension_classes(profile)
-    capacities = [len(idxs) for _, idxs in classes]
-    evaluated = 0
-    for counts in _class_count_vectors(capacities, size):
-        evaluated += 1
+    for evaluated, parties in enumerate(_candidates(profile.classes, size), 1):
         if evaluated > budget:
             raise BudgetExceededError(
                 f"subset search exceeded budget of {budget} evaluations"
             )
-        subset: list[int] = []
-        for (d, idxs), c in zip(classes, counts):
-            subset.extend(idxs[:c])
-        subset.sort()
+        subset = tuple(sorted(parties))
         value = scott_check(profile, subset)
         if value < 0:
-            return ScottWitness(tuple(subset), value)
+            return ScottWitness(subset, value)
     return None
 
 
 def scott_pair_threshold(d1: int, d2: int) -> int:
     """Smallest n at which the inequality certifies d1 x d2^(2n) in closed form.
 
-    Uses the structured subset of all-small parties when d1 < d2, and the
-    odd party plus small parties otherwise.  Requires d1 <= d2^2; larger d1
-    makes the profile Schmidt-infeasible outright.
+    The witness is the largest-first subset, the search's first candidate,
+    read from the class view `DimensionProfile.classes`: n + 2 of the d2
+    parties when d1 < d2, and the d1 party with n + 1 of the d2 parties
+    otherwise.  Requires d1 <= d2^2; larger d1 makes the profile
+    Schmidt-infeasible outright.
     """
     exact_int(d1, "d1", 2)
     exact_int(d2, "d2", 2)
@@ -243,20 +242,6 @@ def scott_pair_threshold(d1: int, d2: int) -> int:
     else:
         bound = Fraction(d2**2 * (d1 + 1), d1) - 1
     return bound.__floor__() + 1
-
-
-def _pair_structured_subset(
-    profile: DimensionProfile, d1: int, d2: int
-) -> tuple[int, ...]:
-    """The closed-form threshold's witness subset, as concrete indices."""
-    n = profile.n_parties // 2
-    odd_ones = [i for i, d in enumerate(profile.dims) if d == d1]
-    small = [i for i, d in enumerate(profile.dims) if d == d2]
-    if d1 < d2:
-        return tuple(sorted(small[: n + 2]))
-    if d1 == d2:
-        return tuple(range(n + 2))
-    return tuple(sorted(odd_ones[:1] + small[: n + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +341,16 @@ class AmeVerdict:
 
 def _pair_family(profile: DimensionProfile) -> Optional[tuple[int, int, int]]:
     """Detect the d1 x d2^(2n) shape (odd N); homogeneous odd counts as d1 = d2."""
-    n_parties = profile.n_parties
-    if n_parties % 2 == 0:
+    if profile.n_parties % 2 == 0:
         return None
-    counts: dict[int, int] = {}
-    for d in profile.dims:
-        counts[d] = counts.get(d, 0) + 1
-    if len(counts) == 1:
-        d = profile.dims[0]
-        return d, d, n_parties // 2
-    if len(counts) == 2:
-        (da, ca), (db, cb) = sorted(counts.items())
-        if ca == 1:
-            return da, db, cb // 2
-        if cb == 1:
-            return db, da, ca // 2
+    classes, n = profile.classes, profile.n_parties // 2
+    if len(classes) == 1:
+        return classes[0][0], classes[0][0], n
+    if len(classes) == 2:
+        # the class of one party is the odd party d1
+        for (d1, odd), (d2, _) in (classes, classes[::-1]):
+            if len(odd) == 1:
+                return d1, d2, n
     return None
 
 
@@ -381,8 +361,8 @@ def ame_verdict(
 
     Order: Schmidt feasibility precheck, closed-form pair threshold,
     subset search, shadow coefficients.  The certificate reflects the
-    first test that fires; "corollary7" certificates embed the structured
-    witness subset so they remain independently checkable.
+    first test that fires; "corollary7" certificates embed the
+    largest-first witness subset so they remain independently checkable.
     """
     if not profile.schmidt_feasible():
         return AmeVerdict(profile, "infeasible")
@@ -392,7 +372,7 @@ def ame_verdict(
         d1, d2, n = family
         threshold = scott_pair_threshold(d1, d2)
         if n >= threshold:
-            subset = _pair_structured_subset(profile, d1, d2)
+            subset = tuple(sorted(next(_candidates(profile.classes, n + 2))))
             value = scott_check(profile, subset)
             if value < 0:
                 return AmeVerdict(

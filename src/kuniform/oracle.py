@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, prod
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -254,12 +255,18 @@ def purity(
     return Fraction(_purity_numerator(entries, n, mask), norm2 * norm2)
 
 
-def _purity_numerators(state: PureState, dim_cap: int) -> tuple[list[int], int]:
-    """Integer purity numerators of every subset (bitmask indexed) over norm2^2."""
+@lru_cache(maxsize=1)
+def _purity_numerators(state: PureState, dim_cap: int) -> tuple[tuple[int, ...], int]:
+    """Integer purity numerators of every subset (bitmask indexed) over norm2^2.
+
+    The last state's table is kept, so `state --enumerate`, which reads it
+    twice (`direct_shadow` and `direct_enumerator`), builds it once; a
+    tuple, so that no caller can change the shared table.
+    """
     _check_dim_cap(state, dim_cap)
     n = state.profile.n_parties
     entries, norm2 = _scaled_integer_amplitudes(state)
-    nums = [_purity_numerator(entries, n, mask) for mask in range(1 << n)]
+    nums = tuple(_purity_numerator(entries, n, mask) for mask in range(1 << n))
     return nums, norm2 * norm2
 
 
@@ -343,7 +350,7 @@ def _check_shadow_party_count(n_parties: int) -> None:
         )
 
 
-def _parity_shadow(weights: list[int]) -> list[int]:
+def _parity_shadow(weights: Sequence[int]) -> list[int]:
     """s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) w(S) for integer weights w.
 
     The parity transform g(M) = sum_S (-1)^(|S cap M|) w(S) is computed by

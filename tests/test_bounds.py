@@ -237,8 +237,8 @@ def test_recurrence_stated_initial_terms():
 
 def test_verify_recurrence_passes_on_shipped_specs():
     for spec in recurrence_specs():
-        report = verify_recurrence(spec, n_max=12)
-        assert report.ok, (spec.offset, report.failures)
+        checks, failures = verify_recurrence(spec, n_max=12)
+        assert checks == 12 and failures == [], (spec.offset, failures)
 
 
 def test_verify_recurrence_catches_corruption():
@@ -252,9 +252,9 @@ def test_verify_recurrence_catches_corruption():
         base_n=spec.base_n,
         positive_from=spec.positive_from,
     )
-    report = verify_recurrence(corrupted, n_max=6)
-    assert not report.ok
-    assert any("recurrence violated at n=" in f for f in report.failures)
+    _, failures = verify_recurrence(corrupted, n_max=6)
+    assert failures
+    assert any("recurrence violated at n=" in f for f in failures)
 
 
 def test_recurrence_sum_ties_back_to_alpha():

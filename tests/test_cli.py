@@ -52,8 +52,15 @@ def test_bound_qubit_example(capsys):
 
 
 def test_bound_usage_errors(capsys):
-    assert main(["bound", "--d", "3", "--n-range", "8"]) == 2
-    assert main(["bound", "--d", "1", "--n", "8"]) == 2
+    # each value passes the input rule once, and the line is the rule's
+    for argv, line in [
+        (["--d", "3", "--n-range", "8"], "--n-range expects A:B, got '8'"),
+        (["--d", "1", "--n", "8"], "--d must be >= 2, got 1"),
+        (["--d", "3", "--n", "1"], "--n must be >= 2, got 1"),
+        (["--d", "3", "--n-range", "0:4"], "--n-range A must be >= 2, got 0"),
+    ]:
+        assert main(["bound", *argv]) == 2
+        assert capsys.readouterr().err == f"kuniform: {line}\n"
     with pytest.raises(SystemExit):
         main(["bound", "--d", "3"])  # argparse: missing --n/--n-range
 
@@ -222,6 +229,21 @@ def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch
     assert code == 1 and doc["status"] == "error"
     assert doc["payload"]["error"] == "shadow subset sum capped at 12 parties, got 16"
     assert calls == []
+
+
+def test_state_enumerate_builds_the_purity_table_once(tmp_path, capsys, monkeypatch):
+    # the shadow and the weight distribution once built the 2^N table each
+    calls = []
+    real = oracle._purity_numerator
+    monkeypatch.setattr(
+        oracle, "_purity_numerator", lambda *a: calls.append(a[2]) or real(*a)
+    )
+    oracle._purity_numerators.cache_clear()
+    path = tmp_path / "ghz6.json"
+    path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 0 and doc["payload"]["s_matches_transform"] is True
+    assert sorted(calls) == list(range(2**6))
 
 
 def test_state_enumerate_heterogeneous_is_not_applicable(tmp_path, capsys):

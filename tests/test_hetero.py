@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kuniform import tables
 from kuniform.bounds import scott_gap_condition
 from kuniform.errors import (
     MAX_PARTIES,
@@ -287,6 +288,53 @@ def test_ame_verdict_examples():
 
     assert ame_verdict(DimensionProfile.parse("2x4")).status == "unknown"
     assert ame_verdict(DimensionProfile.parse("5x1,2x8")).status == "infeasible"
+
+
+def _casework_subset(profile, d1, d2):
+    """The d1 < d2 / d1 = d2 / d1 > d2 witness casework the verdict once used."""
+    n = profile.n_parties // 2
+    odd_ones = [i for i, d in enumerate(profile.dims) if d == d1]
+    small = [i for i, d in enumerate(profile.dims) if d == d2]
+    if d1 < d2:
+        return tuple(sorted(small[: n + 2]))
+    if d1 == d2:
+        return tuple(range(n + 2))
+    return tuple(sorted(odd_ones[:1] + small[: n + 1]))
+
+
+def _corollary7_cases():
+    for d1_lo, d1_hi, d2, _, _ in tables.HETERO_TABLE:
+        for d1 in range(d1_lo, d1_hi + 1):
+            threshold = scott_pair_threshold(d1, d2)
+            for n in range(threshold, threshold + 3):
+                yield d1, d2, n
+    for d in (2, 3, 4):
+        for n in range(d * (d + 1), d * (d + 1) + 3):
+            yield d, d, n
+
+
+def test_corollary7_witness_is_the_casework_subset():
+    # the largest-first subset equals the casework's, wherever the odd party sits
+    for d1, d2, n in _corollary7_cases():
+        for pos in (0, n, 2 * n):
+            profile = DimensionProfile((d2,) * pos + (d1,) + (d2,) * (2 * n - pos))
+            cert = ame_verdict(profile).certificate
+            case = (d1, d2, n, pos)
+            assert cert.kind == "corollary7", case
+            assert cert.threshold == scott_pair_threshold(d1, d2), case
+            assert cert.witness.subset == _casework_subset(profile, d1, d2), case
+            # and it is the first subset the search evaluates
+            assert scott_search(profile) == cert.witness, case
+
+
+@given(st.lists(st.integers(2, 9), min_size=2, max_size=40))
+def test_class_view_partitions_the_parties(dims):
+    classes = DimensionProfile(dims).classes
+    assert sorted(i for _, idxs in classes for i in idxs) == list(range(len(dims)))
+    assert all(a > b for (a, _), (b, _) in zip(classes, classes[1:]))
+    for d, idxs in classes:
+        assert all(i < j for i, j in zip(idxs, idxs[1:]))
+        assert all(dims[i] == d for i in idxs)
 
 
 def test_ame_verdict_never_claims_existence():
