@@ -8,15 +8,23 @@ nonnegativity of the compressed shadow forces its sign: c_i <= 0 for odd i
 and c_i >= 0 for even i.  Whenever (-1)^i alpha_i(N) < 0 the hypothesis is
 contradicted and k <= i - 1.
 
-`alpha_closed_form` evaluates the closed-form hypergeometric sum for
-alpha_i(N) by walking its term ratio: each term is the previous one times
-a rational function of the summation index, so a sum of i terms costs one
-binomial and i - 1 exact integer multiply-divide steps.  `alpha_oracle`
-recomputes the same number from one basis change `enumerators.a_to_c` of
-the unit-prefix enumerator, a Lagrange inversion in O(N^2) integer
-operations, done once per (N, d) and cached (`alpha_oracle_vector`).  The
-two routes share no code, so `cross_validate_alpha` comparing them is an
-independent check.
+alpha_i(N) = -N (d-1) S_i / i for an integer hypergeometric sum S_i, and
+three computations of it live here:
+
+- the recurrence: `_alpha_sums` yields S_1, S_2, ... by a certified
+  three-term integer recurrence in i, O(1) big-integer steps per index.
+  It drives `alpha_vector` and `k_upper_bound`; the latter scans the signs
+  on integers, stops at the first firing index and builds one `Fraction`,
+  the witness, so one bound costs O(N) steps and caches nothing;
+- the closed form: `alpha_closed_form` is the paper's per-index formula,
+  summed by walking its term ratio (one binomial and i - 1 exact integer
+  multiply-divide steps).  It is the route `cross_validate_alpha` and the
+  `verify --suite alpha` command check;
+- the oracle: `alpha_oracle` recomputes the same number from one basis
+  change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
+  inversion in O(N^2) integer operations, done once per (N, d) and cached
+  (`alpha_oracle_vector`).  It shares no code with the other two, so
+  comparing it with either is an independent check.
 
 `k_upper_bound` combines the sign test with the trivial Schmidt bound,
 the classical even/odd party-count threshold (provenance "scott"), a
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumerators import WeightEnumerator, a_to_c
 from .errors import NotApplicableError, exact_int
@@ -112,12 +120,56 @@ def alpha_oracle_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
     return a_to_c(WeightEnumerator(n_parties, local_dim, unit_prefix)).coeffs
 
 
+def _alpha_sums(n_parties: int, local_dim: int) -> Iterator[int]:
+    """Yield S_1, ..., S_(N//2), where alpha_i(N) = -N (d-1) S_i / i.
+
+    S_i = sum_j t(i, j) with t(i, j) = (1-d)^j C(N-2i+j, j) C(2i-2-j, i-1),
+    the closed form's sum.  Starting from S_1 = 1 and
+    S_2 = 2 + (1-d)(N-3), each further value comes from
+
+        i (i+1) S_(i+2) = i L S_(i+1) + d (d-1)^2 (N-2i)(N-2i-1) S_i,
+        L = (8 - (d-3)^2) i + (d-1)^2 N + 3 - (d-2)^2,
+
+    so the division is exact.  Proof, by creative telescoping (Petkovsek,
+    Wilf and Zeilberger, *A = B*, ch. 6): for i >= 3 and N - 2i >= 4 (so
+    whenever S_(i+2) exists) the recurrence applied to t(., j) equals
+    G(j+1) - G(j) for 0 <= j <= i+1, where
+    G(j) = t(i+2, j) j P(j) / ((2i+2-j)(2i+1-j)(2i-j)) and P has degree 4
+    in j with coefficients rational in (i, N, d) over (N-2i-2)(N-2i-3);
+    no denominator vanishes there.  Summing over that range gives the
+    recurrence: G(0) = 0 by the factor j, G(i+2) = 0 because t(i+2, i+2)
+    holds C(i, i+1) = 0, and the terms t(i, i), t(i, i+1) and t(i+1, i+1)
+    that the range adds to S_i and S_(i+1) are 0.  The steps i = 1, 2 and
+    both seeds are identities of polynomials in (N, d).  The test suite
+    ships P, checks the telescoping identity exactly on a grid larger than
+    its degree in each variable, and checks the small steps directly.
+    """
+    n, d = n_parties, local_dim
+    half = n // 2
+    s_prev, s = 1, 2 + (1 - d) * (n - 3)
+    yield from (s_prev, s)[:half]
+    dd = (d - 1) ** 2
+    f, e = 8 - (d - 3) ** 2, 3 - (d - 2) ** 2
+    for i in range(1, half - 1):
+        m = n - 2 * i
+        s_prev, s = s, (
+            i * (f * i + dd * n + e) * s + d * dd * m * (m - 1) * s_prev
+        ) // (i * (i + 1))
+        yield s
+
+
+def _alpha_from_sum(n_parties: int, local_dim: int, index: int, total: int) -> Fraction:
+    return Fraction(-n_parties * (local_dim - 1) * total, index)
+
+
 @lru_cache(maxsize=None)
 def alpha_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
-    """All alpha_i(N) for 0 <= i <= floor(N/2), via the closed form."""
-    return tuple(
-        alpha_closed_form(n_parties, local_dim, i)
-        for i in range(n_parties // 2 + 1)
+    """All alpha_i(N) for 0 <= i <= floor(N/2), via the recurrence."""
+    exact_int(n_parties, "n_parties", 1)
+    exact_int(local_dim, "local_dim", 2)
+    return (Fraction(1),) + tuple(
+        _alpha_from_sum(n_parties, local_dim, i, s)
+        for i, s in enumerate(_alpha_sums(n_parties, local_dim), 1)
     )
 
 
@@ -216,17 +268,20 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     alpha-sign test, the qubit piecewise formula (d = 2 only), the
     classical party-count threshold, and the known AME non-existence
     facts.  Ties report the first test in the fixed order: alpha-sign
-    (smallest index), rains, non-existence table, scott, trivial.
+    (smallest index), rains, non-existence table, scott, trivial.  The
+    alpha signs are read off the integer sums of `_alpha_sums`, which stop
+    at the first firing index; only its witness becomes a `Fraction`.
     """
     exact_int(n_parties, "n_parties", 2)
     exact_int(local_dim, "local_dim", 2)
     half = n_parties // 2
-    alphas = alpha_vector(n_parties, local_dim)
     # (k, provenance, witness) in tie-break order; min keeps the first of equals
     candidates: list[tuple[int, str, Optional[Fraction]]] = []
-    first = next((i for i in range(1, half + 1) if (-1) ** i * alphas[i] < 0), None)
-    if first is not None:
-        candidates.append((first - 1, provenance_alpha(first), alphas[first]))
+    for i, s in enumerate(_alpha_sums(n_parties, local_dim), 1):
+        if (-1) ** i * s > 0:  # (-1)^i alpha_i < 0 exactly when (-1)^i S_i > 0
+            witness = _alpha_from_sum(n_parties, local_dim, i, s)
+            candidates.append((i - 1, provenance_alpha(i), witness))
+            break
     if local_dim == 2:
         candidates.append((rains_bound(n_parties), PROVENANCE_RAINS, None))
     if known_ame_nonexistence(n_parties, local_dim):
@@ -266,7 +321,12 @@ def range_formula_d3(n_parties: int) -> int:
 
 
 def conjectured_range_formula(local_dim: int, n_parties: int) -> int:
-    """Conjectured piecewise bounds for d = 4 (N >= 22) and d = 5 (N >= 180)."""
+    """Conjectured piecewise bounds for d = 4 (N >= 22) and d = 5 (180..227).
+
+    The d = 5 formula 2 floor(N/4) - 1 matches pinned Table III up to
+    N = 227 and overshoots it from N = 228 on (113 against 111), so it
+    refuses N outside 180..227.
+    """
     if local_dim == 4:
         if n_parties in _D4_EXCEPTIONS:
             raise NotApplicableError(f"N={n_parties} is an exception of the d=4 formula")
@@ -282,10 +342,9 @@ def conjectured_range_formula(local_dim: int, n_parties: int) -> int:
             return 8 * m - 1
         return 8 * m + 1
     if local_dim == 5:
-        m = n_parties // 4
-        if m < 45:
-            raise NotApplicableError(f"d=5 formula needs N >= 180, got {n_parties}")
-        return 2 * m - 1
+        if not 180 <= n_parties <= 227:
+            raise NotApplicableError(f"d=5 formula needs 180 <= N <= 227, got {n_parties}")
+        return 2 * (n_parties // 4) - 1
     raise ValueError("conjectured formulas exist only for local_dim 4 and 5")
 
 

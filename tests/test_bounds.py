@@ -88,7 +88,9 @@ def test_alpha_cross_validation_beyond_suite_range():
 
 
 def test_alpha_routes_agree_at_every_table_n():
-    # both routes at every (N, d) behind the pinned Tables I-III
+    # all three routes at every (N, d) behind the pinned Tables I-III: the
+    # closed form against the oracle index by index, the recurrence's
+    # vector against the oracle's
     checks = 0
     for table_id, d in RANGE_TABLE_DIMS.items():
         cells = RANGE_TABLES[table_id]
@@ -96,6 +98,8 @@ def test_alpha_routes_agree_at_every_table_n():
         got, failures = cross_validate_alpha(n_values=n_values, local_dims=(d,))
         assert failures == [], table_id
         checks += got
+        for n in n_values:
+            assert alpha_vector(n, d) == bounds.alpha_oracle_vector(n, d), (table_id, n)
     assert checks == 18866
 
 
@@ -198,6 +202,17 @@ def test_conjectured_range_formula():
         conjectured_range_formula(5, 100)
     with pytest.raises(ValueError):
         conjectured_range_formula(3, 50)
+
+
+def test_d5_formula_stops_where_table_iii_leaves_it():
+    assert conjectured_range_formula(5, 227) == 111 == k_upper_bound(227, 5).k_max
+    # the formula would give 113 at N = 228, where Table III has 111
+    assert k_upper_bound(228, 5).k_max == 111
+    with pytest.raises(NotApplicableError, match="180 <= N <= 227"):
+        conjectured_range_formula(5, 228)
+    rows = {r.n_parties: r for r in conjecture_scan(5, [227, 228])}
+    assert rows[227].agree is True
+    assert rows[228].formula_bound is None and rows[228].agree is None
 
 
 def test_conjecture_scan_rows():
