@@ -34,7 +34,7 @@ from .enumerators import (
     validate_state_constraints,
 )
 from .errors import BudgetExceededError, CapacityError, NotApplicableError
-from .exact import GaussianRational, binom, elem_sym, falling_binom
+from .exact import GaussianRational, binom, falling_binom
 from .hetero import (
     AmeVerdict,
     DimensionProfile,
@@ -49,7 +49,6 @@ from .hetero import (
 from .oracle import (
     PureState,
     ame_shadow_oracle,
-    bundled_corpus,
     direct_enumerator,
     direct_shadow,
     is_k_uniform,

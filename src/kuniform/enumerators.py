@@ -11,9 +11,10 @@ are implemented here, all exactly, never by evaluation or interpolation:
     coordinates c_0 .. c_(floor(N/2)) determine A completely.
 
 The two substitutions and the expansion c -> a each clear the
-denominators once, substitute integer binary forms with the Horner
-kernel `exact.homogeneous_horner` (O(N^2) integer operations), and
-divide once per coefficient at the end.
+denominators once, write the change of variables as L^N p(r(y/L)) for
+one linear form L and a small-integer polynomial r, expand it with the
+kernel `exact.substitute` (two Horner passes on one packed integer),
+and divide once per coefficient at the end.
 
 Each of the pairs c <-> a and c <-> b (the compressed shadow,
 b_j = s_(2j+t) with t = N mod 2) goes forward by the kernel, back by a
@@ -52,7 +53,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import exact_int, required
-from .exact import binom, homogeneous_horner, rat_from_str, rat_to_str
+from .exact import binom, rat_from_str, rat_to_str, substitute
 
 
 def _exact_coeff(value) -> Fraction:
@@ -149,32 +150,40 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _substitute(
     coeffs: Sequence[Fraction],
-    sub_x: tuple[int, int],
-    sub_y: tuple[int, int],
+    line: tuple[int, int],
+    ratio: tuple[int, int],
     scale: int,
 ) -> tuple[Fraction, ...]:
-    """Coefficients of A(sub_x / scale, sub_y / scale) for homogeneous A.
+    """Coefficients of A(L r(y/L) / scale, L / scale), L = line[0] x + line[1] y.
 
-    `sub_x` and `sub_y` are integer linear forms (coefficients of x, y).
+    sum_j a_j (L r)^(N-j) L^j = L^N p(r(y/L)) for p(z) = sum_k a_(N-k) z^k.
     """
     n = len(coeffs) - 1
-    ints, den = _clear_denominators(coeffs)
-    out = homogeneous_horner(ints, sub_x, sub_y)
+    ints, den = _clear_denominators(coeffs[::-1])
+    out = substitute(ints, line, ratio, n)
     den *= scale**n
     return tuple(Fraction(v, den) for v in out)
 
 
 def macwilliams_transform(enum: WeightEnumerator) -> WeightEnumerator:
-    """A((x + (d^2-1) y) / d, (x - y) / d), expanded exactly."""
+    """A((x + (d^2-1) y) / d, (x - y) / d), expanded exactly.
+
+    Pivot L = x - y, so x + (d^2-1) y = L (1 + d^2 y/L): a ratio without
+    sign change, whose kernel width stays near the true size when the
+    weight sits at high j, as for pure states.
+    """
     d = enum.local_dim
-    coeffs = _substitute(enum.coeffs, (1, d * d - 1), (1, -1), d)
+    coeffs = _substitute(enum.coeffs, (1, -1), (1, d * d), d)
     return WeightEnumerator(enum.n_parties, d, coeffs)
 
 
 def shadow_transform(enum: WeightEnumerator) -> ShadowEnumerator:
-    """S(x, y) = A(((d-1) x + (d+1) y) / d, (y - x) / d), expanded exactly."""
+    """S(x, y) = A(((d-1) x + (d+1) y) / d, (y - x) / d), expanded exactly.
+
+    Pivot L = y - x, so (d-1) x + (d+1) y = L (-(d-1) + 2d y/L).
+    """
     d = enum.local_dim
-    coeffs = _substitute(enum.coeffs, (d - 1, d + 1), (-1, 1), d)
+    coeffs = _substitute(enum.coeffs, (-1, 1), (1 - d, 2 * d), d)
     return ShadowEnumerator(enum.n_parties, d, coeffs)
 
 
@@ -240,15 +249,13 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
 def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:
     """Expand sum_i c_i (x + (d-1) y)^(N-2i) (y (x - y))^i into a_0 .. a_N.
 
-    With u = x + (d-1) y, v = y (x - y), h = floor(N/2) and t = N mod 2 the
-    sum is u^t sum_i c_i (u^2)^(h-i) v^i: one Horner pass over the
-    quadratic forms u^2 and v, then one multiplication by u for odd N.
+    With u = x + (d-1) y and t = y/u, v = y (x - y) = u^2 (t - d t^2), so
+    the sum is u^N p(t - d t^2) for p(z) = sum_i c_i z^i: one call of the
+    kernel, whose degree N also covers the odd-N factor u.
     """
     n, d = inv.n_parties, inv.local_dim
     ints, den = _clear_denominators(inv.coeffs)
-    out = homogeneous_horner(ints, (1, 2 * (d - 1), (d - 1) ** 2), (0, 1, -1))
-    if n % 2:
-        out = [a + (d - 1) * b for a, b in zip(out + [0], [0] + out)]
+    out = substitute(ints, (1, d - 1), (0, 1, -d), n)
     return WeightEnumerator(n, d, tuple(Fraction(v, den) for v in out))
 
 

@@ -11,9 +11,11 @@ the combinatorial conventions C(0,0) = 1 and C(n,k) = 0 outside
 integers, which is the power-series coefficient convention needed by the
 hypergeometric sums in `bounds`.
 
-`homogeneous_horner` is the one substitution kernel: it expands
-A(X, Y) = sum_j a_j X^(N-j) Y^j for integer coefficients and integer
-binary forms X, Y of one degree in O(N^2) integer operations.  Every
+`substitute` is the one substitution kernel: it expands
+L^N p(r(y/L)) for a linear form L, an integer polynomial p and a
+polynomial r with small integer coefficients.  Each of its two passes is
+Horner's rule on one packed integer, a few shift-adds per step with no
+product of two long integers, and the digits are read back once.  Every
 change of variables in `enumerators` and the heterogeneous shadow in
 `hetero` is a call to it, with denominators cleared before and divided
 out once per coefficient after.  `elem_sym_prefix` is generic in its
@@ -76,44 +78,61 @@ def elem_sym_prefix(
     return e
 
 
-def elem_sym(values: Sequence[Union[Fraction, int]], k: int) -> Union[Fraction, int]:
-    """Sum over all k-subsets of `values` of the product of chosen entries."""
-    return elem_sym_prefix(values, k)[k]
+def _compose(coeffs: Sequence[int], ratio: Sequence[int]) -> list[int]:
+    """Coefficients e_j of p(r(t)) = sum_k coeffs[k] r(t)^k, r(t) = sum_i ratio[i] t^i.
 
-
-def _times_form(poly: list[int], form: Sequence[int]) -> list[int]:
-    """Product of two homogeneous polynomials given in the y-power index."""
-    size = len(poly)
-    out = [form[0] * c for c in poly] + [0] * (len(form) - 1)
-    for shift, f in enumerate(form[1:], start=1):
-        if f:
-            out[shift : shift + size] = [
-                a + f * c for a, c in zip(out[shift : shift + size], poly)
-            ]
-    return out
-
-
-def homogeneous_horner(
-    coeffs: Sequence[int], x_form: Sequence[int], y_form: Sequence[int]
-) -> list[int]:
-    """Coefficients of sum_j coeffs[j] X^(n-j) Y^j, with n = len(coeffs) - 1.
-
-    X and Y are integer binary forms of one degree g, each given as its
-    coefficients f_0 .. f_g of x^(g-i) y^i; the result, of degree g*n, is
-    given the same way.  The homogeneous Horner step
-    Q_k = Q_(k-1) X + coeffs[k] Y^k, with Y^k carried from one step to the
-    next, reaches Q_n in O((g n)^2) exact integer operations.
+    Horner's rule runs on one integer, the value at t = 2^w: a step is
+    acc r(2^w) + c, a shift and at most one small multiple per nonzero
+    ratio[i].  Width: the coefficients of r^k sum to at most s^k in
+    absolute value, s = sum_i |ratio[i]|, so |e_j| <= B = sum_k
+    |coeffs[k]| s^k; w = 8 (B.bit_length() // 8 + 1) gives B < 2^(w-1),
+    so each e_j + 2^(w-1) is one base-2^w digit in [0, 2^w), and after
+    that bias `to_bytes` reads every e_j off exactly.
     """
-    if len(x_form) != len(y_form):
-        raise ValueError("the two forms must have the same degree")
-    q = [coeffs[0]]
-    y_pow = [1]
-    for a in coeffs[1:]:
-        q = _times_form(q, x_form)
-        y_pow = _times_form(y_pow, y_form)
-        if a:
-            q = [qi + a * yi for qi, yi in zip(q, y_pow)]
-    return q
+    s = sum(map(abs, ratio))
+    bound = 0
+    for c in reversed(coeffs):
+        bound = bound * s + abs(c)
+    nbytes = bound.bit_length() // 8 + 1
+    w = 8 * nbytes
+    steps = []  # ratio[i] = odd 2^zeros: the power of two joins the shift
+    for i, r in enumerate(ratio):
+        if r:
+            zeros = (r & -r).bit_length() - 1
+            steps.append((w * i + zeros, r >> zeros))
+    acc = 0
+    for c in reversed(coeffs):
+        new = c
+        for shift, odd in steps:
+            if odd == -1:
+                new -= acc << shift
+            else:
+                new += acc << shift if odd == 1 else odd * (acc << shift)
+        acc = new
+    size = (len(coeffs) - 1) * (len(ratio) - 1) + 1
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    raw, half = (acc + bias).to_bytes(nbytes * size, "little"), 1 << (w - 1)
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, len(raw), nbytes)
+    ]
+
+
+def substitute(
+    coeffs: Sequence[int], line: tuple[int, int], ratio: Sequence[int], degree: int
+) -> list[int]:
+    """Coefficients of x^(degree-j) y^j in L^degree p(r(y/L)), L = line[0] x + line[1] y.
+
+    p(z) = sum_k coeffs[k] z^k and r are integer polynomials (r as in
+    `_compose`), with degree >= deg(p) deg(r).  Two passes of `_compose`:
+    p(r(t)) = sum_j e_j t^j, then sum_j e_j L^(degree-j) y^j =
+    y^degree q(line[1] + line[0] x/y) with q(u) = sum_m e_(degree-m) u^m.
+    """
+    if (len(coeffs) - 1) * (len(ratio) - 1) > degree:
+        raise ValueError(f"degree {degree} is below deg(p) deg(r)")
+    inner = _compose(coeffs, ratio)
+    inner += [0] * (degree + 1 - len(inner))
+    return _compose(inner[::-1], line[::-1])[::-1]
 
 
 def rat_from_str(text: str) -> Fraction:

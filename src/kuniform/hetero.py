@@ -29,11 +29,13 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
 
     with A'_k = A'_(N-k) above the midpoint; these are the coefficients
     of A'(x + y, y - x).  Any s_j < 0 certifies non-existence
-    (`hetero_shadow`).
+    (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties).
 
 `ame_verdict` runs the cheap tests first (Schmidt feasibility, the pair
 threshold, the subset search, then the shadow) and reports the first
-certificate found; it never claims existence.
+certificate found; it never claims existence.  A profile above the
+shadow's party cap still gets any verdict an earlier test reaches; only
+one that needs the shadow test raises CapacityError.
 
 A profile's dimensions pass the input rule `errors.exact_ints` once, in
 the `DimensionProfile` constructor, however the profile was written.
@@ -48,15 +50,20 @@ from typing import Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
+    CapacityError,
     NotApplicableError,
     check_party_count,
     exact_int,
     exact_ints,
     read_json,
 )
-from .exact import elem_sym_prefix, homogeneous_horner, rat_to_str
+from .exact import elem_sym_prefix, rat_to_str, substitute
 
 DEFAULT_SUBSET_BUDGET = 10**7
+# The shadow's cost grows about as N^3 in big-integer work: 1.0 s at
+# N = 1001, 8.9 s at N = 2001 and 63 s at N = 4095 on 3x1,2x(N-1) (2-core
+# VM), so it stops at a party count well above Table IV (N <= 37).
+MAX_SHADOW_PARTIES = 1001
 
 
 @dataclass(frozen=True)
@@ -137,16 +144,6 @@ class DimensionProfile:
         for dim, count in terms:
             dims.extend([dim] * count)
         return cls(tuple(dims))
-
-    def to_spec_string(self) -> str:
-        """Inverse of parse, grouping consecutive equal dimensions."""
-        groups: list[tuple[int, int]] = []
-        for d in self.dims:
-            if groups and groups[-1][0] == d:
-                groups[-1] = (d, groups[-1][1] + 1)
-            else:
-                groups.append((d, 1))
-        return ",".join(f"{d}x{c}" for d, c in groups)
 
 
 @dataclass(frozen=True)
@@ -273,20 +270,25 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
 
     The shadow is the polynomial A'(x + y, y - x).  Scaled by the total
     dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
-    for k <= floor(N/2), by an integer dynamic program, and one pass of
-    `exact.homogeneous_horner` expands the substitution in O(N^2) integer
-    operations; each coefficient is divided by D once at the end.  Raises
-    CapacityError above `errors.MAX_PARTIES` parties.
+    for k <= floor(N/2), by an integer dynamic program, and one call of
+    the kernel `exact.substitute` expands the substitution, pivoting on
+    L = x + y (y - x = L (-1 + 2 y/L)); each coefficient is divided by D
+    once at the end.  Raises CapacityError above `MAX_SHADOW_PARTIES`
+    parties, before any work.
     """
     n = profile.n_parties
-    check_party_count(n)
+    if n > MAX_SHADOW_PARTIES:
+        raise CapacityError(
+            f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties, got {n}"
+        )
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
     total = profile.total_dim
     e = elem_sym_prefix(profile.dims, n)
     # D A'_k, with A'_k = A'_(N-k) above the midpoint
     a_int = [e[max(k, n - k)] for k in range(n + 1)]
-    s = homogeneous_horner(a_int, (1, 1), (-1, 1))
+    # y - x = L (-1 + 2 y/L) for the pivot L = x + y
+    s = substitute(a_int, (1, 1), (-1, 2), n)
     return HeteroShadow(
         profile,
         tuple(Fraction(v, total) for v in a_int),

@@ -136,7 +136,7 @@ class PureState:
 
 
 # ---------------------------------------------------------------------------
-# bundled corpus
+# reference states
 # ---------------------------------------------------------------------------
 
 
@@ -147,46 +147,10 @@ def ghz_state(n_parties: int, local_dim: int) -> PureState:
     return PureState.from_amplitudes(dims, amps)
 
 
-def bell_state() -> PureState:
-    return ghz_state(2, 2)
-
-
 def product_zero_state(n_parties: int, local_dim: int = 2) -> PureState:
     return PureState.from_amplitudes(
         (local_dim,) * n_parties, {(0,) * n_parties: GaussianRational.of(1)}
     )
-
-
-def w_state(n_parties: int = 3) -> PureState:
-    """Single-excitation superposition; not 1-uniform, useful as a contrast."""
-    amps = {}
-    for i in range(n_parties):
-        ket = [0] * n_parties
-        ket[i] = 1
-        amps[tuple(ket)] = GaussianRational.of(1)
-    return PureState.from_amplitudes((2,) * n_parties, amps)
-
-
-def ame43_state() -> PureState:
-    """The 2-uniform four-qutrit state sum |i, j, i+j, i+2j>."""
-    amps = {}
-    for i in range(3):
-        for j in range(3):
-            amps[(i, j, (i + j) % 3, (i + 2 * j) % 3)] = GaussianRational.of(1)
-    return PureState.from_amplitudes((3, 3, 3, 3), amps)
-
-
-def bundled_corpus() -> tuple[tuple[str, PureState], ...]:
-    """Named reference states exercised by the cross-validation suites."""
-    states: list[tuple[str, PureState]] = []
-    for d in (2, 3):
-        for n in range(2, 7):
-            states.append((f"ghz-n{n}-d{d}", ghz_state(n, d)))
-    for n in (2, 3, 4):
-        states.append((f"product-n{n}-d2", product_zero_state(n, 2)))
-    states.append(("w3", w_state(3)))
-    states.append(("ame43", ame43_state()))
-    return tuple(states)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from kuniform.enumerators import (
 )
 from kuniform.hetero import DimensionProfile, hetero_shadow, scott_check
 from kuniform.oracle import (
-    bundled_corpus,
     cross_validate_ame_shadow,
     direct_enumerator,
     direct_shadow,
@@ -153,9 +152,8 @@ def test_criterion_8_proposition_desk_scale():
     print("ACCEPTANCE 8 PASS: shadow sign families hold at desk scale (n <= 21)")
 
 
-def test_criterion_9_oracle_equivalence_suite():
+def test_criterion_9_oracle_equivalence_suite(corpus):
     start = time.monotonic()
-    corpus = bundled_corpus()
     assert len(corpus) >= 12
     for name, state in corpus:
         enum = direct_enumerator(state)

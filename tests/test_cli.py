@@ -127,6 +127,18 @@ def test_ame_budget_exceeded(capsys):
     assert "budget" in doc["payload"]["error"]
 
 
+def test_ame_above_the_shadow_cap(capsys):
+    # Corollary 7 decides 3x1,2x4094 before the shadow test; 33x1003 needs
+    # the shadow test, which stops at 1001 parties
+    code, doc = run_json(capsys, "ame", "--dims", "3x1,2x4094")
+    assert code == 0
+    assert doc["payload"]["certificate"]["kind"] == "corollary7"
+    code, doc = run_json(capsys, "ame", "--dims", "33x1003")
+    assert code == 1
+    assert doc["status"] == "error"
+    assert "at most 1001 parties" in doc["payload"]["error"]
+
+
 def test_state_commands(tmp_path, capsys):
     path = tmp_path / "ghz3.json"
     path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kuniform import enumerators
+from kuniform import enumerators, exact
 from kuniform.enumerators import (
     InvariantBasisCoeffs,
     ShadowCompressed,
@@ -271,7 +271,7 @@ def test_coefficient_length_validation():
 
 
 # ---------------------------------------------------------------------------
-# reference: the O(N^3) Fraction expansion the Horner kernel replaced
+# reference: the O(N^3) Fraction expansion the substitution kernel replaced
 # ---------------------------------------------------------------------------
 
 
@@ -370,31 +370,42 @@ def test_a_to_c_equals_the_fraction_solve():
 
 
 def _record_calls(monkeypatch, names):
-    """Wrap each named enumerators global so that a call appends its name."""
+    """Wrap each named enumerators global so that a call appends its name.
+
+    The kernel's helper `exact._compose` is wrapped too: every call of the
+    kernel reaches it, whatever name the caller holds the kernel by.
+    """
     calls = []
-    for name in names:
-        real = getattr(enumerators, name)
+    for module, name in [(enumerators, n) for n in names] + [(exact, "_compose")]:
+        real = getattr(module, name)
         monkeypatch.setattr(
-            enumerators,
+            module,
             name,
             lambda *args, name=name, real=real: calls.append(name) or real(*args),
         )
     return calls
 
 
+def test_record_calls_sees_the_kernel(monkeypatch):
+    # the wrappers below do catch the kernel when a route does call it
+    calls = _record_calls(monkeypatch, ("substitute",))
+    c_to_a(InvariantBasisCoeffs(4, 3, (1, 0, 0)))
+    assert calls == ["substitute", "_compose", "_compose"]
+
+
 def test_a_to_c_builds_no_matrix(monkeypatch):
     # the series inversion reads the basis change off a power series: it
     # builds no basis_matrix_entry and shares no kernel with the other route
-    calls = _record_calls(monkeypatch, ("basis_matrix_entry", "homogeneous_horner"))
+    calls = _record_calls(monkeypatch, ("basis_matrix_entry", "substitute"))
     for n in (2, 9, 40):
         a_to_c(WeightEnumerator(n, 3, (1,) + (0,) * n))
     assert calls == []
 
 
 def test_b_to_c_calls_no_kernel(monkeypatch):
-    # the lemma is the closed-form route back: it calls neither the Horner
-    # kernel of c_to_b nor the other basis conversions
-    calls = _record_calls(monkeypatch, ("homogeneous_horner", "c_to_a", "a_to_c"))
+    # the lemma is the closed-form route back: it calls neither the
+    # substitution kernel of c_to_b nor the other basis conversions
+    calls = _record_calls(monkeypatch, ("substitute", "c_to_a", "a_to_c"))
     for n in (1, 2, 9, 40):
         b_to_c(ShadowCompressed(n, n % 2, (1,) * (n // 2 + 1)), 3)
     assert calls == []

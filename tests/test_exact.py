@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from kuniform.exact import (
     binom,
-    elem_sym,
     elem_sym_prefix,
     falling_binom,
-    homogeneous_horner,
     rat_from_str,
     rat_to_str,
+    substitute,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -55,11 +54,11 @@ def test_falling_binom_extends_binom():
 
 def test_elem_sym_examples():
     vals = [Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)]
-    assert elem_sym(vals, 1) == Fraction(4, 3)
-    assert elem_sym(vals, 0) == 1
-    assert elem_sym([Fraction(1, 2), Fraction(1, 2)], 2) == Fraction(1, 4)
+    assert elem_sym_prefix(vals, 1) == [1, Fraction(4, 3)]
+    assert elem_sym_prefix(vals, 0) == [1]
+    assert elem_sym_prefix([Fraction(1, 2), Fraction(1, 2)], 2)[2] == Fraction(1, 4)
     with pytest.raises(ValueError):
-        elem_sym(vals, 4)
+        elem_sym_prefix(vals, 4)
 
 
 @given(st.lists(rationals, max_size=10))
@@ -113,35 +112,132 @@ def _times(p, q):
     return out
 
 
+def _power(poly, k):
+    out = [1]
+    for _ in range(k):
+        out = _times(out, poly)
+    return out
+
+
+def _expand(coeffs, line, ratio, degree):
+    """L^degree p(r(y/L)) term by term: c_k rho_(k,j) L^(degree-j) y^j for each term of r^k."""
+    out = [0] * (degree + 1)
+    for k, c in enumerate(coeffs):
+        for j, rho in enumerate(_power(ratio, k)):
+            term = [0] * j + [c * rho * v for v in _power(line, degree - j)]
+            out = [o + t for o, t in zip(out, term)]
+    return out
+
+
+def _expand_forms(coeffs, x_form, y_form):
+    """sum_j coeffs[j] X^(n-j) Y^j for binary forms X, Y of one degree, term by term."""
+    n = len(coeffs) - 1
+    out = [0] * ((len(x_form) - 1) * n + 1)
+    for j, a in enumerate(coeffs):
+        term = [a * v for v in _times(_power(x_form, n - j), _power(y_form, j))]
+        out = [o + t for o, t in zip(out, term)]
+    return out
+
+
 small_ints = st.integers(-9, 9)
 
 
 @given(
-    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
-    st.integers(1, 3).flatmap(
-        lambda g: st.tuples(
-            st.lists(small_ints, min_size=g + 1, max_size=g + 1),
-            st.lists(small_ints, min_size=g + 1, max_size=g + 1),
-        )
-    ),
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=9),
+    st.tuples(small_ints, small_ints),
+    st.lists(small_ints, min_size=1, max_size=4),
+    st.integers(0, 3),
 )
-def test_homogeneous_horner_matches_term_by_term_expansion(coeffs, forms):
-    x_form, y_form = forms
+def test_substitute_matches_term_by_term_expansion(coeffs, line, ratio, extra):
+    degree = (len(coeffs) - 1) * (len(ratio) - 1) + extra
+    assert substitute(coeffs, line, ratio, degree) == _expand(
+        coeffs, line, ratio, degree
+    )
+
+
+@given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=14), st.integers(2, 9))
+def test_substitute_expands_the_forms_of_each_caller(coeffs, d):
+    # each caller writes its change of variables as L^N p(r(y/L)):
+    # hetero_shadow, macwilliams_transform and shadow_transform substitute
+    # linear forms X, Y into sum_j a_j X^(N-j) Y^j, and c_to_a expands
+    # sum_i c_i u^(N-2i) v^i with u = x + (d-1) y, v = y (x - y)
     n = len(coeffs) - 1
-    expected = [0] * ((len(x_form) - 1) * n + 1)
-    for j, a in enumerate(coeffs):
-        term = [a]
-        for _ in range(n - j):
-            term = _times(term, x_form)
-        for _ in range(j):
-            term = _times(term, y_form)
-        expected = [e + t for e, t in zip(expected, term)]
-    assert homogeneous_horner(coeffs, x_form, y_form) == expected
+    rev = coeffs[::-1]
+    assert substitute(coeffs, (1, 1), (-1, 2), n) == _expand_forms(
+        coeffs, (1, 1), (-1, 1)
+    )
+    assert substitute(rev, (1, -1), (1, d * d), n) == _expand_forms(
+        coeffs, (1, d * d - 1), (1, -1)
+    )
+    assert substitute(rev, (-1, 1), (1 - d, 2 * d), n) == _expand_forms(
+        coeffs, (d - 1, d + 1), (-1, 1)
+    )
+    half = coeffs[: n // 2 + 1]
+    expected = [0] * (n + 1)
+    for i, c in enumerate(half):
+        term = _times(_power((1, d - 1), n - 2 * i), _power((0, 1, -1), i))
+        expected = [e + c * t for e, t in zip(expected, term)]
+    assert substitute(half, (1, d - 1), (0, 1, -d), n) == expected
 
 
-def test_homogeneous_horner_needs_forms_of_one_degree():
+def test_substitute_edge_cases():
+    # N = 0: the constant, whatever the line and ratio
+    assert substitute([7], (3, -2), (-1, 2), 0) == [7]
+    assert substitute([0], (1, 1), (-1, 2), 0) == [0]
+    # N = 1: c_0 L + c_1 L r(y/L) for L = 2x + 3y, r = -1 + 2t
+    assert substitute([5, -4], (2, 3), (-1, 2), 1) == [18, 19]
+    # a degree above deg(p) deg(r) multiplies by powers of L
+    assert substitute([5], (1, 1), (-1, 2), 2) == [5, 10, 5]
+    # zero coefficients anywhere, all of them included
+    assert substitute([0, 0, 0], (1, 1), (-1, 2), 2) == [0, 0, 0]
+    for coeffs in ([0, 3, 0, 0], [0, 0, 0, -2], [1, 0, 0, 0], [0, 5, 0, 7]):
+        assert substitute(coeffs, (1, 2), (0, 1, -3), 6) == _expand(
+            coeffs, (1, 2), (0, 1, -3), 6
+        )
+
+
+def test_substitute_needs_room_for_the_degree():
     with pytest.raises(ValueError):
-        homogeneous_horner([1, 2], [1, 1], [1, 0, 1])
+        substitute([1, 2, 3], (1, 1), (0, 1, -1), 3)
+
+
+@pytest.mark.parametrize(
+    "count, size",
+    [(1, 2**7 - 1), (1, 2**7), (5, 51), (4, 32), (7, 4681), (8, 4096),
+     (7, (2**63 - 1) // 7), (8, 2**60), (3, 2**200 // 3)],
+    ids=["2^7-1", "2^7", "2^8-1", "4x2^5", "2^15-1", "2^15", "2^63-1", "2^63", "2^200-1"],
+)
+def test_substitute_at_the_width_bound(count, size):
+    # every |c_k| equal and each sign matched to (-1)^k against the ratio -1,
+    # so all count terms land on one coefficient and it equals the width
+    # bound B = count * size exactly: B sits at 2^(8m-1) - 1, 2^(8m-1) and
+    # between, the edges of a whole number of bytes with a sign bit
+    bound = count * size
+    for sign in (1, -1):
+        coeffs = [sign * size * (-1) ** k for k in range(count)]
+        assert substitute(coeffs, (1, 0), (-1,), 0) == [sign * bound]
+        # the second pass at its own bound: L^3 = x^3 keeps B in place, and
+        # L = y moves it to the last coefficient
+        assert substitute(coeffs, (1, 0), (-1,), 3) == [sign * bound, 0, 0, 0]
+        assert substitute(coeffs, (0, -1), (-1,), 3) == [0, 0, 0, -sign * bound]
+
+
+@given(
+    st.integers(0, 10),
+    st.integers(1, 2**80),
+    st.sampled_from([2, 3, -3, 7, -9]),
+    st.integers(0, 3),
+)
+def test_substitute_with_aligned_signs(n, size, rho, shift):
+    # r = rho t^shift and c_k = size sign(rho)^k make every c_k r^k
+    # positive, so the largest output is at least half the width bound
+    coeffs = [size * (1 if rho > 0 else -1) ** k for k in range(n + 1)]
+    ratio = [0] * shift + [rho]
+    degree = n * shift
+    out = substitute(coeffs, (1, 0), ratio, degree)
+    assert out == _expand(coeffs, (1, 0), ratio, degree)
+    bound = sum(size * abs(rho) ** k for k in range(n + 1))
+    assert 2 * max(out) >= bound
 
 
 @given(st.lists(st.integers(-50, 50), max_size=10))

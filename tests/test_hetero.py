@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kuniform import tables
+from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
 from kuniform.errors import (
     MAX_PARTIES,
@@ -16,6 +16,7 @@ from kuniform.errors import (
 )
 from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
+    MAX_SHADOW_PARTIES,
     DimensionProfile,
     ame_verdict,
     hetero_shadow,
@@ -30,10 +31,23 @@ def pair_profile(d1, d2, n):
     return DimensionProfile((d1,) + (d2,) * (2 * n))
 
 
+def spec_string(profile):
+    """The "<dim>x<count>,..." form of a profile, consecutive equal dimensions grouped."""
+    groups = []
+    for d in profile.dims:
+        if groups and groups[-1][0] == d:
+            groups[-1][1] += 1
+        else:
+            groups.append([d, 1])
+    return ",".join(f"{d}x{c}" for d, c in groups)
+
+
 def test_profile_parsing():
     prof = DimensionProfile.parse("3x1,2x10")
     assert prof.dims == (3,) + (2,) * 10
-    assert prof.to_spec_string() == "3x1,2x10"
+    assert spec_string(prof) == "3x1,2x10"
+    mixed = DimensionProfile((2, 3, 3, 2, 5))
+    assert DimensionProfile.parse(spec_string(mixed)) == mixed
     assert DimensionProfile.parse("2x4").dims == (2, 2, 2, 2)
     with pytest.raises(ValueError):
         DimensionProfile.parse("3,2")
@@ -209,7 +223,7 @@ def test_hetero_shadow_worked_values():
 
 
 def _hetero_shadow_reference(profile):
-    """The O(N^3) Krawtchouk triple loop the Horner kernel replaced."""
+    """The O(N^3) Krawtchouk triple loop the substitution kernel replaced."""
     n = profile.n_parties
     half = (n - 1) // 2
     reciprocals = [Fraction(1, d) for d in profile.dims]
@@ -240,13 +254,39 @@ def test_hetero_shadow_equals_the_reference_loop():
     for profile in profiles:
         shadow = hetero_shadow(profile)
         assert (shadow.a_prime, shadow.s) == _hetero_shadow_reference(profile), (
-            profile.to_spec_string()
+            spec_string(profile)
         )
 
 
 def test_hetero_shadow_party_cap():
     with pytest.raises(CapacityError):
         hetero_shadow(DimensionProfile((2,) * (MAX_PARTIES + 1)))
+
+
+def test_hetero_shadow_refuses_above_its_cap_before_any_work(monkeypatch):
+    calls = []
+    for name in ("elem_sym_prefix", "substitute"):
+        monkeypatch.setattr(hetero, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties"):
+        hetero_shadow(pair_profile(3, 2, MAX_SHADOW_PARTIES // 2 + 1))
+    assert calls == []
+
+
+def test_hetero_shadow_at_its_cap():
+    # the cap is inclusive; S(1, 1) = A'(2, 0) = 2^N since A'_0 = 1
+    shadow = hetero_shadow(pair_profile(3, 2, MAX_SHADOW_PARTIES // 2))
+    assert len(shadow.s) == MAX_SHADOW_PARTIES + 1
+    assert sum(shadow.s) == 2**MAX_SHADOW_PARTIES
+
+
+def test_ame_verdict_above_the_shadow_cap():
+    # a test before the shadow still decides a profile above its cap
+    verdict = ame_verdict(DimensionProfile.parse("3x1,2x4094"))
+    assert verdict.status == "nonexistent"
+    assert verdict.certificate.kind == "corollary7"
+    # one that only the shadow test could decide is refused
+    with pytest.raises(CapacityError):
+        ame_verdict(DimensionProfile.parse(f"33x{MAX_SHADOW_PARTIES + 2}"))
 
 
 def test_hetero_shadow_requires_odd_party_count():

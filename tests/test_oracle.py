@@ -11,10 +11,7 @@ from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile, hetero_shadow
 from kuniform.oracle import (
     PureState,
-    ame43_state,
     ame_shadow_oracle,
-    bell_state,
-    bundled_corpus,
     direct_enumerator,
     direct_shadow,
     ghz_state,
@@ -23,8 +20,11 @@ from kuniform.oracle import (
     purity,
     purity_table,
     shadow_from_purities,
-    w_state,
 )
+
+
+def bell_state():
+    return ghz_state(2, 2)
 
 
 def test_purity_worked_values():
@@ -59,12 +59,13 @@ def test_purity_handles_unnormalized_and_complex_amplitudes():
     assert purity(scaled, [0]) == expected
 
 
-def test_is_k_uniform_examples():
+def test_is_k_uniform_examples(corpus):
+    states = dict(corpus)
     assert is_k_uniform(bell_state(), 1)
     assert is_k_uniform(ghz_state(3, 2), 1)
     assert not is_k_uniform(product_zero_state(2), 1)
-    assert not is_k_uniform(w_state(), 1)
-    assert is_k_uniform(ame43_state(), 2)
+    assert not is_k_uniform(states["w3"], 1)
+    assert is_k_uniform(states["ame43"], 2)
     with pytest.raises(ValueError):
         is_k_uniform(bell_state(), 2)
     with pytest.raises(ValueError, match="^k must be an integer"):
@@ -169,24 +170,23 @@ def test_complementary_purity_symmetry(state):
         assert table[mask] == table[full ^ mask]
 
 
-def test_bundled_corpus_shape():
-    corpus = bundled_corpus()
+def test_bundled_corpus_shape(corpus):
     assert len(corpus) >= 12
     names = [name for name, _ in corpus]
     assert len(set(names)) == len(names)
     assert any(name == "ghz-n2-d2" for name in names)
 
 
-def test_corpus_uniformity_iff_prefix_zero():
-    for name, state in bundled_corpus():
+def test_corpus_uniformity_iff_prefix_zero(corpus):
+    for name, state in corpus:
         enum = direct_enumerator(state)
         for k in range(state.profile.n_parties // 2 + 1):
             prefix_zero = all(enum.coeffs[j] == 0 for j in range(1, k + 1))
             assert is_k_uniform(state, k) == prefix_zero, (name, k)
 
 
-def test_state_json_round_trip():
-    for _, state in bundled_corpus()[:4]:
+def test_state_json_round_trip(corpus):
+    for _, state in corpus[:4]:
         doc = state.to_json_dict()
         assert PureState.from_json_dict(doc).amplitudes == state.amplitudes
     doc = bell_state().to_json_dict()
@@ -317,8 +317,8 @@ def test_weight_classes_equal_the_inversion(state):
     assert direct_enumerator(state).coeffs == _inversion_reference(n, d, pur)
 
 
-def test_direct_routes_equal_the_fraction_route():
-    for name, state in bundled_corpus():
+def test_direct_routes_equal_the_fraction_route(corpus):
+    for name, state in corpus:
         n, d = state.profile.n_parties, state.profile.dims[0]
         pur = purity_table(state)
         assert direct_enumerator(state).coeffs == _inversion_reference(n, d, pur), name
