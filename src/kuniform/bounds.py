@@ -9,22 +9,21 @@ and c_i >= 0 for even i.  Whenever (-1)^i alpha_i(N) < 0 the hypothesis is
 contradicted and k <= i - 1.
 
 alpha_i(N) = -N (d-1) S_i / i for an integer hypergeometric sum S_i, and
-three computations of it live here:
+two independent computations of it live here:
 
 - the recurrence: `_alpha_sums` yields S_1, S_2, ... by a certified
   three-term integer recurrence in i, O(1) big-integer steps per index.
-  It drives `alpha_vector` and `k_upper_bound`; the latter scans the signs
-  on integers, stops at the first firing index and builds one `Fraction`,
-  the witness, so one bound costs O(N) steps and caches nothing;
-- the closed form: `alpha_closed_form` is the paper's per-index formula,
-  summed by walking its term ratio (one binomial and i - 1 exact integer
-  multiply-divide steps).  It is the route `cross_validate_alpha` and the
-  `verify --suite alpha` command check;
+  It is the one source of the paper's closed form in this package:
+  `alpha_closed_form` reads one index of it, `alpha_vector` all of them,
+  and `k_upper_bound` scans the signs on integers, stops at the first
+  firing index and builds one `Fraction`, the witness, so one bound costs
+  O(N) steps and caches nothing;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
   change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
   inversion in O(N^2) integer operations, done once per (N, d) and cached
-  (`alpha_oracle_vector`).  It shares no code with the other two, so
-  comparing it with either is an independent check.
+  (`alpha_oracle_vector`).  It shares no code with the recurrence, so
+  `cross_validate_alpha` (the `verify --suite alpha` command) checks the
+  engine that `bound` and `table` run against an independent route.
 
 `k_upper_bound` combines the sign test with the trivial Schmidt bound,
 the classical even/odd party-count threshold (provenance "scott"), a
@@ -36,11 +35,14 @@ qubit verdicts sharp.
 
 For d = 3 the sign pattern of alpha is periodic enough to admit piecewise
 range formulas (`range_formula_d3`); for d = 4, 5 the analogous formulas
-are conjectural and `conjecture_scan` only tabulates agreement, never
-asserts it.  The three-term recurrences that certify the d = 3 sign facts
-ship as static data (one spec per offset of N mod 14) and
-`verify_recurrence` re-derives each sum directly to confirm them;
-`cross_validate_recurrences` runs it over every spec.
+are conjectural, each refused outside the one stretch of N where it
+equals the computed bound, and `conjecture_scan` only tabulates
+agreement, never asserts it.  The three-term recurrences that certify the
+d = 3 sign facts ship as static data in factored form (one spec per
+offset of N mod 14), expanded when `recurrence_specs` loads them;
+`verify_recurrence` re-derives each sum directly to confirm the identity
+and proves the polynomials positive, and `cross_validate_recurrences`
+runs it over every spec.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumerators import WeightEnumerator, a_to_c
 from .errors import NotApplicableError, exact_int
-from .exact import binom, falling_binom, rat_from_str, rat_to_str
+from .exact import binom, falling_binom, rat_to_str
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -85,30 +88,8 @@ def _check_alpha_args(n_parties: int, local_dim: int, index: int) -> None:
         )
 
 
-def alpha_closed_form(n_parties: int, local_dim: int, index: int) -> Fraction:
-    """Invariant coordinate of the unit-prefix enumerator, in closed form.
-
-    alpha_i(N) = -(N (d-1) / i) sum_(j<i) (1-d)^j C(N-2i+j, N-2i) C(2i-2-j, i-1),
-    summed by the term ratio
-    t_j / t_(j-1) = (1-d) (N-2i+j) (i-j) / (j (2i-1-j)).
-    """
-    _check_alpha_args(n_parties, local_dim, index)
-    if index == 0:
-        return Fraction(1)
-    n, d, i = n_parties, local_dim, index
-    m = n - 2 * i
-    term = binom(2 * i - 2, i - 1)
-    total = term
-    for j in range(1, i):
-        # t_j is an integer (a product of binomials and a power of 1-d), so
-        # multiplying first leaves a numerator that j (2i-1-j) divides exactly.
-        term = term * ((1 - d) * (m + j) * (i - j)) // (j * (2 * i - 1 - j))
-        total += term
-    return Fraction(-n * (d - 1) * total, i)
-
-
 def alpha_oracle(n_parties: int, local_dim: int, index: int) -> Fraction:
-    """Same coordinate via a_to_c; independent of the closed form."""
+    """Same coordinate via a_to_c; independent of the recurrence."""
     _check_alpha_args(n_parties, local_dim, index)
     return alpha_oracle_vector(n_parties, local_dim)[index]
 
@@ -149,17 +130,31 @@ def _alpha_sums(n_parties: int, local_dim: int) -> Iterator[int]:
     s_prev, s = 1, 2 + (1 - d) * (n - 3)
     yield from (s_prev, s)[:half]
     dd = (d - 1) ** 2
-    f, e = 8 - (d - 3) ** 2, 3 - (d - 2) ** 2
+    # L = f i + c, and g is the constant factor of S_i's coefficient
+    f, c, g = 8 - (d - 3) ** 2, dd * n + 3 - (d - 2) ** 2, d * dd
     for i in range(1, half - 1):
         m = n - 2 * i
-        s_prev, s = s, (
-            i * (f * i + dd * n + e) * s + d * dd * m * (m - 1) * s_prev
-        ) // (i * (i + 1))
+        s_prev, s = s, (i * (f * i + c) * s + g * m * (m - 1) * s_prev) // (i * (i + 1))
         yield s
 
 
 def _alpha_from_sum(n_parties: int, local_dim: int, index: int, total: int) -> Fraction:
     return Fraction(-n_parties * (local_dim - 1) * total, index)
+
+
+def alpha_closed_form(n_parties: int, local_dim: int, index: int) -> Fraction:
+    """Invariant coordinate of the unit-prefix enumerator, by the paper's closed form
+
+    alpha_i(N) = -(N (d-1) / i) sum_(j<i) (1-d)^j C(N-2i+j, N-2i) C(2i-2-j, i-1),
+
+    whose sum is the i-th value of the recurrence `_alpha_sums` (i - 2
+    big-integer steps; nothing is cached).
+    """
+    _check_alpha_args(n_parties, local_dim, index)
+    if index == 0:
+        return Fraction(1)
+    total = next(islice(_alpha_sums(n_parties, local_dim), index - 1, None))
+    return _alpha_from_sum(n_parties, local_dim, index, total)
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +171,7 @@ def alpha_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
 def cross_validate_alpha(
     n_values: Iterable[int] = range(2, 61), local_dims: Sequence[int] = (2, 3, 4, 5)
 ) -> tuple[int, list[str]]:
-    """Compare the closed form with the a_to_c route at every index.
+    """Compare the recurrence (`alpha_vector`) with the a_to_c route at every index.
 
     Returns the number of values compared and one message per mismatch.
     The default range, N = 2..60 and d = 2..5, gives 3836 checks.
@@ -185,9 +180,10 @@ def cross_validate_alpha(
     failures: list[str] = []
     for n in n_values:
         for d in local_dims:
-            for i in range(n // 2 + 1):
+            pairs = zip(alpha_vector(n, d), alpha_oracle_vector(n, d), strict=True)
+            for i, (engine, oracle) in enumerate(pairs):
                 checks += 1
-                if alpha_closed_form(n, d, i) != alpha_oracle(n, d, i):
+                if engine != oracle:
                     failures.append(f"alpha mismatch at N={n} d={d} i={i}")
     return checks, failures
 
@@ -298,7 +294,6 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
 # ---------------------------------------------------------------------------
 
 _D3_EXCEPTIONS = frozenset({23, 37, 51})
-_D4_EXCEPTIONS = frozenset({38})
 
 
 def range_formula_d3(n_parties: int) -> int:
@@ -321,18 +316,20 @@ def range_formula_d3(n_parties: int) -> int:
 
 
 def conjectured_range_formula(local_dim: int, n_parties: int) -> int:
-    """Conjectured piecewise bounds for d = 4 (N >= 22) and d = 5 (180..227).
+    """Conjectured piecewise bounds for d = 4 (52..101) and d = 5 (180..227).
 
-    The d = 5 formula 2 floor(N/4) - 1 matches pinned Table III up to
-    N = 227 and overshoots it from N = 228 on (113 against 111), so it
-    refuses N outside 180..227.
+    Each formula is refused outside the one long stretch of N where it
+    equals the computed bound.  The d = 4 formula (8m - 5, 8m - 3, 8m - 1,
+    8m + 1 over bands of N mod 17) overshoots at N = 26, 30, 34, 39, 43,
+    47 and 51 and at pinned Table II's N = 102, 119, 136, 149 and 153
+    (49 against 47 at N = 102); it never undershoots up to N = 399.  The
+    d = 5 formula 2 floor(N/4) - 1 matches pinned Table III up to N = 227
+    and overshoots it from N = 228 on (113 against 111).
     """
     if local_dim == 4:
-        if n_parties in _D4_EXCEPTIONS:
-            raise NotApplicableError(f"N={n_parties} is an exception of the d=4 formula")
+        if not 52 <= n_parties <= 101:
+            raise NotApplicableError(f"d=4 formula needs 52 <= N <= 101, got {n_parties}")
         m = (n_parties + 12) // 17
-        if m < 2:
-            raise NotApplicableError(f"d=4 formula needs N >= 22, got {n_parties}")
         offset = n_parties - 17 * m
         if offset <= -9:
             return 8 * m - 5
@@ -389,6 +386,10 @@ def conjecture_scan(
 # ---------------------------------------------------------------------------
 
 
+# every shipped identity holds from n = 1
+RECURRENCE_BASE_N = 1
+
+
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Three-term recurrence lead(n) p_(n+2) = mid(n) p_(n+1) + low(n) p_n.
@@ -396,8 +397,8 @@ class RecurrenceSpec:
     The polynomials are integer coefficient lists in ascending powers of n.
     `offset` identifies the summand family (N = 14m + offset at even
     n = 2m); `initial_terms` are externally stated values of p_n to pin the
-    transcription; the identity is claimed for n >= base_n and all three
-    polynomials are positive for n >= positive_from.
+    transcription; the identity is claimed for n >= `RECURRENCE_BASE_N` and
+    all three polynomials are positive for n >= positive_from.
     """
 
     offset: int
@@ -405,7 +406,6 @@ class RecurrenceSpec:
     mid: tuple[int, ...]
     low: tuple[int, ...]
     initial_terms: tuple[tuple[int, int], ...]
-    base_n: int
     positive_from: int
 
 
@@ -414,6 +414,16 @@ def poly_eval(coeffs: Sequence[int], n: int) -> int:
     for c in reversed(coeffs):
         acc = acc * n + c
     return acc
+
+
+def taylor_shift(coeffs: Sequence[int], shift: int) -> tuple[int, ...]:
+    """Coefficients of p(shift + t) in ascending powers of t, for p = coeffs."""
+    out = list(coeffs)
+    # one synthetic division by (n - shift) per pass fixes one coefficient
+    for k in range(len(out) - 1):
+        for j in range(len(out) - 2, k - 1, -1):
+            out[j] += shift * out[j + 1]
+    return tuple(out)
 
 
 def recurrence_block(offset: int) -> int:
@@ -450,10 +460,12 @@ def recurrence_sum(offset: int, n: int) -> int:
 def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> tuple[int, list[str]]:
     """Recompute p_n by direct summation and check the recurrence exactly.
 
-    Also checks the stated initial terms and positivity of the recurrence
-    polynomials from `positive_from` on.  Returns the number of recurrence
-    identities checked and one message per failure, naming the offending
-    n; a failure signals a transcription error in the static data.
+    Also checks the stated initial terms, and proves each of lead, mid and
+    low positive for every n >= `positive_from`: the Taylor shift
+    p(positive_from + t) has no negative coefficient and a positive
+    constant term.  Returns the number of recurrence identities checked
+    and one message per failure, naming the offending n or polynomial; a
+    failure signals a transcription error in the static data.
     """
     p = {n: recurrence_sum(spec.offset, n) for n in range(1, n_max + 3)}
     failures: list[str] = []
@@ -461,20 +473,16 @@ def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> tuple[int, list[str]]
         if p[n0] != expected:
             failures.append(f"initial term p_{n0}={p[n0]} != {expected}")
     checked = 0
-    for n in range(spec.base_n, n_max + 1):
+    for n in range(RECURRENCE_BASE_N, n_max + 1):
         lhs = poly_eval(spec.lead, n) * p[n + 2]
         rhs = poly_eval(spec.mid, n) * p[n + 1] + poly_eval(spec.low, n) * p[n]
         checked += 1
         if lhs != rhs:
             failures.append(f"recurrence violated at n={n}")
-    for n in range(spec.positive_from, n_max + 1):
-        values = (
-            poly_eval(spec.lead, n),
-            poly_eval(spec.mid, n),
-            poly_eval(spec.low, n),
-        )
-        if any(v <= 0 for v in values):
-            failures.append(f"polynomial not positive at n={n}")
+    for name in ("lead", "mid", "low"):
+        shifted = taylor_shift(getattr(spec, name), spec.positive_from)
+        if shifted[0] <= 0 or min(shifted) < 0:
+            failures.append(f"{name} not proven positive from n={spec.positive_from}")
     return checked, failures
 
 
@@ -494,24 +502,34 @@ def cross_validate_recurrences(n_max: int = 30) -> tuple[int, list[str]]:
     return checks, failures
 
 
+def _expand(constant: int, factors: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Ascending coefficients of constant * prod(factors)."""
+    coeffs = [constant]
+    for factor in factors:
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        coeffs = out
+    return tuple(coeffs)
+
+
 @lru_cache(maxsize=None)
 def recurrence_specs() -> tuple[RecurrenceSpec, ...]:
-    """Load the static recurrence table, one spec per offset in -4..9."""
+    """Load the static recurrence table, one spec per offset in -4..9.
+
+    The file stores each polynomial factored, as a constant and a list of
+    integer polynomial factors; this expands them.
+    """
     doc = json.loads((_DATA_DIR / "range_recurrences.json").read_text())
-    specs = []
-    for rec in doc["specs"]:
-        specs.append(
-            RecurrenceSpec(
-                offset=int(rec["offset"]),
-                lead=tuple(int(c) for c in rec["lead"]),
-                mid=tuple(int(c) for c in rec["mid"]),
-                low=tuple(int(c) for c in rec["low"]),
-                initial_terms=tuple(
-                    (int(n), int(rat_from_str(str(v))))
-                    for n, v in rec["initial_terms"]
-                ),
-                base_n=int(rec["base_n"]),
-                positive_from=int(rec["positive_from"]),
-            )
+    return tuple(
+        RecurrenceSpec(
+            offset=rec["offset"],
+            lead=_expand(*rec["lead"]),
+            mid=_expand(*rec["mid"]),
+            low=_expand(*rec["low"]),
+            initial_terms=tuple((n, v) for n, v in rec["initial_terms"]),
+            positive_from=rec["positive_from"],
         )
-    return tuple(specs)
+        for rec in doc["specs"]
+    )

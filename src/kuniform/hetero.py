@@ -18,8 +18,8 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
     is the largest-first subset: the floor(N/2)+2 parties of largest
     dimension, lowest index first among equals.  For the two-dimension
     family d1 x d2^(2n), `scott_pair_threshold` gives the smallest n
-    certified in closed form by that subset, which `ame_verdict` reads
-    from the same class view as its Corollary 7 witness.
+    certified in closed form by that subset: there the search's first
+    candidate is its witness, which `ame_verdict` labels "corollary7".
 
   * the shadow inequality: for odd N the hypothetical AME purity profile
     makes every shadow coefficient a finite combination of the elementary
@@ -29,13 +29,16 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
 
     with A'_k = A'_(N-k) above the midpoint; these are the coefficients
     of A'(x + y, y - x).  Any s_j < 0 certifies non-existence
-    (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties).
+    (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties and a total
+    dimension of `MAX_SHADOW_BITS` bits).
 
-`ame_verdict` runs the cheap tests first (Schmidt feasibility, the pair
-threshold, the subset search, then the shadow) and reports the first
-certificate found; it never claims existence.  A profile above the
-shadow's party cap still gets any verdict an earlier test reaches; only
-one that needs the shadow test raises CapacityError.
+`ame_verdict` runs the cheap tests first (Schmidt feasibility, the subset
+search, then the shadow) and reports the first certificate found; it
+never claims existence.  Each test runs once: the Corollary 7 label is
+the pair threshold read off the search's witness, not a second
+evaluation.  A profile above the shadow's caps still gets any verdict an
+earlier test reaches; only one that needs the shadow test raises
+CapacityError.
 
 A profile's dimensions pass the input rule `errors.exact_ints` once, in
 the `DimensionProfile` constructor, however the profile was written.
@@ -64,6 +67,11 @@ DEFAULT_SUBSET_BUDGET = 10**7
 # N = 1001, 8.9 s at N = 2001 and 63 s at N = 4095 on 3x1,2x(N-1) (2-core
 # VM), so it stops at a party count well above Table IV (N <= 37).
 MAX_SHADOW_PARTIES = 1001
+# It also grows with the bit length of the total dimension D: 0.65-0.9 s
+# on 3x1,2x1000 (1002 bits), 2.6-4.4 s on 257x1,256x1000 (8009 bits) and
+# 10 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark profiles
+# stay below 600 bits.
+MAX_SHADOW_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,8 @@ class DimensionProfile:
     def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The distinct dimensions, largest first, each with its party indices ascending.
 
-        The one grouping of a profile by dimension: the subset search, the
-        pair-family test and the Corollary 7 witness all read it.
+        The one grouping of a profile by dimension: the subset search and
+        the pair-family test both read it.
         """
         by_dim: dict[int, list[int]] = {}
         for idx, d in enumerate(self.dims):
@@ -273,17 +281,23 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     for k <= floor(N/2), by an integer dynamic program, and one call of
     the kernel `exact.substitute` expands the substitution, pivoting on
     L = x + y (y - x = L (-1 + 2 y/L)); each coefficient is divided by D
-    once at the end.  Raises CapacityError above `MAX_SHADOW_PARTIES`
-    parties, before any work.
+    once at the end.  Raises CapacityError, before any work, above
+    `MAX_SHADOW_PARTIES` parties or when D has more than `MAX_SHADOW_BITS`
+    bits.
     """
     n = profile.n_parties
     if n > MAX_SHADOW_PARTIES:
         raise CapacityError(
             f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties, got {n}"
         )
+    total = profile.total_dim
+    if total.bit_length() > MAX_SHADOW_BITS:
+        raise CapacityError(
+            f"the shadow test takes a total dimension of at most {MAX_SHADOW_BITS}"
+            f" bits, got {total.bit_length()}"
+        )
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
-    total = profile.total_dim
     e = elem_sym_prefix(profile.dims, n)
     # D A'_k, with A'_k = A'_(N-k) above the midpoint
     a_int = [e[max(k, n - k)] for k in range(n + 1)]
@@ -341,19 +355,25 @@ class AmeVerdict:
         return doc
 
 
-def _pair_family(profile: DimensionProfile) -> Optional[tuple[int, int, int]]:
-    """Detect the d1 x d2^(2n) shape (odd N); homogeneous odd counts as d1 = d2."""
+def _corollary7_threshold(profile: DimensionProfile) -> Optional[int]:
+    """`scott_pair_threshold` of a d1 x d2^(2n) profile with n at or above it, else None.
+
+    The d1 x d2^(2n) shape needs odd N; homogeneous odd counts as d1 = d2.
+    There the largest-first subset, which the search evaluates first, is
+    negative exactly when n >= the threshold, so it is the search's witness.
+    """
     if profile.n_parties % 2 == 0:
         return None
     classes, n = profile.classes, profile.n_parties // 2
     if len(classes) == 1:
-        return classes[0][0], classes[0][0], n
-    if len(classes) == 2:
+        d1 = d2 = classes[0][0]
+    elif len(classes) == 2 and 1 in (len(classes[0][1]), len(classes[1][1])):
         # the class of one party is the odd party d1
-        for (d1, odd), (d2, _) in (classes, classes[::-1]):
-            if len(odd) == 1:
-                return d1, d2, n
-    return None
+        (d1, _), (d2, _) = classes if len(classes[0][1]) == 1 else classes[::-1]
+    else:
+        return None
+    threshold = scott_pair_threshold(d1, d2)
+    return threshold if n >= threshold else None
 
 
 def ame_verdict(
@@ -361,36 +381,22 @@ def ame_verdict(
 ) -> AmeVerdict:
     """Combined AME non-existence verdict, cheapest test first.
 
-    Order: Schmidt feasibility precheck, closed-form pair threshold,
-    subset search, shadow coefficients.  The certificate reflects the
-    first test that fires; "corollary7" certificates embed the
-    largest-first witness subset so they remain independently checkable.
+    Order: Schmidt feasibility precheck, subset search, shadow
+    coefficients.  The certificate reflects the first test that fires; a
+    subset witness on a pair family at or above its closed-form threshold
+    is reported as "corollary7" with that threshold, any other as
+    "scott-witness", so both stay independently checkable.  Raises
+    BudgetExceededError when the search would pass `budget` evaluations.
     """
     if not profile.schmidt_feasible():
         return AmeVerdict(profile, "infeasible")
 
-    family = _pair_family(profile)
-    if family is not None:
-        d1, d2, n = family
-        threshold = scott_pair_threshold(d1, d2)
-        if n >= threshold:
-            subset = tuple(sorted(next(_candidates(profile.classes, n + 2))))
-            value = scott_check(profile, subset)
-            if value < 0:
-                return AmeVerdict(
-                    profile,
-                    "nonexistent",
-                    Certificate(
-                        "corollary7",
-                        witness=ScottWitness(subset, value),
-                        threshold=threshold,
-                    ),
-                )
-
     witness = scott_search(profile, budget=budget)
     if witness is not None:
+        threshold = _corollary7_threshold(profile)
+        kind = "scott-witness" if threshold is None else "corollary7"
         return AmeVerdict(
-            profile, "nonexistent", Certificate("scott-witness", witness=witness)
+            profile, "nonexistent", Certificate(kind, witness=witness, threshold=threshold)
         )
 
     if profile.n_parties % 2 == 1:

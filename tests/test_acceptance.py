@@ -81,7 +81,7 @@ def test_criterion_4_alpha_cross_validation():
     assert failures == []
     assert checked == 3836  # N = 2..60, d = 2..5, every index 0..N//2
     assert elapsed < 120
-    print(f"ACCEPTANCE 4 PASS: {checked} alpha values, closed form == solve ({elapsed:.1f}s)")
+    print(f"ACCEPTANCE 4 PASS: {checked} alpha values, recurrence == solve ({elapsed:.1f}s)")
 
 
 def test_criterion_5_sign_facts_and_recurrences():

@@ -8,7 +8,9 @@ integer sum in alpha_i(N) = -N (d-1) S_i / i.  The recurrence
 
 is proven by creative telescoping: applied to t(., j) it equals
 G(j+1) - G(j), with G(j) = t(i+2, j) j P(j) / ((2i+2-j)(2i+1-j)(2i-j)).
-Only exact integer and `Fraction` arithmetic is used.
+Only exact integer and `Fraction` arithmetic is used.  Near the party cap
+the recurrence is compared with the closed form summed by its term ratio,
+a route that shares no code with the package.
 """
 
 import math
@@ -17,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from kuniform import bounds, tables
-from kuniform.bounds import alpha_closed_form, alpha_vector, k_upper_bound
+from kuniform.bounds import alpha_vector, k_upper_bound
 
 # P(j) = i (i+1) / ((N-2i-2)(N-2i-3)) * sum_k Q_k j^k, where Q_k is stored as
 # {(a, b, c): coefficient} for the monomials i^a N^b (d-1)^c.  Derived offline
@@ -158,18 +160,45 @@ def test_alpha_sums_equal_the_closed_form_sums():
             assert list(bounds._alpha_sums(n, d)) == want, (n, d)
 
 
+def _term_ratio_alpha(n, d, i):
+    """alpha_i(N) from the closed form, its sum walked by the term ratio
+
+    t_j / t_(j-1) = (1-d) (N-2i+j) (i-j) / (j (2i-1-j)),
+
+    one binomial and i - 1 exact integer multiply-divide steps.
+    """
+    if i == 0:
+        return Fraction(1)
+    term = math.comb(2 * i - 2, i - 1)
+    total = term
+    for j in range(1, i):
+        # t_j is an integer (a product of binomials and a power of 1-d), so
+        # multiplying first leaves a numerator that j (2i-1-j) divides exactly.
+        term = term * ((1 - d) * (n - 2 * i + j) * (i - j)) // (j * (2 * i - 1 - j))
+        total += term
+    return Fraction(-n * (d - 1) * total, i)
+
+
+def test_term_ratio_walk_is_the_closed_form_sum():
+    for n in range(2, 41):
+        for d in (2, 3, 5):
+            for i in range(1, n // 2 + 1):
+                want = Fraction(-n * (d - 1) * _closed_sum(n, d, i), i)
+                assert _term_ratio_alpha(n, d, i) == want, (n, d, i)
+
+
 @pytest.mark.parametrize("n, d", [(4095, 3), (4096, 3), (4095, 5), (4096, 5)])
 def test_alpha_vector_matches_the_closed_form_near_the_party_cap(n, d):
     half = n // 2
     vector = alpha_vector(n, d)
     assert len(vector) == half + 1
     for i in sorted({*range(0, half + 1, half // 19), 1, 2, half}):
-        assert vector[i] == alpha_closed_form(n, d, i), i
+        assert vector[i] == _term_ratio_alpha(n, d, i), i
 
 
 def _closed_form_first_firing(n, d):
     return next(
-        (i for i in range(1, n // 2 + 1) if (-1) ** i * alpha_closed_form(n, d, i) < 0),
+        (i for i in range(1, n // 2 + 1) if (-1) ** i * _term_ratio_alpha(n, d, i) < 0),
         None,
     )
 
@@ -181,7 +210,7 @@ def test_k_upper_bound_fires_where_the_closed_form_scan_does(d):
         first = _closed_form_first_firing(n, d)
         if verdict.provenance.startswith("alpha-sign"):
             assert verdict.provenance == bounds.provenance_alpha(first), n
-            assert verdict.witness == alpha_closed_form(n, d, first), n
+            assert verdict.witness == _term_ratio_alpha(n, d, first), n
         else:
             # a firing alpha test loses only to a strictly smaller bound
             assert first is None or first - 1 > verdict.k_max, n

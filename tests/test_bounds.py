@@ -10,10 +10,10 @@ from kuniform.bounds import (
     PROVENANCE_AME_TABLE,
     PROVENANCE_SCOTT,
     PROVENANCE_TRIVIAL,
+    RECURRENCE_BASE_N,
     RecurrenceSpec,
     alpha_closed_form,
     alpha_oracle,
-    alpha_vector,
     conjecture_scan,
     conjectured_range_formula,
     cross_validate_alpha,
@@ -26,6 +26,7 @@ from kuniform.bounds import (
     recurrence_specs,
     recurrence_sum,
     scott_gap_condition,
+    taylor_shift,
     verify_recurrence,
 )
 from kuniform.errors import NotApplicableError
@@ -88,9 +89,7 @@ def test_alpha_cross_validation_beyond_suite_range():
 
 
 def test_alpha_routes_agree_at_every_table_n():
-    # all three routes at every (N, d) behind the pinned Tables I-III: the
-    # closed form against the oracle index by index, the recurrence's
-    # vector against the oracle's
+    # both routes at every (N, d) behind the pinned Tables I-III, index by index
     checks = 0
     for table_id, d in RANGE_TABLE_DIMS.items():
         cells = RANGE_TABLES[table_id]
@@ -98,8 +97,6 @@ def test_alpha_routes_agree_at_every_table_n():
         got, failures = cross_validate_alpha(n_values=n_values, local_dims=(d,))
         assert failures == [], table_id
         checks += got
-        for n in n_values:
-            assert alpha_vector(n, d) == bounds.alpha_oracle_vector(n, d), (table_id, n)
     assert checks == 18866
 
 
@@ -196,12 +193,24 @@ def test_range_formula_d3_never_undercuts_computed():
 def test_conjectured_range_formula():
     assert conjectured_range_formula(4, 77) == 37
     assert conjectured_range_formula(5, 183) == 89
-    with pytest.raises(NotApplicableError):
-        conjectured_range_formula(4, 38)
+    for n in (52, 101):
+        assert conjectured_range_formula(4, n) == k_upper_bound(n, 4).k_max
+    # 38 was the one stated exception; 51 and 102 are where it overshoots
+    for n in (38, 51, 102):
+        with pytest.raises(NotApplicableError, match="52 <= N <= 101"):
+            conjectured_range_formula(4, n)
     with pytest.raises(NotApplicableError):
         conjectured_range_formula(5, 100)
     with pytest.raises(ValueError):
         conjectured_range_formula(3, 50)
+
+
+def test_d4_formula_never_disagrees_where_it_answers():
+    rows = conjecture_scan(4, range(22, 400))
+    assert not [r.n_parties for r in rows if r.agree is False]
+    assert [r.n_parties for r in rows if r.agree] == list(range(52, 102))
+    # the formula would give 49 at N = 102, where Table II has 47
+    assert k_upper_bound(102, 4).k_max == 47
 
 
 def test_d5_formula_stops_where_table_iii_leaves_it():
@@ -264,12 +273,79 @@ def test_verify_recurrence_catches_corruption():
         mid=spec.mid,
         low=spec.low,
         initial_terms=spec.initial_terms,
-        base_n=spec.base_n,
         positive_from=spec.positive_from,
     )
     _, failures = verify_recurrence(corrupted, n_max=6)
     assert failures
     assert any("recurrence violated at n=" in f for f in failures)
+
+
+def test_verify_recurrence_proves_positivity_beyond_n_max():
+    # multiplying all three polynomials by 100 - n keeps every identity and
+    # every sampled value up to n_max positive, but they turn negative at
+    # n = 101, which only a proof for all n catches
+    spec = next(s for s in recurrence_specs() if s.offset == 4)
+    factor = (100, -1)
+    corrupted = RecurrenceSpec(
+        offset=spec.offset,
+        lead=bounds._expand(1, (spec.lead, factor)),
+        mid=bounds._expand(1, (spec.mid, factor)),
+        low=bounds._expand(1, (spec.low, factor)),
+        initial_terms=spec.initial_terms,
+        positive_from=spec.positive_from,
+    )
+    checks, failures = verify_recurrence(corrupted, n_max=30)
+    assert checks == 30
+    assert all(poly_eval(corrupted.lead, n) > 0 for n in range(spec.positive_from, 31))
+    assert poly_eval(corrupted.lead, 101) < 0
+    assert failures == [
+        f"{name} not proven positive from n={spec.positive_from}"
+        for name in ("lead", "mid", "low")
+    ]
+
+
+def test_stated_positivity_starts_as_early_as_it_can():
+    # the shipped specs pass the proof (above); one step earlier some
+    # polynomial is not positive, so no claim is weaker than it must be
+    for spec in recurrence_specs():
+        if spec.positive_from > RECURRENCE_BASE_N:
+            n = spec.positive_from - 1
+            assert min(poly_eval(p, n) for p in (spec.lead, spec.mid, spec.low)) <= 0
+
+
+def test_taylor_shift():
+    assert taylor_shift((0, 0, 1), 1) == (1, 2, 1)  # (1 + t)^2
+    coeffs = (5, -3, 0, 2)
+    for shift in (-2, 0, 3):
+        shifted = taylor_shift(coeffs, shift)
+        for t in range(-3, 4):
+            assert poly_eval(shifted, t) == poly_eval(coeffs, shift + t)
+
+
+# expanded coefficients of the file's factored polynomials, pinned from the
+# earlier expanded copy of the data: a slip in a factor fails here by name
+_PINNED_POLYNOMIALS = {
+    (-1, "lead"): (
+        0, 4315680, 54931608, 282968640, 759725892, 1142499735, 961035597,
+        419543145, 73634103,
+    ),
+    (0, "mid"): (
+        75658302720, 392787004608, 826324382208, 866154718512, 377915105664,
+        -107337964608, -203524030080, -88087109472, -11812514304, 1259001360,
+        214404192,
+    ),
+    (9, "low"): (
+        9092488204800, 40528050595200, 78353684434368, 85803662059136,
+        58202406508736, 25037718661760, 6669640400192, 1005750241664,
+        65725319744,
+    ),
+}
+
+
+@pytest.mark.parametrize("offset, name", sorted(_PINNED_POLYNOMIALS))
+def test_factored_data_expands_to_the_pinned_polynomials(offset, name):
+    spec = next(s for s in recurrence_specs() if s.offset == offset)
+    assert getattr(spec, name) == _PINNED_POLYNOMIALS[offset, name]
 
 
 def test_recurrence_sum_ties_back_to_alpha():

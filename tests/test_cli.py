@@ -1,13 +1,14 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuniform import oracle, tables
+from kuniform import bounds, oracle, tables
 from kuniform.cli import main
 from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile
@@ -137,6 +138,16 @@ def test_ame_above_the_shadow_cap(capsys):
     assert code == 1
     assert doc["status"] == "error"
     assert "at most 1001 parties" in doc["payload"]["error"]
+
+
+def test_ame_wide_dimensions_fail_fast(capsys):
+    # 1000000x1001 reaches the shadow test, whose D of 19952 bits is refused
+    start = time.monotonic()
+    code, doc = run_json(capsys, "ame", "--dims", "1000000x1001")
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    assert doc["status"] == "error"
+    assert "at most 8192 bits, got 19952" in doc["payload"]["error"]
 
 
 def test_state_commands(tmp_path, capsys):
@@ -274,6 +285,23 @@ def test_verify_suites_pass(capsys, suite):
     assert doc["status"] == "ok"
     assert doc["payload"]["failures"] == []
     assert doc["payload"]["checks"] > 0
+
+
+def test_verify_alpha_drives_the_recurrence(capsys, monkeypatch):
+    # the suite checks the engine `bound` and `table` run, once per (N, d)
+    calls = []
+    alpha_sums = bounds._alpha_sums
+
+    def counting_sums(n, d):
+        calls.append((n, d))
+        return alpha_sums(n, d)
+
+    monkeypatch.setattr(bounds, "_alpha_sums", counting_sums)
+    bounds.alpha_vector.cache_clear()
+    code, doc = run_json(capsys, "verify", "--suite", "alpha")
+    assert code == 0 and doc["payload"]["failures"] == []
+    assert doc["payload"]["checks"] == 3836
+    assert sorted(calls) == [(n, d) for n in range(2, 61) for d in (2, 3, 4, 5)]
 
 
 def test_envelopes_are_deterministic_modulo_timestamp(capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from kuniform.errors import (
 )
 from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
+    MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
     DimensionProfile,
     ame_verdict,
@@ -272,6 +274,30 @@ def test_hetero_shadow_refuses_above_its_cap_before_any_work(monkeypatch):
     assert calls == []
 
 
+def test_hetero_shadow_refuses_wide_dimensions_before_any_work(monkeypatch):
+    calls = []
+    for name in ("elem_sym_prefix", "substitute"):
+        monkeypatch.setattr(hetero, name, lambda *args, name=name: calls.append(name))
+    profile = DimensionProfile.parse("1000000x1001")
+    assert profile.total_dim.bit_length() > MAX_SHADOW_BITS
+    start = time.monotonic()
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_BITS} bits, got 19952"):
+        hetero_shadow(profile)
+    assert time.monotonic() - start < 1.0
+    assert calls == []
+
+
+def test_shadow_bit_cap_is_far_above_table_iv():
+    # every profile the table's shadow test runs on, n below the threshold
+    widest = max(
+        pair_profile(d1, d2, n).total_dim.bit_length()
+        for d1_lo, d1_hi, d2, threshold, _ in tables.HETERO_TABLE
+        for d1 in range(d1_lo, d1_hi + 1)
+        for n in range(1, threshold)
+    )
+    assert widest < MAX_SHADOW_BITS // 8
+
+
 def test_hetero_shadow_at_its_cap():
     # the cap is inclusive; S(1, 1) = A'(2, 0) = 2^N since A'_0 = 1
     shadow = hetero_shadow(pair_profile(3, 2, MAX_SHADOW_PARTIES // 2))
@@ -328,6 +354,28 @@ def test_ame_verdict_examples():
 
     assert ame_verdict(DimensionProfile.parse("2x4")).status == "unknown"
     assert ame_verdict(DimensionProfile.parse("5x1,2x8")).status == "infeasible"
+
+
+def test_corollary7_verdict_evaluates_one_subset(monkeypatch):
+    calls = []
+
+    def counting_check(profile, subset):
+        calls.append(subset)
+        return scott_check(profile, subset)
+
+    monkeypatch.setattr(hetero, "scott_check", counting_check)
+    cert = ame_verdict(DimensionProfile.parse("2x1,4x34")).certificate
+    assert cert.kind == "corollary7" and cert.threshold == 17
+    assert calls == [cert.witness.subset]
+
+
+def test_corollary7_verdict_obeys_the_budget():
+    # the search is the only evaluation, so a zero budget refuses it too
+    with pytest.raises(BudgetExceededError):
+        ame_verdict(DimensionProfile.parse("2x1,4x34"), budget=0)
+    assert ame_verdict(DimensionProfile.parse("2x1,4x34"), budget=1).certificate.kind == (
+        "corollary7"
+    )
 
 
 def _casework_subset(profile, d1, d2):
