@@ -13,7 +13,6 @@ from .bounds import (
     alpha_oracle,
     alpha_oracle_vector,
     alpha_vector,
-    conjecture_scan,
     k_upper_bound,
     rains_bound,
     range_formula_d3,

@@ -33,11 +33,10 @@ that formula at almost every N but lands one above it for N = 5 (mod 6)
 from N = 17 on, so the formula stays in the candidate set to keep the
 qubit verdicts sharp.
 
-For d = 3 the sign pattern of alpha is periodic enough to admit piecewise
-range formulas (`range_formula_d3`); for d = 4, 5 the analogous formulas
-are conjectural, each refused outside the one stretch of N where it
-equals the computed bound, and `conjecture_scan` only tabulates
-agreement, never asserts it.  The three-term recurrences that certify the
+For d = 3 the sign pattern of alpha is periodic enough to admit a
+piecewise range formula (`range_formula_d3`).  No formula is kept for
+d = 4 or 5: there the computed bound is the only answer, and the pinned
+Tables II and III check it.  The three-term recurrences that certify the
 d = 3 sign facts ship as static data in factored form (one spec per
 offset of N mod 14), expanded when `recurrence_specs` loads them;
 `verify_recurrence` re-derives each sum directly to confirm the identity
@@ -290,7 +289,7 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
 
 
 # ---------------------------------------------------------------------------
-# piecewise range formulas (d = 3 proven, d = 4, 5 conjectural)
+# the piecewise d = 3 range formula
 # ---------------------------------------------------------------------------
 
 _D3_EXCEPTIONS = frozenset({23, 37, 51})
@@ -313,72 +312,6 @@ def range_formula_d3(n_parties: int) -> int:
     if offset <= 4:
         return 6 * m + 1
     return 6 * m + 3
-
-
-def conjectured_range_formula(local_dim: int, n_parties: int) -> int:
-    """Conjectured piecewise bounds for d = 4 (52..101) and d = 5 (180..227).
-
-    Each formula is refused outside the one long stretch of N where it
-    equals the computed bound.  The d = 4 formula (8m - 5, 8m - 3, 8m - 1,
-    8m + 1 over bands of N mod 17) overshoots at N = 26, 30, 34, 39, 43,
-    47 and 51 and at pinned Table II's N = 102, 119, 136, 149 and 153
-    (49 against 47 at N = 102); it never undershoots up to N = 399.  The
-    d = 5 formula 2 floor(N/4) - 1 matches pinned Table III up to N = 227
-    and overshoots it from N = 228 on (113 against 111).
-    """
-    if local_dim == 4:
-        if not 52 <= n_parties <= 101:
-            raise NotApplicableError(f"d=4 formula needs 52 <= N <= 101, got {n_parties}")
-        m = (n_parties + 12) // 17
-        offset = n_parties - 17 * m
-        if offset <= -9:
-            return 8 * m - 5
-        if offset <= -5:
-            return 8 * m - 3
-        if offset <= -1:
-            return 8 * m - 1
-        return 8 * m + 1
-    if local_dim == 5:
-        if not 180 <= n_parties <= 227:
-            raise NotApplicableError(f"d=5 formula needs 180 <= N <= 227, got {n_parties}")
-        return 2 * (n_parties // 4) - 1
-    raise ValueError("conjectured formulas exist only for local_dim 4 and 5")
-
-
-@dataclass(frozen=True)
-class ConjectureScanRow:
-    """Tabulated evidence for one N: formula value vs computed bound."""
-
-    n_parties: int
-    formula_bound: Optional[int]  # None on a formula exception
-    computed_bound: int
-    agree: Optional[bool]  # None on a formula exception
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_parties,
-            "formula": self.formula_bound,
-            "computed": self.computed_bound,
-            "agree": self.agree,
-        }
-
-
-def conjecture_scan(
-    local_dim: int, n_range: Sequence[int]
-) -> list[ConjectureScanRow]:
-    """Compare the conjectured formula with the computed bound; never asserts."""
-    if local_dim not in (4, 5):
-        raise ValueError("conjecture scan is defined for local_dim 4 and 5")
-    rows = []
-    for n in n_range:
-        computed = k_upper_bound(n, local_dim).k_max
-        try:
-            formula = conjectured_range_formula(local_dim, n)
-        except NotApplicableError:
-            rows.append(ConjectureScanRow(n, None, computed, None))
-            continue
-        rows.append(ConjectureScanRow(n, formula, computed, formula == computed))
-    return rows
 
 
 # ---------------------------------------------------------------------------

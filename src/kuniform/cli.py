@@ -23,9 +23,10 @@ with exit 1 and nothing on stderr.
 
 A subcommand reads only its own variables: an explicit flag wins over
 its variable, and an invalid value of a variable the subcommand reads is
-a usage error, as are a --budget or --cap-dim below 1, a --d or a party
-count of `bound` below 2 (each checked once, by `errors.exact_int`) and a
-flag given to a subcommand that does not take it.
+a usage error, as are a --budget or --cap-dim below 1, a negative
+--check-uniform, a --d or a party count of `bound` below 2 (each checked
+once, by `errors.exact_int`) and a flag given to a subcommand that does
+not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 `ame --dims` profile) are refused with a capacity error before any work.
@@ -240,12 +241,15 @@ def _run_ame(args) -> tuple[str, dict, Optional[str]]:
 
 def _run_state(args) -> tuple[str, dict, Optional[str]]:
     cap_dim = _count(args.cap_dim, "cap-dim", oracle.DEFAULT_DIM_CAP)
+    k = args.check_uniform
+    if k is not None:
+        # above N//2 depends on the file, so only the sign is a usage error
+        _usage_int(k, "--check-uniform", 0)
     try:
         state = oracle.PureState.load(args.file)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read state file {args.file}: {exc}") from exc
-    if args.check_uniform is not None:
-        k = args.check_uniform
+    if k is not None:
         answer = oracle.is_k_uniform(state, k, dim_cap=cap_dim)
         payload = {
             "dims": list(state.profile.dims),

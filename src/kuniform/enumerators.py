@@ -52,8 +52,8 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import exact_int, required
-from .exact import binom, rat_from_str, rat_to_str, substitute
+from .errors import exact_int
+from .exact import binom, rat_to_str, substitute
 
 
 def _exact_coeff(value) -> Fraction:
@@ -83,7 +83,7 @@ class _Record:
 
 @dataclass(frozen=True)
 class _Enumerator(_Record):
-    """Fields and JSON form of the full-length enumerators; subclasses add no field."""
+    """Fields and JSON output of the full-length enumerators; subclasses add no field."""
 
     n_parties: int
     local_dim: int
@@ -95,14 +95,6 @@ class _Enumerator(_Record):
             "d": self.local_dim,
             "coeffs": [rat_to_str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict):
-        """Read a JSON object of integers `n`, `d` and an array `coeffs`, else ValueError."""
-        n, d, coeffs = (required(doc, k, "enumerator") for k in ("n", "d", "coeffs"))
-        if not isinstance(coeffs, list):
-            raise ValueError(f"coeffs must be an array, got {coeffs!r}")
-        return cls(n, d, tuple(rat_from_str(str(c)) for c in coeffs))
 
 
 class WeightEnumerator(_Enumerator):

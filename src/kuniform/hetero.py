@@ -62,7 +62,12 @@ from .errors import (
 )
 from .exact import elem_sym_prefix, rat_to_str, substitute
 
-DEFAULT_SUBSET_BUDGET = 10**7
+# Each evaluation is O(N) big-integer work: 0.16 ms on the 41-party profile
+# 100..140, whose 10^5 evaluations take about 16 s, and 2-3 ms at N = 801
+# (2-core VM).  10^5 covers the whole search of any three-class profile up
+# to MAX_SHADOW_PARTIES parties (at most 83 999 candidates); Table IV and
+# the benchmark profiles need at most 20.
+DEFAULT_SUBSET_BUDGET = 10**5
 # The shadow's cost grows about as N^3 in big-integer work: 1.0 s at
 # N = 1001, 8.9 s at N = 2001 and 63 s at N = 4095 on 3x1,2x(N-1) (2-core
 # VM), so it stops at a party count well above Table IV (N <= 37).
@@ -256,10 +261,8 @@ def scott_pair_threshold(d1: int, d2: int) -> int:
 
 @dataclass(frozen=True)
 class HeteroShadow:
-    """Shadow coefficients of a hypothetical AME state on an odd-N profile."""
+    """Shadow coefficients s_0 .. s_N of a hypothetical AME state on an odd-N profile."""
 
-    profile: DimensionProfile
-    a_prime: tuple[Fraction, ...]
     s: tuple[Fraction, ...]
 
     def first_negative(self) -> Optional[int]:
@@ -303,11 +306,7 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     a_int = [e[max(k, n - k)] for k in range(n + 1)]
     # y - x = L (-1 + 2 y/L) for the pivot L = x + y
     s = substitute(a_int, (1, 1), (-1, 2), n)
-    return HeteroShadow(
-        profile,
-        tuple(Fraction(v, total) for v in a_int),
-        tuple(Fraction(v, total) for v in s),
-    )
+    return HeteroShadow(tuple(Fraction(v, total) for v in s))
 
 
 # ---------------------------------------------------------------------------

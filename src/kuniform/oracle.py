@@ -27,7 +27,8 @@ capped (default 4096) and the shadow sum at 12 parties, with hard errors
 beyond.
 
 A state's `dims` and kets pass the input rule `errors.exact_ints` once,
-in the constructors; state files go through `read_json` and `required`.
+in the constructors, and a ket listed twice is refused there; state files
+go through `read_json` and `required`.
 
 `ame_shadow_oracle` applies the same double subset sum to the purity
 profile of a hypothetical AME state on a dimension profile
@@ -77,12 +78,17 @@ class PureState:
     def __post_init__(self) -> None:
         n = self.profile.n_parties
         entries = []
+        seen = set()
         for ket, amp in self.amplitudes:
             ket = exact_ints(ket, "ket", 0)
             if len(ket) != n:
                 raise ValueError(f"ket {ket} has wrong arity for {n} parties")
             if any(x >= d for x, d in zip(ket, self.profile.dims)):
                 raise ValueError(f"ket {ket} out of range for dims {self.profile.dims}")
+            # the purity sums take the entries as distinct basis vectors
+            if ket in seen:
+                raise ValueError(f"ket {ket} appears more than once")
+            seen.add(ket)
             if not amp.is_zero():
                 entries.append((ket, amp))
         if not entries:

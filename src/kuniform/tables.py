@@ -108,7 +108,6 @@ class CellDiff:
 class TableDiff:
     table_id: str
     computed: tuple
-    expected: tuple
     diffs: tuple[CellDiff, ...]
     records: Optional[tuple] = None  # per-N verdicts for the range tables
 
@@ -148,7 +147,7 @@ def _diff_range_table(table_id: str) -> TableDiff:
         # same per-N values but different run boundaries cannot happen with
         # pure run-length compression; flag it anyway rather than hide it
         diffs.append(CellDiff(f"table {table_id} layout", expected, computed))
-    return TableDiff(table_id, computed, expected, tuple(diffs), tuple(records))
+    return TableDiff(table_id, computed, tuple(diffs), tuple(records))
 
 
 def _diff_hetero_table() -> TableDiff:
@@ -171,7 +170,7 @@ def _diff_hetero_table() -> TableDiff:
                         list(got_shadow),
                     )
                 )
-    return TableDiff("IV", tuple(computed_rows), HETERO_TABLE, tuple(diffs))
+    return TableDiff("IV", tuple(computed_rows), tuple(diffs))
 
 
 def table_csv(diff: TableDiff) -> str:

@@ -14,8 +14,6 @@ from kuniform.bounds import (
     RecurrenceSpec,
     alpha_closed_form,
     alpha_oracle,
-    conjecture_scan,
-    conjectured_range_formula,
     cross_validate_alpha,
     k_upper_bound,
     known_ame_nonexistence,
@@ -188,55 +186,6 @@ def test_range_formula_d3_never_undercuts_computed():
         if n in (23, 37, 51):
             continue
         assert range_formula_d3(n) >= k_upper_bound(n, 3).k_max
-
-
-def test_conjectured_range_formula():
-    assert conjectured_range_formula(4, 77) == 37
-    assert conjectured_range_formula(5, 183) == 89
-    for n in (52, 101):
-        assert conjectured_range_formula(4, n) == k_upper_bound(n, 4).k_max
-    # 38 was the one stated exception; 51 and 102 are where it overshoots
-    for n in (38, 51, 102):
-        with pytest.raises(NotApplicableError, match="52 <= N <= 101"):
-            conjectured_range_formula(4, n)
-    with pytest.raises(NotApplicableError):
-        conjectured_range_formula(5, 100)
-    with pytest.raises(ValueError):
-        conjectured_range_formula(3, 50)
-
-
-def test_d4_formula_never_disagrees_where_it_answers():
-    rows = conjecture_scan(4, range(22, 400))
-    assert not [r.n_parties for r in rows if r.agree is False]
-    assert [r.n_parties for r in rows if r.agree] == list(range(52, 102))
-    # the formula would give 49 at N = 102, where Table II has 47
-    assert k_upper_bound(102, 4).k_max == 47
-
-
-def test_d5_formula_stops_where_table_iii_leaves_it():
-    assert conjectured_range_formula(5, 227) == 111 == k_upper_bound(227, 5).k_max
-    # the formula would give 113 at N = 228, where Table III has 111
-    assert k_upper_bound(228, 5).k_max == 111
-    with pytest.raises(NotApplicableError, match="180 <= N <= 227"):
-        conjectured_range_formula(5, 228)
-    rows = {r.n_parties: r for r in conjecture_scan(5, [227, 228])}
-    assert rows[227].agree is True
-    assert rows[228].formula_bound is None and rows[228].agree is None
-
-
-def test_conjecture_scan_rows():
-    rows = {r.n_parties: r for r in conjecture_scan(4, range(36, 80))}
-    assert rows[77].formula_bound == 37
-    assert rows[77].computed_bound == 37
-    assert rows[77].agree is True
-    assert rows[38].formula_bound is None and rows[38].agree is None
-    rows5 = {r.n_parties: r for r in conjecture_scan(5, [183])}
-    assert rows5[183].agree is True
-
-
-def test_conjecture_scan_rejects_other_dims():
-    with pytest.raises(ValueError):
-        conjecture_scan(3, [20])
 
 
 # ---------------------------------------------------------------------------

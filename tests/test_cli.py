@@ -227,6 +227,32 @@ def test_state_file_missing_key(tmp_path, capsys, doc, message):
     assert doc["payload"]["error"] == f"cannot read state file {path}: {message}"
 
 
+def test_state_file_with_a_repeated_ket(tmp_path, capsys):
+    # this once answered "ok" with a = (4, 8, 4), though a pure state has a_0 = 1
+    path = tmp_path / "twice.json"
+    amp = {"ket": [0, 0], "re": "1"}
+    path.write_text(json.dumps({"dims": [2, 2], "amps": [amp, amp]}))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == (
+        f"cannot read state file {path}: ket (0, 0) appears more than once"
+    )
+
+
+def test_negative_check_uniform_is_a_usage_error(tmp_path, capsys):
+    # this once ended in an error envelope with exit 1
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    assert main(["state", "--file", str(path), "--check-uniform", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kuniform: --check-uniform must be >= 0, got -1\n"
+    # k above N//2 depends on the file, so it stays an error envelope
+    code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "2")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "k must be in 0..1, got 2"
+
+
 def test_state_capacity_error(tmp_path, capsys):
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))

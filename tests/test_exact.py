@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kuniform
 from kuniform.exact import (
     binom,
     elem_sym_prefix,
@@ -245,3 +248,38 @@ def test_elem_sym_prefix_keeps_integers(values):
     e = elem_sym_prefix(values, len(values))
     assert all(type(v) is int for v in e)
     assert e == elem_sym_prefix([Fraction(v) for v in values], len(values))
+
+
+_FLOAT_CALLS = {"sqrt", "log", "exp"}
+
+
+def _float_uses(tree):
+    """Each float literal, float/complex name, sqrt/log/exp call and numeric `/` in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node, f"literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            yield node, node.id
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _FLOAT_CALLS:
+                yield node, f"call of {name}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.value,)
+            # a path join always has a string-literal operand
+            if not any(
+                isinstance(o, ast.Constant) and isinstance(o.value, str) for o in operands
+            ):
+                yield node, "true division"
+
+
+def test_package_source_uses_no_float():
+    # results are exact rationals: every division goes through Fraction or //
+    package = Path(kuniform.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}: {what}"
+        for path in sorted(package.glob("*.py"))
+        for node, what in _float_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -17,6 +17,7 @@ from kuniform.errors import (
 )
 from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
+    DEFAULT_SUBSET_BUDGET,
     MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
     DimensionProfile,
@@ -186,6 +187,27 @@ def test_scott_search_budget_error():
         scott_search(DimensionProfile(dims), budget=10)
 
 
+def test_default_budget_covers_every_three_class_search_at_the_shadow_cap():
+    # equal classes give the most dimension multisets of a three-class profile
+    profile = DimensionProfile.parse("4x333,3x334,2x334")
+    assert profile.n_parties == MAX_SHADOW_PARTIES
+    size = profile.n_parties // 2 + 2
+    assert sum(1 for _ in hetero._candidates(profile.classes, size)) == 83_999
+    assert 83_999 < DEFAULT_SUBSET_BUDGET
+
+
+def test_default_budget_stops_a_longer_search(monkeypatch):
+    # real evaluations cost O(N) each, so a search this long would take minutes
+    evaluated = []
+    monkeypatch.setattr(
+        hetero, "scott_check", lambda profile, subset: evaluated.append(1) or Fraction(1)
+    )
+    profile = DimensionProfile.parse("105x13,104x13,103x13,102x13,101x13,100x12")
+    with pytest.raises(BudgetExceededError, match="budget of 100000 evaluations"):
+        ame_verdict(profile)
+    assert len(evaluated) == DEFAULT_SUBSET_BUDGET
+
+
 def test_scott_search_matches_classical_condition_on_homogeneous():
     for d in range(2, 7):
         for n in range(3, 31):
@@ -242,7 +264,7 @@ def _hetero_shadow_reference(profile):
                 kernel += (-1) ** a * binom(n - k, n - j - a) * binom(k, a)
             acc += kernel * a_int[k]
         s.append(Fraction(acc, total))
-    return tuple(a_full), tuple(s)
+    return tuple(s)
 
 
 def test_hetero_shadow_equals_the_reference_loop():
@@ -254,8 +276,7 @@ def test_hetero_shadow_equals_the_reference_loop():
         DimensionProfile(tuple(rng.randint(2, 9) for _ in range(121))),
     ]
     for profile in profiles:
-        shadow = hetero_shadow(profile)
-        assert (shadow.a_prime, shadow.s) == _hetero_shadow_reference(profile), (
+        assert hetero_shadow(profile).s == _hetero_shadow_reference(profile), (
             spec_string(profile)
         )
 
@@ -318,15 +339,6 @@ def test_ame_verdict_above_the_shadow_cap():
 def test_hetero_shadow_requires_odd_party_count():
     with pytest.raises(NotApplicableError):
         hetero_shadow(DimensionProfile((2, 2, 2, 2)))
-
-
-def test_hetero_shadow_aprime_symmetry():
-    prof = DimensionProfile((4, 3, 2, 2, 3))
-    shadow = hetero_shadow(prof)
-    n = prof.n_parties
-    assert shadow.a_prime[0] == 1
-    for k in range(n + 1):
-        assert shadow.a_prime[k] == shadow.a_prime[n - k]
 
 
 @given(st.lists(st.sampled_from([2, 3, 4]), min_size=3, max_size=9))

@@ -203,6 +203,19 @@ def test_state_validation():
         PureState.from_amplitudes((2, 2), {(0, 0, 0): GaussianRational.of(1)})
 
 
+def test_state_refuses_a_repeated_ket():
+    # [0, 0] twice was once read as a state with a_0 = 4 and purities 4
+    one, zero = GaussianRational.of(1), GaussianRational.of(0)
+    for amps in (
+        [((0, 0), one), ((0, 0), one)],
+        [([1, 0], one), ((1, 0), zero)],
+        [((0, 1), zero), ((1, 1), one), ((0, 1), zero)],
+    ):
+        ket = tuple(amps[0][0])
+        with pytest.raises(ValueError, match=rf"ket \({ket[0]}, {ket[1]}\) appears more than once"):
+            PureState.from_amplitudes((2, 2), amps)
+
+
 def test_ame_shadow_oracle_equals_formula_route():
     for dims in ((3, 2, 2), (2, 3, 3), (4, 2, 2, 2, 2), (3, 3, 3, 3, 3)):
         prof = DimensionProfile(dims)
