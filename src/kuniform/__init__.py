@@ -32,7 +32,7 @@ from .enumerators import (
     shadow_transform,
     validate_state_constraints,
 )
-from .errors import BudgetExceededError, CapacityError, NotApplicableError
+from .errors import CapacityError, NotApplicableError
 from .exact import GaussianRational, binom, falling_binom
 from .hetero import (
     AmeVerdict,

@@ -7,7 +7,6 @@ Five subcommands cover the library surface, each with the flags it reads:
   table   recompute a pinned reference table and diff it cell by cell
             --format json|csv   env KUNIFORM_FORMAT
   ame     AME non-existence verdict for a dimension profile
-            --budget B          env KUNIFORM_BUDGET (subset-search budget)
   state   brute-force checks on an explicit state file
             --cap-dim D         env KUNIFORM_CAP_DIM (Hilbert-dimension cap)
   verify  internal cross-validation suites at desk scale
@@ -23,16 +22,17 @@ with exit 1 and nothing on stderr.
 
 A subcommand reads only its own variables: an explicit flag wins over
 its variable, and an invalid value of a variable the subcommand reads is
-a usage error, as are a --budget or --cap-dim below 1, a negative
+a usage error, as are a --cap-dim below 1, a negative
 --check-uniform, a --d or a party count of `bound` below 2 (each checked
 once, by `errors.exact_int`) and a flag given to a subcommand that does
 not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
 `ame --dims` profile) are refused with a capacity error before any work.
-Below that cap `bound` needs no budget: each bound is an O(N) sign scan,
-and `bound --d 5 --n-range 2:4096` runs in about 9 s with a 32 MB peak
-resident set (2-core VM).
+Below that cap no request needs a search limit: each bound is an O(N)
+sign scan, and `bound --d 5 --n-range 2:4096` runs in about 9 s with a
+32 MB peak resident set (2-core VM); the subset search behind `ame`
+evaluates at most floor(N/2)+3 draws.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ from typing import Optional, Sequence
 from . import bounds, oracle, tables
 from .enumerators import shadow_transform
 from .errors import (
-    BudgetExceededError,
     CapacityError,
     NotApplicableError,
     check_party_count,
     exact_int,
 )
-from .hetero import DEFAULT_SUBSET_BUDGET, DimensionProfile, ame_verdict
+from .hetero import DimensionProfile, ame_verdict
 
 ENV_PREFIX = "KUNIFORM_"
 FORMATS = ("json", "csv")
@@ -147,9 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ame.add_argument(
         "--dims", required=True, help='profile string "<dim>x<count>,...", e.g. "3x1,2x10"'
     )
-    p_ame.add_argument(
-        "--budget", type=int, help="subset-search evaluation budget (env KUNIFORM_BUDGET)"
-    )
 
     p_state = sub.add_parser("state", help="explicit-state checks")
     p_state.set_defaults(run=_run_state)
@@ -228,12 +224,11 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_ame(args) -> tuple[str, dict, Optional[str]]:
-    budget = _count(args.budget, "budget", DEFAULT_SUBSET_BUDGET)
     try:
         profile = DimensionProfile.parse(args.dims)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    verdict = ame_verdict(profile, budget=budget)
+    verdict = ame_verdict(profile)
     payload = verdict.to_json_dict()
     status = STATUS_OK if verdict.status == "unknown" else STATUS_VIOLATION
     return status, payload, None
@@ -320,7 +315,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except NotApplicableError as exc:
         _emit(args.command, STATUS_NOT_APPLICABLE, {"error": str(exc)})
         return EXIT_NOT_APPLICABLE
-    except (BudgetExceededError, CapacityError, ValueError) as exc:
+    except (CapacityError, ValueError) as exc:
         _emit(args.command, STATUS_ERROR, {"error": str(exc)})
         return EXIT_ERROR
 

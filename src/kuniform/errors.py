@@ -1,9 +1,8 @@
 """Shared exception types and the input rules.
 
-These mark the three failure modes the library distinguishes from plain
+These mark the two failure modes the library distinguishes from plain
 programming errors: a computation that does not apply to the given input,
-an input exceeding a configured capacity cap, and a subset search that
-would overrun its evaluation budget.
+and an input exceeding a configured capacity cap.
 
 `MAX_PARTIES` caps the party count a command accepts from outside the
 program, so that a huge request fails at once with a `CapacityError`
@@ -26,10 +25,6 @@ class NotApplicableError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """The input exceeds a configured size cap for exact brute force."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A subset search would exceed its evaluation budget; no partial result."""
 
 
 def check_party_count(n_parties: int) -> None:

@@ -8,18 +8,16 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
             + floor(N/2) + 1  <  0
 
     certifies that no AME state exists.  `scott_check` evaluates the left
-    side exactly; `scott_search` looks for a negative subset.  The value
-    depends only on the multiset of dimensions inside A, so the search
-    enumerates dimension multisets, which is exhaustive over subsets up
-    to the permutation symmetry the test suite verifies.  It reads the
-    profile's one class view, `DimensionProfile.classes` (the distinct
-    dimensions, largest first, each with its parties in ascending order),
-    and draws the larger classes in full first, so its first candidate
-    is the largest-first subset: the floor(N/2)+2 parties of largest
+    side exactly; `scott_search` decides whether a negative subset exists
+    from the floor(N/2)+3 extreme draws alone (its docstring carries the
+    proof).  It reads the profile's one class view,
+    `DimensionProfile.classes` (the distinct dimensions, largest first,
+    each with its parties in ascending order), and draws the
+    largest-first subset first: the floor(N/2)+2 parties of largest
     dimension, lowest index first among equals.  For the two-dimension
     family d1 x d2^(2n), `scott_pair_threshold` gives the smallest n
     certified in closed form by that subset: there the search's first
-    candidate is its witness, which `ame_verdict` labels "corollary7".
+    draw is its witness, which `ame_verdict` labels "corollary7".
 
   * the shadow inequality: for odd N the hypothetical AME purity profile
     makes every shadow coefficient a finite combination of the elementary
@@ -46,13 +44,13 @@ the `DimensionProfile` constructor, however the profile was written.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Optional
 
 from .errors import (
-    BudgetExceededError,
     CapacityError,
     NotApplicableError,
     check_party_count,
@@ -62,12 +60,6 @@ from .errors import (
 )
 from .exact import elem_sym_prefix, rat_to_str, substitute
 
-# Each evaluation is O(N) big-integer work: 0.16 ms on the 41-party profile
-# 100..140, whose 10^5 evaluations take about 16 s, and 2-3 ms at N = 801
-# (2-core VM).  10^5 covers the whole search of any three-class profile up
-# to MAX_SHADOW_PARTIES parties (at most 83 999 candidates); Table IV and
-# the benchmark profiles need at most 20.
-DEFAULT_SUBSET_BUDGET = 10**5
 # The shadow's cost grows about as N^3 in big-integer work: 1.0 s at
 # N = 1001, 8.9 s at N = 2001 and 63 s at N = 4095 on 3x1,2x(N-1) (2-core
 # VM), so it stops at a party count well above Table IV (N <= 37).
@@ -107,8 +99,9 @@ class DimensionProfile:
     def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The distinct dimensions, largest first, each with its party indices ascending.
 
-        The one grouping of a profile by dimension: the subset search and
-        the pair-family test both read it.
+        The one grouping of a profile by dimension: the subset search
+        concatenates it into its draw order, and the pair-family test
+        reads it.
         """
         by_dim: dict[int, list[int]] = {}
         for idx, d in enumerate(self.dims):
@@ -174,14 +167,18 @@ def scott_check(profile: DimensionProfile, subset: Iterable[int]) -> Fraction:
     """Exact left-hand side of the subset inequality for a candidate A.
 
     A negative value certifies AME non-existence; nonnegative values prove
-    nothing (the test is only sufficient).
+    nothing (the test is only sufficient).  Each index must be an exact
+    int in 0..N-1 (`errors.exact_int`); any other raises ValueError.
     """
     members = tuple(subset)
-    half = profile.n_parties // 2
+    n, half = profile.n_parties, profile.n_parties // 2
     if len(members) != half + 2:
         raise ValueError(
             f"subset must have floor(N/2)+2 = {half + 2} parties, got {len(members)}"
         )
+    for i in members:
+        if exact_int(i, "party index", 0) >= n:
+            raise ValueError(f"party index {i} out of range")
     if len(set(members)) != len(members):
         raise ValueError("subset indices must be distinct")
     dims_a = [profile.dims[i] for i in members]
@@ -190,52 +187,64 @@ def scott_check(profile: DimensionProfile, subset: Iterable[int]) -> Fraction:
     return ratio * deficit + half + 1
 
 
-def _candidates(classes, size: int):
-    """Every way to draw `size` parties from `classes`, one draw per dimension multiset.
+def scott_search(profile: DimensionProfile) -> Optional[ScottWitness]:
+    """A witness subset with negative inequality value, if any subset has one.
 
-    Each class gives its lowest-numbered parties, and the earlier (larger)
-    classes are drawn in full first, so the first draw is the `size`
-    parties of largest dimension, lowest index first among equals.
+    With m = floor(N/2)+2 and `order` the parties of
+    `DimensionProfile.classes` concatenated (largest dimension first), the
+    search evaluates the m+1 extreme draws order[:j] + order[N-m+j:] for
+    j = m..0; each step moves one party.  The first negative draw is the
+    witness, reported as the lowest-numbered parties of each class in it,
+    so the j = m draw, the largest-first subset, is the Corollary 7
+    witness.  `scott_check` runs once, on the witness.
+
+    Why the extreme draws decide: a subset A is negative exactly when
+    f(A) = P(A) (S(A) - 1) > (floor(N/2)+1) D, with P the product of the
+    d_i^2 and S the sum of the 1/d_i^2 over A.  A draw is extreme exactly
+    when its unused parties are contiguous in `order`.  If A is not, some
+    member p lies between the first and the last unused party u and w.
+    Fix every party of A but p and call that rest R; then
+    f(A) = P_R (x (S_R - 1) + 1) is affine in x = d_p^2, and `order`
+    sorts dimensions downwards, so d_u^2 >= x >= d_w^2 and moving p to u
+    or to w never lowers f (when S_R = 1, every x gives the same f).
+    Either move narrows the span of `order` from the first to the last
+    unused party, so repeating it ends at an extreme draw.  Hence some
+    extreme draw maximises f, and a negative subset exists iff a
+    negative extreme draw does.
+
+    The sign test runs on integers: with den the lcm of the class
+    squares and r(A) the sum of den/d_i^2 over A, f(A) den =
+    P(A) (r(A) - den), and each step updates P(A) and r(A) by the one
+    party it moves.
     """
-    if not classes:
-        yield ()  # the bounds on c below leave size == 0 here
-        return
-    (_, idxs), rest = classes[0], classes[1:]
-    room = sum(len(tail_idxs) for _, tail_idxs in rest)
-    for c in range(min(len(idxs), size), max(0, size - room) - 1, -1):
-        for tail in _candidates(rest, size - c):
-            yield idxs[:c] + tail
-
-
-def scott_search(
-    profile: DimensionProfile, budget: int = DEFAULT_SUBSET_BUDGET
-) -> Optional[ScottWitness]:
-    """First witness subset with negative inequality value, if any exists.
-
-    The inequality value is invariant under permuting equal dimensions, so
-    subsets are enumerated as dimension multisets; the reported witness
-    takes the lowest-numbered parties realising the first negative class.
-    Raises BudgetExceededError rather than truncating the enumeration.
-    """
-    size = profile.n_parties // 2 + 2
-    if size > profile.n_parties:
+    n, half = profile.n_parties, profile.n_parties // 2
+    size = half + 2
+    if size > n:
         return None
-    for evaluated, parties in enumerate(_candidates(profile.classes, size), 1):
-        if evaluated > budget:
-            raise BudgetExceededError(
-                f"subset search exceeded budget of {budget} evaluations"
-            )
-        subset = tuple(sorted(parties))
-        value = scott_check(profile, subset)
-        if value < 0:
-            return ScottWitness(subset, value)
+    classes, dims = profile.classes, profile.dims
+    order = [i for _, idxs in classes for i in idxs]
+    den = lcm(*(d * d for d, _ in classes))
+    bound = (half + 1) * profile.total_dim * den
+    prod_sq = prod(dims[i] ** 2 for i in order[:size])
+    recip = sum(den // dims[i] ** 2 for i in order[:size])
+    for j in range(size, -1, -1):
+        if j < size:
+            out, into = dims[order[j]] ** 2, dims[order[n - size + j]] ** 2
+            if out == into:
+                continue  # the same dimensions as the draw before, so the same value
+            prod_sq = prod_sq // out * into
+            recip += den // into - den // out
+        if prod_sq * (recip - den) > bound:
+            counts = Counter(dims[i] for i in order[:j] + order[n - size + j :])
+            subset = tuple(sorted(i for d, idxs in classes for i in idxs[: counts[d]]))
+            return ScottWitness(subset, scott_check(profile, subset))
     return None
 
 
 def scott_pair_threshold(d1: int, d2: int) -> int:
     """Smallest n at which the inequality certifies d1 x d2^(2n) in closed form.
 
-    The witness is the largest-first subset, the search's first candidate,
+    The witness is the largest-first subset, the search's first draw,
     read from the class view `DimensionProfile.classes`: n + 2 of the d2
     parties when d1 < d2, and the d1 party with n + 1 of the d2 parties
     otherwise.  Requires d1 <= d2^2; larger d1 makes the profile
@@ -375,22 +384,19 @@ def _corollary7_threshold(profile: DimensionProfile) -> Optional[int]:
     return threshold if n >= threshold else None
 
 
-def ame_verdict(
-    profile: DimensionProfile, budget: int = DEFAULT_SUBSET_BUDGET
-) -> AmeVerdict:
+def ame_verdict(profile: DimensionProfile) -> AmeVerdict:
     """Combined AME non-existence verdict, cheapest test first.
 
     Order: Schmidt feasibility precheck, subset search, shadow
     coefficients.  The certificate reflects the first test that fires; a
     subset witness on a pair family at or above its closed-form threshold
     is reported as "corollary7" with that threshold, any other as
-    "scott-witness", so both stay independently checkable.  Raises
-    BudgetExceededError when the search would pass `budget` evaluations.
+    "scott-witness", so both stay independently checkable.
     """
     if not profile.schmidt_feasible():
         return AmeVerdict(profile, "infeasible")
 
-    witness = scott_search(profile, budget=budget)
+    witness = scott_search(profile)
     if witness is not None:
         threshold = _corollary7_threshold(profile)
         kind = "scott-witness" if threshold is None else "corollary7"

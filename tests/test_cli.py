@@ -120,12 +120,21 @@ def test_ame_bad_profile(capsys):
     assert main(["ame", "--dims", "banana"]) == 2
 
 
-def test_ame_budget_exceeded(capsys):
-    # feasible, below the closed-form threshold, with two subset classes
-    code, doc = run_json(capsys, "ame", "--dims", "3x1,2x8", "--budget", "1")
+def test_ame_takes_no_budget_flag():
+    # the subset search evaluates at most floor(N/2)+3 draws, so it needs no cap
+    with pytest.raises(SystemExit) as exc:
+        main(["ame", "--dims", "3x1,2x8", "--budget", "1"])
+    assert exc.value.code == 2
+
+
+def test_ame_on_a_wide_four_class_profile_ends_at_once(capsys):
+    # 27 270 901 dimension multisets of 1002 parties, none negative; the
+    # shadow test then refuses 2001 parties
+    start = time.monotonic()
+    code, doc = run_json(capsys, "ame", "--dims", "1003x300,1002x300,1001x300,1000x1101")
+    assert time.monotonic() - start < 1.0
     assert code == 1
-    assert doc["status"] == "error"
-    assert "budget" in doc["payload"]["error"]
+    assert doc["payload"] == {"error": "the shadow test takes at most 1001 parties, got 2001"}
 
 
 def test_ame_above_the_shadow_cap(capsys):
@@ -346,27 +355,21 @@ def test_env_variable_mirrors_flags(capsys, monkeypatch):
     assert json.loads(out)["status"] == "ok"
 
 
-@pytest.mark.parametrize("name", ["KUNIFORM_BUDGET", "KUNIFORM_CAP_DIM"])
+@pytest.mark.parametrize("name", ["KUNIFORM_CAP_DIM"])
 def test_non_integer_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name):
-    # each variable is read by the one subcommand that takes its flag
+    # the variable is read by the one subcommand that takes its flag
     path = tmp_path / "ghz3.json"
     path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    argv = {
-        "KUNIFORM_BUDGET": ["ame", "--dims", "3x1,2x8"],
-        "KUNIFORM_CAP_DIM": ["state", "--file", str(path), "--enumerate"],
-    }[name]
     monkeypatch.setenv(name, "abc")
-    code = main(argv)
+    code = main(["state", "--file", str(path), "--enumerate"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"kuniform: {name} must be an integer, got 'abc'\n"
 
 
-def _count_argv(option, path):
-    """A run of the one subcommand that reads --budget or --cap-dim."""
-    if option == "budget":
-        return ["ame", "--dims", "3x1,2x8"]
+def _count_argv(path):
+    """A run of the one subcommand that reads --cap-dim."""
     return ["state", "--file", str(path), "--enumerate"]
 
 
@@ -374,8 +377,6 @@ def _count_argv(option, path):
 @pytest.mark.parametrize(
     "option, source",
     [
-        ("budget", "--budget"),
-        ("budget", "KUNIFORM_BUDGET"),
         ("cap-dim", "--cap-dim"),
         ("cap-dim", "KUNIFORM_CAP_DIM"),
     ],
@@ -383,10 +384,10 @@ def _count_argv(option, path):
 def test_counts_below_one_are_usage_errors(
     tmp_path, capsys, monkeypatch, option, source, value
 ):
-    # each once ended in "exceeded budget of -5" or "exceeds cap 0", exit 1
+    # each once ended in "exceeds cap 0", exit 1
     path = tmp_path / "ghz3.json"
     path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    argv = _count_argv(option, path)
+    argv = _count_argv(path)
     if source.startswith("--"):
         argv += [source, value]
     else:
@@ -401,17 +402,15 @@ def test_counts_below_one_are_usage_errors(
 def test_flags_and_variables_reach_only_their_subcommand(capsys, monkeypatch):
     # an invalid variable a subcommand does not read once failed it with
     # exit 2, and a flag it did not read was accepted and ignored
-    monkeypatch.setenv("KUNIFORM_BUDGET", "abc")
     monkeypatch.setenv("KUNIFORM_CAP_DIM", "abc")
     code, doc = run_json(capsys, "bound", "--d", "3", "--n", "5")
     assert code == 0 and doc["status"] == "ok"
-    monkeypatch.delenv("KUNIFORM_BUDGET")
     monkeypatch.setenv("KUNIFORM_FORMAT", "xml")
     code, doc = run_json(capsys, "ame", "--dims", "2x4")
     assert code == 0 and doc["payload"]["status"] == "unknown"
     for argv in (
         ["ame", "--dims", "3x1,2x8", "--format", "csv"],
-        ["bound", "--d", "3", "--n", "5", "--budget", "1"],
+        ["bound", "--d", "3", "--n", "5", "--cap-dim", "1"],
         ["verify", "--suite", "recurrence", "--cap-dim", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -476,7 +475,7 @@ def _run_contract(argv, env=()):
     ).map(json.dumps),
 ))
 def test_exit_code_contract_on_garbage_profiles(text):
-    code, doc = _run_contract(["ame", "--dims", text, "--budget", "1000"])
+    code, doc = _run_contract(["ame", "--dims", text])
     if code == 0:
         assert doc["payload"]["profile"] == list(DimensionProfile.parse(text).dims)
 
@@ -518,7 +517,6 @@ def _positive_int(text):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(["budget", "cap-dim"]),
     st.booleans(),
     st.one_of(
         st.integers(-10, 10).map(str),
@@ -526,15 +524,15 @@ def _positive_int(text):
                 max_size=5),
     ),
 )
-def test_exit_code_contract_on_counts(tmp_path_factory, option, as_variable, text):
+def test_exit_code_contract_on_counts(tmp_path_factory, as_variable, text):
     # a count that is not an integer >= 1 is a usage error, flag or variable
     path = tmp_path_factory.mktemp("state") / "ghz3.json"
     path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    argv, env = _count_argv(option, path), []
+    argv, env = _count_argv(path), []
     if as_variable:
-        env.append(("KUNIFORM_" + option.upper().replace("-", "_"), text))
+        env.append(("KUNIFORM_CAP_DIM", text))
     else:
-        argv += ["--" + option, text]
+        argv += ["--cap-dim", text]
     code, _ = _run_contract(argv, env)
     assert (code == 2) == (not _positive_int(text))
 

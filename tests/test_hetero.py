@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -9,15 +10,9 @@ from hypothesis import strategies as st
 
 from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
-from kuniform.errors import (
-    MAX_PARTIES,
-    BudgetExceededError,
-    CapacityError,
-    NotApplicableError,
-)
+from kuniform.errors import MAX_PARTIES, CapacityError, NotApplicableError
 from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
-    DEFAULT_SUBSET_BUDGET,
     MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
     DimensionProfile,
@@ -138,6 +133,26 @@ def test_scott_check_worked_values():
         scott_check(DimensionProfile((2,) * 8), [0, 0, 1, 2, 3, 4])
 
 
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ((0, 1, 2, 3, 4, -9), "party index must be >= 0, got -9"),
+        ((0, 1, 2, 3, 4, 99), "party index 99 out of range"),
+        ((0, 1, 2, 3, 4, 9), "party index 9 out of range"),
+        ((0, True, 2, 3, 4, 5), "party index must be an integer, got True"),
+        ((0, 1, 2, 3, 4, 5.0), "party index must be an integer, got 5.0"),
+    ],
+    ids=["negative", "far", "just-past", "bool", "float"],
+)
+def test_scott_check_refuses_party_indices_outside_the_profile(subset, message):
+    # -9 once wrapped round to party 0 and counted the 3 twice, a false
+    # negative value on a profile with no negative 6-subset
+    profile = DimensionProfile.parse("3x1,2x8")
+    assert scott_search(profile) is None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scott_check(profile, subset)
+
+
 def test_pair_threshold_takes_exact_ints():
     # scott_pair_threshold(3, 2.5) once raised TypeError from Fraction
     with pytest.raises(ValueError, match="^d2 must be an integer"):
@@ -181,31 +196,109 @@ def test_scott_search_examples():
     assert homog43 is not None and homog43.value < 0
 
 
-def test_scott_search_budget_error():
-    dims = tuple(range(2, 22))  # 20 distinct dimensions, many multisets
-    with pytest.raises(BudgetExceededError):
-        scott_search(DimensionProfile(dims), budget=10)
+def _multiset_candidates(classes, size):
+    """Every draw of `size` parties from `classes`, one per dimension multiset.
+
+    The enumeration the sweep replaced: each class gives its lowest-numbered
+    parties, the larger classes drawn in full first, so the first draw is
+    the largest-first subset.
+    """
+    if not classes:
+        yield ()
+        return
+    (_, idxs), rest = classes[0], classes[1:]
+    room = sum(len(tail_idxs) for _, tail_idxs in rest)
+    for c in range(min(len(idxs), size), max(0, size - room) - 1, -1):
+        for tail in _multiset_candidates(rest, size - c):
+            yield idxs[:c] + tail
 
 
-def test_default_budget_covers_every_three_class_search_at_the_shadow_cap():
-    # equal classes give the most dimension multisets of a three-class profile
-    profile = DimensionProfile.parse("4x333,3x334,2x334")
-    assert profile.n_parties == MAX_SHADOW_PARTIES
+def _reference_search(profile):
+    """First negative dimension multiset in the enumeration's order, or None."""
     size = profile.n_parties // 2 + 2
-    assert sum(1 for _ in hetero._candidates(profile.classes, size)) == 83_999
-    assert 83_999 < DEFAULT_SUBSET_BUDGET
+    if size > profile.n_parties:
+        return None
+    for parties in _multiset_candidates(profile.classes, size):
+        subset = tuple(sorted(parties))
+        value = scott_check(profile, subset)
+        if value < 0:
+            return hetero.ScottWitness(subset, value)
+    return None
 
 
-def test_default_budget_stops_a_longer_search(monkeypatch):
-    # real evaluations cost O(N) each, so a search this long would take minutes
-    evaluated = []
-    monkeypatch.setattr(
-        hetero, "scott_check", lambda profile, subset: evaluated.append(1) or Fraction(1)
-    )
-    profile = DimensionProfile.parse("105x13,104x13,103x13,102x13,101x13,100x12")
-    with pytest.raises(BudgetExceededError, match="budget of 100000 evaluations"):
-        ame_verdict(profile)
-    assert len(evaluated) == DEFAULT_SUBSET_BUDGET
+def _assert_search_matches_the_reference(profile):
+    # the sweep and the enumeration agree on existence everywhere; on a
+    # Schmidt-feasible profile, the only kind `ame_verdict` searches, they
+    # also report the same witness
+    expected, got = _reference_search(profile), scott_search(profile)
+    assert (got is None) == (expected is None), profile.dims
+    if profile.schmidt_feasible():
+        assert got == expected, profile.dims
+    return got
+
+
+def test_search_matches_the_reference_on_every_small_feasible_profile():
+    rng = random.Random(2024)
+    feasible = witnesses = 0
+    for n in range(2, 13):
+        for dims in itertools.combinations_with_replacement((2, 3, 4, 5, 7, 9), n):
+            profile = DimensionProfile(rng.sample(dims, n))
+            if profile.schmidt_feasible():
+                feasible += 1
+                witnesses += _assert_search_matches_the_reference(profile) is not None
+    assert (feasible, witnesses) == (923, 5)
+
+
+def test_search_matches_the_reference_on_table_iv_families():
+    for d1_lo, d1_hi, d2, threshold, _ in tables.HETERO_TABLE:
+        for d1 in range(d1_lo, d1_hi + 1):
+            for n in range(1, threshold + 6):
+                for pos in (0, n, 2 * n):
+                    profile = DimensionProfile((d2,) * pos + (d1,) + (d2,) * (2 * n - pos))
+                    _assert_search_matches_the_reference(profile)
+
+
+@st.composite
+def few_class_profiles(draw):
+    dims = draw(st.lists(st.integers(2, 12), min_size=2, max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(dims), max_size=len(dims)))
+    parties = [d for d, c in zip(dims, counts) for _ in range(c)]
+    return DimensionProfile(draw(st.permutations(parties)))
+
+
+@given(few_class_profiles())
+def test_search_matches_the_reference_on_few_class_profiles(profile):
+    _assert_search_matches_the_reference(profile)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["105x13,104x13,103x13,102x13,101x13,100x12", "[" + ",".join(map(str, range(100, 141))) + "]"],
+    ids=["six-classes", "100..140"],
+)
+def test_ame_verdict_answers_at_once_with_many_classes(spec):
+    # 275 548 and 244 662 670 200 dimension multisets of floor(N/2)+2 parties
+    start = time.monotonic()
+    assert ame_verdict(DimensionProfile.parse(spec)).status == "unknown"
+    assert time.monotonic() - start < 1.0
+
+
+def test_search_checks_only_its_witness(monkeypatch):
+    calls = []
+
+    def counting_check(profile, subset):
+        calls.append(subset)
+        return scott_check(profile, subset)
+
+    monkeypatch.setattr(hetero, "scott_check", counting_check)
+    # no negative subset: no exact evaluation at all
+    assert scott_search(DimensionProfile.parse("3x1,2x8")) is None
+    assert calls == []
+    # the first draw is worth 1/2 here, so the witness is a later draw,
+    # evaluated once
+    witness = scott_search(DimensionProfile.parse("3x3,2x5"))
+    assert witness == hetero.ScottWitness((0, 1, 3, 4, 5, 6), Fraction(-1, 3))
+    assert calls == [witness.subset]
 
 
 def test_scott_search_matches_classical_condition_on_homogeneous():
@@ -379,15 +472,6 @@ def test_corollary7_verdict_evaluates_one_subset(monkeypatch):
     cert = ame_verdict(DimensionProfile.parse("2x1,4x34")).certificate
     assert cert.kind == "corollary7" and cert.threshold == 17
     assert calls == [cert.witness.subset]
-
-
-def test_corollary7_verdict_obeys_the_budget():
-    # the search is the only evaluation, so a zero budget refuses it too
-    with pytest.raises(BudgetExceededError):
-        ame_verdict(DimensionProfile.parse("2x1,4x34"), budget=0)
-    assert ame_verdict(DimensionProfile.parse("2x1,4x34"), budget=1).certificate.kind == (
-        "corollary7"
-    )
 
 
 def _casework_subset(profile, d1, d2):
