@@ -51,12 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumerators import WeightEnumerator, a_to_c
 from .errors import NotApplicableError, exact_int
-from .exact import binom, falling_binom, rat_to_str
+from .exact import rat_to_str
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -376,17 +377,26 @@ def recurrence_sum(offset: int, n: int) -> int:
     At even n = 2m the value ties back to the alpha test via
     alpha_(6m + 2b)(14m + offset) = -(N / (3m + b)) p_(2m) with b the band
     index; this identity is exercised in the test suite.
+
+    The sum is p_n = sum_(i=0..u) t_i with u = 3n - 1 + 2b, x = n + offset - 4b
+    and t_i = (-2)^i C(x+i, i) C(2u-i, u), the first binomial generalized to
+    a negative upper index.  It is walked by the term ratio
+
+        t_0 = C(2u, u),  t_(i+1) = -2 t_i (x+i+1)(u-i) / ((i+1)(2u-i)),
+
+    so each p_n costs O(u) small-integer steps.  Every t_(i+1) is an
+    integer, so each division is exact, and once x+i+1 = 0 makes a term
+    zero every later term stays zero, as the generalized binomial does.
+    This is still a direct sum, sharing nothing with the recurrence it
+    checks.
     """
     b = recurrence_block(offset)
-    upper = 3 * n - 1 + 2 * b
-    c0 = offset - 4 * b
-    total = 0
-    for i in range(upper + 1):
-        total += (
-            (-2) ** i
-            * falling_binom(i + n + c0, i)
-            * binom(2 * upper - i, upper)
-        )
+    u = 3 * n - 1 + 2 * b
+    x = n + offset - 4 * b
+    term = total = comb(2 * u, u)
+    for i in range(u):
+        term = -2 * term * (x + i + 1) * (u - i) // ((i + 1) * (2 * u - i))
+        total += term
     return total
 
 

@@ -44,6 +44,7 @@ the `DimensionProfile` constructor, however the profile was written.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +70,9 @@ MAX_SHADOW_PARTIES = 1001
 # 10 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark profiles
 # stay below 600 bits.
 MAX_SHADOW_BITS = 8192
+
+# one "<dim>x<count>" term of the text profile form
+_PROFILE_TERM = re.compile(r"([0-9]+)x([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,10 @@ class DimensionProfile:
     def parse(cls, text: str) -> "DimensionProfile":
         """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]".
 
+        Each term is ASCII digits, "x", ASCII digits, with whitespace only
+        around it; any other term ("1_0x1", "+3x1", "3 x 1", a non-ASCII
+        digit) raises ValueError.
+
         A JSON array must hold JSON integers only; floats, booleans, null,
         strings and nested arrays raise ValueError from the constructor's
         rule.  Raises CapacityError, before building the profile, when it
@@ -139,10 +147,12 @@ class DimensionProfile:
         terms: list[tuple[int, int]] = []
         for term in text.split(","):
             term = term.strip()
-            parts = term.split("x")
-            if len(parts) != 2:
-                raise ValueError(f"bad profile term {term!r}, expected <dim>x<count>")
-            dim, count = int(parts[0]), int(parts[1])
+            match = _PROFILE_TERM.fullmatch(term)
+            if match is None:
+                raise ValueError(
+                    f"bad profile term {term!r}, expected <dim>x<count> in ASCII digits"
+                )
+            dim, count = int(match[1]), int(match[2])
             terms.append((dim, exact_int(count, f"multiplicity in {term!r}", 1)))
         # sized before any list is built, so a huge multiplicity allocates nothing
         check_party_count(sum(count for _, count in terms))

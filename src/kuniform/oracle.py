@@ -19,8 +19,16 @@ From the subset purities everything else follows exactly:
 Both run on integers: every purity is an integer numerator over the one
 common denominator norm2^2 (norm2 the squared norm of the state with its
 amplitudes scaled to Gaussian integers), so the inversion and the
-subset sum add and subtract ints only, and each output coefficient is
+subset sum add and multiply ints only, and each output coefficient is
 one division at the end.
+
+The inner sum of the shadow depends on S only through its size m:
+sum_{|T|=j} (-1)^(|S cap T^c|) = K_(N-j)(m; N), the binary Krawtchouk
+polynomial, the coefficient of z^(N-j) in (1-z)^m (1+z)^(N-m)
+(MacWilliams and Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
+So s_j = sum_m W_m K_(N-j)(m), with W_m the weights summed over the
+subsets of size m: one contraction with an (N+1)^2 integer table,
+`_krawtchouk_shadow`, after the weights are grouped by size.
 
 These are test fixtures, not production paths: Hilbert dimension is
 capped (default 4096) and the shadow sum at 12 parties, with hard errors
@@ -36,9 +44,14 @@ profile of a hypothetical AME state on a dimension profile
 to the heterogeneous shadow coefficients of `hetero.hetero_shadow`;
 `cross_validate_ame_shadow` compares the two routes.  Every D_S divides
 the total dimension D, so that profile is the integer weight
-max(D_S, D / D_S) over the common denominator D.  The subset sum itself
-is one integer parity butterfly, `_parity_shadow`, shared by the state
-and AME routes and by `shadow_from_purities`.
+max(D_S, D / D_S) over the common denominator D.  The contraction is
+shared by the state route, `shadow_from_purities` and the AME route;
+they differ in how W_m is grouped.  A state's purities, or a given
+table, are summed over the 2^N bitmasks by popcount, as
+`direct_enumerator` groups them.  An AME weight depends on S only
+through how many parties of each dimension class it holds, so W_m sums
+C(n_c, a_c)-weighted class count vectors a of total m and never lists
+the 2^N subsets.
 """
 
 from __future__ import annotations
@@ -302,9 +315,7 @@ def direct_enumerator(
     """
     n, d = state.profile.n_parties, _local_dim(state)
     nums, denom = _purity_numerators(state, dim_cap)
-    w = [0] * (n + 1)
-    for mask, v in enumerate(nums):
-        w[mask.bit_count()] += v
+    w = _by_subset_size(nums)
     a = (
         sum((-1) ** (j - u) * comb(n - u, j - u) * d**u * w[u] for u in range(j + 1))
         for j in range(n + 1)
@@ -320,30 +331,45 @@ def _check_shadow_party_count(n_parties: int) -> None:
         )
 
 
-def _parity_shadow(weights: Sequence[int]) -> list[int]:
-    """s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) w(S) for integer weights w.
-
-    The parity transform g(M) = sum_S (-1)^(|S cap M|) w(S) is computed by
-    the standard in-place butterfly on a copy of `weights`; s_j then
-    aggregates g over the complements of the weight-j masks.
-    """
+def _by_subset_size(weights: Sequence[int]) -> list[int]:
+    """W_m = sum of weights[mask] over the masks of popcount m, m = 0..N."""
     size = len(weights)
-    n = size.bit_length() - 1
-    if size != 1 << n:
+    if size < 1 or size & (size - 1):
         raise ValueError("purity table must have length 2^N")
-    g = list(weights)
-    step = 1
-    while step < size:
-        for start in range(0, size, 2 * step):
-            for idx in range(start, start + step):
-                a, b = g[idx], g[idx + step]
-                g[idx], g[idx + step] = a + b, a - b
-        step *= 2
-    s = [0] * (n + 1)
-    for mask in range(size):
-        # T is the complement of mask, of weight n - |mask|
-        s[n - mask.bit_count()] += g[mask]
-    return s
+    w = [0] * size.bit_length()
+    for mask, v in enumerate(weights):
+        w[mask.bit_count()] += v
+    return w
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows K(m) = (K_0(m), ..., K_N(m)) of the binary Krawtchouk polynomials.
+
+    K_k(m) is the coefficient of z^k in P_m = (1-z)^m (1+z)^(N-m).  Row 0
+    is C(N, k); since (1+z) P_(m+1) = (1-z) P_m, each further row is one
+    pass K_k(m+1) = K_k(m) - K_(k-1)(m) - K_(k-1)(m+1), O(N^2) in all.
+    """
+    row = [comb(n, k) for k in range(n + 1)]
+    rows = [tuple(row)]
+    for _ in range(n):
+        prev, row = row, [1] + [0] * n
+        for k in range(1, n + 1):
+            row[k] = prev[k] - prev[k - 1] - row[k - 1]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _krawtchouk_shadow(w: Sequence[int]) -> list[int]:
+    """s_j = sum_m W_m K_(N-j)(m; N) for integer weights W_0 .. W_N by size.
+
+    Equal to sum_{|T|=j} sum_S (-1)^(|S cap T^c|) w(S) for any subset
+    weights w with size sums W_m, since the inner sum over T is
+    K_(N-j)(|S|).
+    """
+    n = len(w) - 1
+    rows = _krawtchouk_table(n)
+    return [sum(wm * row[n - j] for wm, row in zip(w, rows)) for j in range(n + 1)]
 
 
 def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -351,12 +377,13 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
     Evaluates s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) pur(S): the
     purities are brought to integer weights over one denominator, the lcm
-    of theirs, the integer parity butterfly `_parity_shadow` sums them,
-    and each s_j is one division at the end.  Exactly equal to the nested
-    double sum, which the test suite pins on small instances.
+    of theirs, summed by subset size and contracted with the Krawtchouk
+    table (`_krawtchouk_shadow`); each s_j is one division at the end.  A
+    table whose length is not 2^N raises ValueError.  Exactly equal to
+    the nested double sum, which the test suite pins on small instances.
     """
     weights, den = _clear_denominators(purities)
-    return tuple(Fraction(v, den) for v in _parity_shadow(weights))
+    return tuple(Fraction(v, den) for v in _krawtchouk_shadow(_by_subset_size(weights)))
 
 
 def direct_shadow(state: PureState, dim_cap: int = DEFAULT_DIM_CAP) -> ShadowEnumerator:
@@ -364,7 +391,7 @@ def direct_shadow(state: PureState, dim_cap: int = DEFAULT_DIM_CAP) -> ShadowEnu
     n, d = state.profile.n_parties, _local_dim(state)
     _check_shadow_party_count(n)
     nums, denom = _purity_numerators(state, dim_cap)
-    s = tuple(Fraction(v, denom) for v in _parity_shadow(nums))
+    s = tuple(Fraction(v, denom) for v in _krawtchouk_shadow(_by_subset_size(nums)))
     return ShadowEnumerator(n, d, s)
 
 
@@ -380,17 +407,24 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     of the S / complement split, so Tr(rho_S^2) = 1 / min(D_S, D_S^c).
     That profile is consistent only on Schmidt-feasible profiles; callers
     compare the result against `hetero.hetero_shadow` there.
+
+    The weight max(D_S, D / D_S) of S depends only on the count a_c of
+    parties it holds in each class c of `DimensionProfile.classes`, so
+    the size sums are W_m = sum_{sum a = m} prod_c C(n_c, a_c)
+    max(D_a, D / D_a) with D_a = prod_c d_c^(a_c), over the count vectors
+    a rather than the 2^N subsets; `_krawtchouk_shadow` contracts them.
     """
     n = profile.n_parties
     _check_shadow_party_count(n)
     total = profile.total_dim
-    d_sub = [1] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        d_sub[mask] = d_sub[mask & (mask - 1)] * profile.dims[low]
-    # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
-    weights = [max(d_s, total // d_s) for d_s in d_sub]
-    return tuple(Fraction(v, total) for v in _parity_shadow(weights))
+    classes = [(d, len(parties)) for d, parties in profile.classes]
+    w = [0] * (n + 1)
+    for counts in itertools.product(*(range(size + 1) for _, size in classes)):
+        d_a = prod(d**a for (d, _), a in zip(classes, counts))
+        ways = prod(comb(size, a) for (_, size), a in zip(classes, counts))
+        # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
+        w[sum(counts)] += ways * max(d_a, total // d_a)
+    return tuple(Fraction(v, total) for v in _krawtchouk_shadow(w))
 
 
 def cross_validate_ame_shadow() -> tuple[int, list[str]]:

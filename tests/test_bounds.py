@@ -28,6 +28,7 @@ from kuniform.bounds import (
     verify_recurrence,
 )
 from kuniform.errors import NotApplicableError
+from kuniform.exact import binom, falling_binom
 from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
 
 
@@ -308,6 +309,26 @@ def test_recurrence_sum_ties_back_to_alpha():
                 continue
             expected = Fraction(-n_parties, 3 * m + block) * recurrence_sum(offset, 2 * m)
             assert alpha_closed_form(n_parties, 3, index) == expected
+
+
+def _recurrence_sum_reference(offset, n):
+    """The literal sum of p_n, two fresh binomials per term."""
+    b = recurrence_block(offset)
+    upper = 3 * n - 1 + 2 * b
+    c0 = offset - 4 * b
+    return sum(
+        (-2) ** i * falling_binom(i + n + c0, i) * binom(2 * upper - i, upper)
+        for i in range(upper + 1)
+    )
+
+
+def test_recurrence_sum_equals_the_literal_sum():
+    # the term-ratio walk against the literal sum, every offset, n = 1..32
+    for offset in range(-4, 10):
+        for n in range(1, 33):
+            assert recurrence_sum(offset, n) == _recurrence_sum_reference(offset, n), (
+                offset, n
+            )
 
 
 def test_poly_eval():

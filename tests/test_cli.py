@@ -120,6 +120,26 @@ def test_ame_bad_profile(capsys):
     assert main(["ame", "--dims", "banana"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0x1,2x2", "+3x1,2x2", "3 x 1,2x2", "\u0663x1,2x2", "3x1,2x\uff12", "3x-1,2x2"],
+    ids=["underscore", "sign", "inner-space", "arabic-indic-digit", "fullwidth-digit",
+         "negative-count"],
+)
+def test_ame_profile_terms_are_ascii_digits(capsys, text):
+    # int() once read these, as [10, 2, 2] and [3, 2, 2]
+    assert main(["ame", "--dims", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kuniform: bad profile term")
+
+
+def test_ame_profile_allows_whitespace_around_terms(capsys):
+    for text in ("3x1, 2x2", " 3x1 ,2x2 ", "[3, 2, 2]"):
+        code, doc = run_json(capsys, "ame", "--dims", text)
+        assert code == 0 and doc["payload"]["profile"] == [3, 2, 2], text
+
+
 def test_ame_takes_no_budget_flag():
     # the subset search evaluates at most floor(N/2)+3 draws, so it needs no cap
     with pytest.raises(SystemExit) as exc:

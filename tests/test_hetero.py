@@ -51,6 +51,10 @@ def test_profile_parsing():
         DimensionProfile.parse("3,2")
     with pytest.raises(ValueError):
         DimensionProfile.parse("3x0")
+    assert DimensionProfile.parse(" 3x1 , 2x2 ").dims == (3, 2, 2)
+    for text in ("1_0x1,2x2", "+3x1,2x2", "3 x 1,2x2", "\u0663x1,2x2", "3x1,"):
+        with pytest.raises(ValueError, match="^bad profile term"):
+            DimensionProfile.parse(text)
     with pytest.raises(ValueError):
         DimensionProfile((2,))
     with pytest.raises(ValueError):

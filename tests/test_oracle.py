@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile, hetero_shadow
 from kuniform.oracle import (
     PureState,
+    _krawtchouk_table,
     ame_shadow_oracle,
     direct_enumerator,
     direct_shadow,
@@ -336,3 +338,47 @@ def test_direct_routes_equal_the_fraction_route(corpus):
         pur = purity_table(state)
         assert direct_enumerator(state).coeffs == _inversion_reference(n, d, pur), name
         assert direct_shadow(state).coeffs == _fraction_butterfly(pur), name
+
+
+def _profile_at(classes, n, skewed):
+    """N parties over `classes`: one of each but the first, or spread evenly."""
+    if skewed:
+        return (classes[0],) * (n - len(classes) + 1) + classes[1:]
+    return tuple(sorted(classes[i % len(classes)] for i in range(n)))
+
+
+def test_grouped_ame_oracle_equals_the_fraction_route_at_the_cap():
+    # class count vectors against the 2^N-subset Fraction butterfly, with
+    # three and four classes, at N = 10..12 and in both party orders
+    class_sets = [c for k in (3, 4) for c in itertools.combinations((2, 3, 4, 5), k)]
+    for classes in class_sets:
+        for n in (10, 11, 12):
+            dims = _profile_at(classes, n, skewed=n == 11)
+            assert len(DimensionProfile(dims).classes) == len(classes)
+            for order in (dims, dims[::-1]):
+                assert ame_shadow_oracle(DimensionProfile(order)) == (
+                    _ame_oracle_reference(order)
+                ), order
+
+
+def test_direct_shadow_equals_the_fraction_route_at_the_cap():
+    state = ghz_state(12, 2)
+    assert direct_shadow(state).coeffs == _fraction_butterfly(purity_table(state))
+
+
+def test_shadow_from_purities_refuses_a_table_not_of_length_two_to_the_n():
+    for size in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match="length 2\\^N"):
+            shadow_from_purities([Fraction(1)] * size)
+
+
+def test_krawtchouk_table_equals_its_defining_sum():
+    # K_k(m) = sum_l (-1)^l C(m, l) C(N-m, k-l), coefficient of z^k in
+    # (1-z)^m (1+z)^(N-m)
+    for n in range(13):
+        table = _krawtchouk_table(n)
+        for m in range(n + 1):
+            assert table[m] == tuple(
+                sum((-1) ** l * comb(m, l) * comb(n - m, k - l) for l in range(k + 1))
+                for k in range(n + 1)
+            ), (n, m)
