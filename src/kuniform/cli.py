@@ -22,17 +22,20 @@ with exit 1 and nothing on stderr.
 
 A subcommand reads only its own variables: an explicit flag wins over
 its variable, and an invalid value of a variable the subcommand reads is
-a usage error, as are a --cap-dim below 1, a negative
+a usage error, as are an integer not written in ASCII digits with an
+optional "-" (`1_0`, `+3`, ` 3`), a --cap-dim below 1, a negative
 --check-uniform, a --d or a party count of `bound` below 2 (each checked
-once, by `errors.exact_int`) and a flag given to a subcommand that does
+once, by `errors.read_int`) and a flag given to a subcommand that does
 not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
-above errors.MAX_PARTIES (in `bound --n`, `bound --n-range` and the
-`ame --dims` profile) are refused with a capacity error before any work.
-Below that cap no request needs a search limit: each bound is an O(N)
-sign scan, and `bound --d 5 --n-range 2:4096` runs in about 9 s with a
-32 MB peak resident set (2-core VM); the subset search behind `ame`
-evaluates at most floor(N/2)+3 draws.
+above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
+`ame --dims` profile and a state file) are refused with a capacity error
+before any work, and so is a profile whose dimensions take more than
+errors.MAX_DIM_BITS bits.  Below those caps no request needs a search
+limit: each bound is an O(N) sign scan, and `bound --d 5 --n-range
+2:4096` runs in about 9 s with a 32 MB peak resident set (2-core VM); the
+subset search behind `ame` evaluates at most floor(N/2)+3 draws, in
+under 0.3 s on the widest profiles.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     CapacityError,
     NotApplicableError,
     check_party_count,
-    exact_int,
+    read_int,
 )
 from .hetero import DimensionProfile, ame_verdict
 
@@ -90,29 +93,25 @@ def _csv_asked(args) -> bool:
     return raw == "csv"
 
 
-def _count(flag: Optional[int], option: str, fallback: int) -> int:
+def _count(flag: Optional[str], option: str, fallback: int) -> int:
     """`flag` if given, else the variable KUNIFORM_<OPTION> if set, else `fallback`.
 
-    Flag or variable passes the exact-int rule with least 1; any other
+    Flag or variable must be an integer >= 1 (`_usage_int`); any other
     value is a usage error naming its source.
     """
-    what, value = "--" + option, flag
+    what, text = "--" + option, flag
     if flag is None:
         what = ENV_PREFIX + option.upper().replace("-", "_")
-        value = os.environ.get(what)
-        if value is None:
+        text = os.environ.get(what)
+        if text is None:
             return fallback
-        try:
-            value = int(value)
-        except ValueError:
-            pass  # the rule names the text it refuses
-    return _usage_int(value, what, 1)
+    return _usage_int(text, what, 1)
 
 
-def _usage_int(value, what: str, least: int) -> int:
-    """`errors.exact_int` on a command-line value; a refusal is a usage error."""
+def _usage_int(text: str, what: str, least: int) -> int:
+    """`errors.read_int` on a command-line value; a refusal is a usage error."""
     try:
-        return exact_int(value, what, least)
+        return read_int(text, what, least)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -126,9 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="upper bounds on k")
     p_bound.set_defaults(run=_run_bound)
-    p_bound.add_argument("--d", type=int, required=True, help="local dimension")
+    p_bound.add_argument("--d", required=True, help="local dimension")
     group = p_bound.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="single party count")
+    group.add_argument("--n", help="single party count")
     group.add_argument("--n-range", help="inclusive party-count range A:B")
 
     p_table = sub.add_parser("table", help="reproduce a reference table")
@@ -151,11 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_state.set_defaults(run=_run_state)
     p_state.add_argument("--file", required=True, help="state JSON file")
     state_group = p_state.add_mutually_exclusive_group(required=True)
-    state_group.add_argument("--check-uniform", type=int, metavar="K")
+    state_group.add_argument("--check-uniform", metavar="K")
     state_group.add_argument("--enumerate", action="store_true")
     p_state.add_argument(
         "--cap-dim",
-        type=int,
         help="Hilbert-dimension cap for state brute force (env KUNIFORM_CAP_DIM)",
     )
 
@@ -176,13 +174,10 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise _UsageError(f"--n-range expects A:B, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise _UsageError(f"--n-range expects integers, got {text!r}") from exc
+    lo, hi = _usage_int(parts[0], "--n-range A", 2), _usage_int(parts[1], "--n-range B", 2)
     if lo > hi:
         raise _UsageError(f"--n-range expects A <= B, got {text!r}")
-    return _usage_int(lo, "--n-range A", 2), _usage_int(hi, "--n-range B", 2)
+    return lo, hi
 
 
 def _run_bound(args) -> tuple[str, dict, Optional[str]]:
@@ -239,7 +234,7 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
     k = args.check_uniform
     if k is not None:
         # above N//2 depends on the file, so only the sign is a usage error
-        _usage_int(k, "--check-uniform", 0)
+        k = _usage_int(k, "--check-uniform", 0)
     try:
         state = oracle.PureState.load(args.file)
     except (OSError, ValueError) as exc:

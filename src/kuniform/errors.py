@@ -7,7 +7,8 @@ and an input exceeding a configured capacity cap.
 `MAX_PARTIES` caps the party count a command accepts from outside the
 program, so that a huge request fails at once with a `CapacityError`
 instead of running without end or exhausting memory.  It sits well above
-every size in use (the published tables reach N = 276).
+every size in use (the published tables reach N = 276).  `MAX_DIM_BITS`
+caps the summed bit lengths of a profile's dimensions in the same way.
 
 Every value from outside the program (an argument, a JSON document, a
 command-line count) passes one input rule below, once, where it enters;
@@ -15,8 +16,18 @@ each raises ValueError naming the value it refuses.
 """
 
 import json
+import re
 
 MAX_PARTIES = 4096
+# The bit lengths of a profile's dimensions, summed over its parties, bound
+# the size of every integer the subset search and the Schmidt test handle.
+# The widest searches run on 4095 parties of a few near-equal dimensions,
+# such as (2^16-1)x2047,(2^16-2)x2048: `ame` takes 0.18-0.26 s there at
+# this cap, and 0.42-0.52 s at twice it (2-core VM, Python 3.11).
+MAX_DIM_BITS = 65536
+
+# an integer as the command line and the profile grammar write it
+_INT_TEXT = re.compile(r"-?[0-9]+")
 
 
 class NotApplicableError(RuntimeError):
@@ -33,6 +44,21 @@ def check_party_count(n_parties: int) -> None:
         raise CapacityError(
             f"party count {n_parties} exceeds the cap of {MAX_PARTIES} parties"
         )
+
+
+def read_int(text: str, what: str, least: int) -> int:
+    """The integer `text` writes in ASCII digits with an optional "-", by `exact_int`.
+
+    Any other text, such as "1_0", "+3", " 3" or a non-ASCII digit, which
+    Python's `int()` would read, raises ValueError naming `text`.
+    """
+    if _INT_TEXT.fullmatch(text) is None:
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # above the interpreter's limit on digits converted
+        raise ValueError(f"{what} has {len(text)} digits, more than Python converts") from None
+    return exact_int(value, what, least)
 
 
 def exact_int(value, what: str, least: int) -> int:

@@ -38,25 +38,30 @@ evaluation.  A profile above the shadow's caps still gets any verdict an
 earlier test reaches; only one that needs the shadow test raises
 CapacityError.
 
-A profile's dimensions pass the input rule `errors.exact_ints` once, in
-the `DimensionProfile` constructor, however the profile was written.
+A profile is held by its classes.  The `DimensionProfile` constructor,
+which every profile passes however it was written (`parse`, a state
+file, a library call), checks the dimensions by `errors.exact_ints`,
+builds the class view once and applies the size rules.  The total
+dimension, the Schmidt test and the subset search take one power per
+class, and the search walks class counts.
 """
 
 from __future__ import annotations
 
-import re
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from itertools import accumulate
+from math import prod
 from typing import Iterable, Optional
 
 from .errors import (
+    MAX_DIM_BITS,
     CapacityError,
     NotApplicableError,
     check_party_count,
     exact_int,
     exact_ints,
+    read_int,
     read_json,
 )
 from .exact import elem_sym_prefix, rat_to_str, substitute
@@ -71,25 +76,41 @@ MAX_SHADOW_PARTIES = 1001
 # stay below 600 bits.
 MAX_SHADOW_BITS = 8192
 
-# one "<dim>x<count>" term of the text profile form
-_PROFILE_TERM = re.compile(r"([0-9]+)x([0-9]+)")
-
-
 @dataclass(frozen=True)
 class DimensionProfile:
     """Ordered local dimensions d_1 .. d_N of a multipartite system.
 
     `dims` is a list or tuple of exact ints >= 2 (`errors.exact_ints`); a
     float, a bool or any other value raises ValueError instead of being
-    truncated.
+    truncated.  The constructor builds the class view `classes` once and
+    raises CapacityError, before any product of dimensions, above
+    `errors.MAX_PARTIES` parties or when the dimensions' bit lengths sum
+    to more than `errors.MAX_DIM_BITS`.
     """
 
     dims: tuple[int, ...]
+    # the distinct dimensions, largest first, each with its party indices
+    # ascending; the one grouping of a profile by dimension
+    classes: tuple[tuple[int, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", exact_ints(self.dims, "dims", 2))
-        if len(self.dims) < 2:
+        dims = exact_ints(self.dims, "dims", 2)
+        if len(dims) < 2:
             raise ValueError("a profile needs at least 2 parties")
+        check_party_count(len(dims))
+        by_dim: dict[int, list[int]] = {}
+        for idx, d in enumerate(dims):
+            by_dim.setdefault(d, []).append(idx)
+        classes = tuple((d, tuple(by_dim[d])) for d in sorted(by_dim, reverse=True))
+        bits = sum(d.bit_length() * len(idxs) for d, idxs in classes)
+        if bits > MAX_DIM_BITS:
+            raise CapacityError(
+                f"the dimensions take {bits} bits, above the cap of {MAX_DIM_BITS} bits"
+            )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def n_parties(self) -> int:
@@ -97,63 +118,50 @@ class DimensionProfile:
 
     @property
     def total_dim(self) -> int:
-        return prod(self.dims)
-
-    @property
-    def classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The distinct dimensions, largest first, each with its party indices ascending.
-
-        The one grouping of a profile by dimension: the subset search
-        concatenates it into its draw order, and the pair-family test
-        reads it.
-        """
-        by_dim: dict[int, list[int]] = {}
-        for idx, d in enumerate(self.dims):
-            by_dim.setdefault(d, []).append(idx)
-        return tuple((d, tuple(by_dim[d])) for d in sorted(by_dim, reverse=True))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.classes) == 1
+        return prod(d ** len(idxs) for d, idxs in self.classes)
 
     def schmidt_feasible(self) -> bool:
         """Every floor(N/2)-subset must have product at most its complement's.
 
-        Checked on the worst case (the largest dimensions), which dominates
-        all other subsets.
+        Checked on the worst case, the floor(N/2) parties of largest
+        dimension (taken class by class), which dominates all other subsets.
         """
-        half = self.n_parties // 2
-        largest = prod(sorted(self.dims, reverse=True)[:half])
+        left, largest = self.n_parties // 2, 1
+        for d, idxs in self.classes:
+            take = min(left, len(idxs))
+            largest *= d**take
+            left -= take
         return largest * largest <= self.total_dim
 
     @classmethod
     def parse(cls, text: str) -> "DimensionProfile":
         """Parse "<dim>x<count>,..." (e.g. "3x1,2x10") or a JSON array "[3,2,2]".
 
-        Each term is ASCII digits, "x", ASCII digits, with whitespace only
-        around it; any other term ("1_0x1", "+3x1", "3 x 1", a non-ASCII
-        digit) raises ValueError.
+        Each term is a dimension >= 2, "x" and a count >= 1, both read by
+        `errors.read_int`, with whitespace only around the term; any other
+        term ("1_0x1", "+3x1", "3 x 1", a non-ASCII digit) raises
+        ValueError.
 
         A JSON array must hold JSON integers only; floats, booleans, null,
         strings and nested arrays raise ValueError from the constructor's
-        rule.  Raises CapacityError, before building the profile, when it
-        has more than `errors.MAX_PARTIES` parties.
+        rule, and the constructor applies the size rules.  A term list
+        that sums to more than `errors.MAX_PARTIES` parties raises
+        CapacityError before any list is built.
         """
         text = text.strip()
         if text.startswith("["):
             # text starting with "[" parses to an array or not at all
-            dims_list = read_json(text, "profile JSON")
-            check_party_count(len(dims_list))
-            return cls(dims_list)
+            return cls(read_json(text, "profile JSON"))
         terms: list[tuple[int, int]] = []
         for term in text.split(","):
             term = term.strip()
-            match = _PROFILE_TERM.fullmatch(term)
-            if match is None:
-                raise ValueError(
-                    f"bad profile term {term!r}, expected <dim>x<count> in ASCII digits"
+            dim_text, _, count_text = term.partition("x")
+            try:
+                terms.append(
+                    (read_int(dim_text, "dimension", 2), read_int(count_text, "count", 1))
                 )
-            dim, count = int(match[1]), int(match[2])
-            terms.append((dim, exact_int(count, f"multiplicity in {term!r}", 1)))
+            except ValueError as exc:
+                raise ValueError(f"bad profile term {term!r}: {exc}") from None
         # sized before any list is built, so a huge multiplicity allocates nothing
         check_party_count(sum(count for _, count in terms))
         dims: list[int] = []
@@ -203,10 +211,13 @@ def scott_search(profile: DimensionProfile) -> Optional[ScottWitness]:
     With m = floor(N/2)+2 and `order` the parties of
     `DimensionProfile.classes` concatenated (largest dimension first), the
     search evaluates the m+1 extreme draws order[:j] + order[N-m+j:] for
-    j = m..0; each step moves one party.  The first negative draw is the
-    witness, reported as the lowest-numbered parties of each class in it,
-    so the j = m draw, the largest-first subset, is the Corollary 7
-    witness.  `scott_check` runs once, on the witness.
+    j = m..0; each step moves one party.  A draw is held by its class
+    counts, the number of its parties in each class, and a step that
+    moves a party within one class leaves them, and the value, unchanged.
+    The first negative draw is the witness, read from its counts as the
+    lowest-numbered parties of each class, so the j = m draw, the
+    largest-first subset, is the Corollary 7 witness.  `scott_check` runs
+    once, on the witness.
 
     Why the extreme draws decide: a subset A is negative exactly when
     f(A) = P(A) (S(A) - 1) > (floor(N/2)+1) D, with P the product of the
@@ -222,31 +233,45 @@ def scott_search(profile: DimensionProfile) -> Optional[ScottWitness]:
     extreme draw maximises f, and a negative subset exists iff a
     negative extreme draw does.
 
-    The sign test runs on integers: with den the lcm of the class
-    squares and r(A) the sum of den/d_i^2 over A, f(A) den =
-    P(A) (r(A) - den), and each step updates P(A) and r(A) by the one
-    party it moves.
+    The sign test runs on integers: Q(A) = P(A) S(A), the sum of the
+    P(A)/d_i^2 over A, is an integer, and f(A) = Q(A) - P(A).  The first draw
+    takes one power per class; a step that moves a party of dimension o
+    out and one of dimension i in sets P' = (P/o^2) i^2 and
+    Q' = (Q - P/o^2) i^2/o^2 + P/o^2, each division exact.
     """
     n, half = profile.n_parties, profile.n_parties // 2
     size = half + 2
     if size > n:
         return None
-    classes, dims = profile.classes, profile.dims
-    order = [i for _, idxs in classes for i in idxs]
-    den = lcm(*(d * d for d, _ in classes))
-    bound = (half + 1) * profile.total_dim * den
-    prod_sq = prod(dims[i] ** 2 for i in order[:size])
-    recip = sum(den // dims[i] ** 2 for i in order[:size])
+    classes = profile.classes
+    squares = [d * d for d, _ in classes]
+    # the j = m draw takes the classes largest first
+    counts, left = [], size
+    for _, idxs in classes:
+        counts.append(min(left, len(idxs)))
+        left -= counts[-1]
+    # the position in `order` of each class's first party
+    starts = list(accumulate((len(idxs) for _, idxs in classes[:-1]), initial=0))
+    prod_sq = prod(sq**a for sq, a in zip(squares, counts))
+    scaled = sum(a * (prod_sq // sq) for sq, a in zip(squares, counts) if a)
+    bound = (half + 1) * profile.total_dim
+    # the classes of the parties order[j] and order[N-m+j] the step moves
+    out = into = len(classes) - 1
     for j in range(size, -1, -1):
         if j < size:
-            out, into = dims[order[j]] ** 2, dims[order[n - size + j]] ** 2
+            while starts[out] > j:
+                out -= 1
+            while starts[into] > n - size + j:
+                into -= 1
             if out == into:
-                continue  # the same dimensions as the draw before, so the same value
-            prod_sq = prod_sq // out * into
-            recip += den // into - den // out
-        if prod_sq * (recip - den) > bound:
-            counts = Counter(dims[i] for i in order[:j] + order[n - size + j :])
-            subset = tuple(sorted(i for d, idxs in classes for i in idxs[: counts[d]]))
+                continue
+            counts[out] -= 1
+            counts[into] += 1
+            part = prod_sq // squares[out]
+            scaled = (scaled - part) // squares[out] * squares[into] + part
+            prod_sq = part * squares[into]
+        if scaled - prod_sq > bound:
+            subset = tuple(sorted(i for (_, idxs), a in zip(classes, counts) for i in idxs[:a]))
             return ScottWitness(subset, scott_check(profile, subset))
     return None
 

@@ -178,9 +178,11 @@ def product_zero_state(n_parties: int, local_dim: int = 2) -> PureState:
 
 
 def _check_dim_cap(state: PureState, dim_cap: int) -> None:
-    if state.profile.total_dim > dim_cap:
+    # the size in bits, since a total dimension may have too many digits to print
+    total = state.profile.total_dim
+    if total > dim_cap:
         raise CapacityError(
-            f"Hilbert dimension {state.profile.total_dim} exceeds cap {dim_cap}"
+            f"Hilbert dimension of {total.bit_length()} bits exceeds cap {dim_cap}"
         )
 
 
@@ -295,7 +297,7 @@ def is_k_uniform(
 
 def _local_dim(state: PureState) -> int:
     """The one local dimension of a homogeneous state, else NotApplicableError."""
-    if not state.profile.is_homogeneous():
+    if len(state.profile.classes) != 1:
         raise NotApplicableError(
             "weight and shadow distributions are defined for homogeneous profiles"
         )

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -50,6 +51,42 @@ def test_bound_range_csv(capsys):
 def test_bound_qubit_example(capsys):
     code, doc = run_json(capsys, "bound", "--d", "2", "--n", "10")
     assert doc["payload"]["records"][0]["k_max"] == 3
+
+
+_ENUMERATE = ["state", "--file", "ghz3.json", "--enumerate"]
+
+
+@pytest.mark.parametrize(
+    "argv, what, text",
+    [
+        (["bound", "--d", "3", "--n", "1_0"], "--n", "1_0"),
+        (["bound", "--d", "3", "--n", "\u0663"], "--n", "\u0663"),
+        (["bound", "--d", " 3", "--n", "5"], "--d", " 3"),
+        (["bound", "--d", "3", "--n-range", "+3:4"], "--n-range A", "+3"),
+        (["bound", "--d", "3", "--n-range", "3:4\n"], "--n-range B", "4\n"),
+        (["state", "--file", "ghz3.json", "--check-uniform", "1_0"], "--check-uniform", "1_0"),
+        (_ENUMERATE + ["--cap-dim", "+64"], "--cap-dim", "+64"),
+        (_ENUMERATE, "KUNIFORM_CAP_DIM", "1_0"),
+        (_ENUMERATE, "KUNIFORM_CAP_DIM", "\uff18"),
+        (_ENUMERATE, "KUNIFORM_CAP_DIM", " 8"),
+    ],
+)
+def test_cli_integers_are_ascii_digits(tmp_path, capsys, monkeypatch, argv, what, text):
+    # int() once read each of these, so `bound --n 1_0` was answered for N = 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ghz3.json").write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    if what.startswith("KUNIFORM_"):
+        monkeypatch.setenv(what, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kuniform: {what} must be an integer, got {text!r}\n"
+
+
+def test_cli_integer_above_the_digit_limit_names_its_flag(capsys):
+    # Python's int() refuses more than 4300 digits with a message naming no flag
+    assert main(["bound", "--d", "3", "--n", "9" * 5000]) == 2
+    assert capsys.readouterr().err == "kuniform: --n has 5000 digits, more than Python converts\n"
 
 
 def test_bound_usage_errors(capsys):
@@ -132,6 +169,20 @@ def test_ame_profile_terms_are_ascii_digits(capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("kuniform: bad profile term")
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [f"{10**100 + 1}x2047,{10**100}x2048", f"{10**1000 + 1}x1,{10**1000}x1000"],
+    ids=["2047-and-2048-of-10^100", "1001-of-10^1000"],
+)
+def test_ame_wide_dimensions_fail_at_once(capsys, dims):
+    # these once took 20.5 s and 17.9 s before a capacity error
+    start = time.monotonic()
+    code, doc = run_json(capsys, "ame", "--dims", dims)
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and doc["status"] == "error"
+    assert "above the cap of 65536 bits" in doc["payload"]["error"]
 
 
 def test_ame_profile_allows_whitespace_around_terms(capsys):
@@ -289,6 +340,29 @@ def test_state_capacity_error(tmp_path, capsys):
         capsys, "state", "--file", str(path), "--enumerate", "--cap-dim", "4"
     )
     assert code == 1 and doc["status"] == "error"
+
+
+def test_state_dim_cap_error_names_bits(tmp_path, capsys):
+    # the dimension 100^4096 once went into the message, and printing its
+    # 8193 digits raised Python's integer string conversion limit instead
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(product_zero_state(4096, 100).to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
+    assert code == 1 and doc["status"] == "error"
+    bits = (100**4096).bit_length()
+    assert doc["payload"]["error"] == f"Hilbert dimension of {bits} bits exceeds cap 4096"
+
+
+def test_state_file_party_cap(tmp_path, capsys):
+    # a state file once reached the brute force with no party cap at all
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"dims": [2] * 4097, "amps": [{"ket": [0] * 4097, "re": "1"}]}
+    ))
+    for flag in (["--enumerate"], ["--check-uniform", "1"]):
+        code, doc = run_json(capsys, "state", "--file", str(path), *flag)
+        assert code == 1 and doc["status"] == "error"
+        assert doc["payload"]["error"] == "party count 4097 exceeds the cap of 4096 parties"
 
 
 def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch):
@@ -529,10 +603,8 @@ def test_exit_code_contract_on_bound_arguments(d, n_arg):
 
 
 def _positive_int(text):
-    try:
-        return int(text) >= 1
-    except ValueError:
-        return False
+    """Whether `text` is ASCII digits, with an optional "-", for an integer >= 1."""
+    return re.fullmatch("-?[0-9]+", text) is not None and int(text) >= 1
 
 
 @settings(max_examples=80, deadline=None)

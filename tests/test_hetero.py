@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
-from kuniform.errors import MAX_PARTIES, CapacityError, NotApplicableError
+from kuniform.errors import MAX_DIM_BITS, MAX_PARTIES, CapacityError, NotApplicableError
 from kuniform.exact import binom, elem_sym_prefix
 from kuniform.hetero import (
     MAX_SHADOW_BITS,
@@ -378,9 +378,42 @@ def test_hetero_shadow_equals_the_reference_loop():
         )
 
 
-def test_hetero_shadow_party_cap():
-    with pytest.raises(CapacityError):
-        hetero_shadow(DimensionProfile((2,) * (MAX_PARTIES + 1)))
+def test_profile_constructor_party_cap():
+    assert DimensionProfile((2,) * MAX_PARTIES).n_parties == MAX_PARTIES
+    with pytest.raises(CapacityError, match=f"party count {MAX_PARTIES + 1} exceeds"):
+        DimensionProfile((2,) * (MAX_PARTIES + 1))
+
+
+def test_profile_bit_cap_refuses_before_any_product(monkeypatch):
+    # (10^1000+1)x1,(10^1000)x1000 once spent 17.9 s in products before the
+    # shadow's bit cap refused it
+    wide = 1 << 15  # 16 bits
+    at_cap = (wide,) * (MAX_DIM_BITS // 16)
+    calls = []
+    monkeypatch.setattr(hetero, "prod", lambda *args: calls.append(args) or 1)
+    assert DimensionProfile(at_cap).n_parties == MAX_PARTIES
+    for dims in ((2 * wide,) + at_cap[1:], (10**1000 + 1,) + (10**1000,) * 1000):
+        with pytest.raises(CapacityError, match=f"above the cap of {MAX_DIM_BITS} bits"):
+            DimensionProfile(dims)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (2**16 - 1,) * 2047 + (2**16 - 2,) * 2048,
+        tuple(2**16 - 1 - i % 64 for i in range(4095)),
+        tuple(2**32 - 1 - i for i in range(2001)),
+    ],
+    ids=["two-classes", "64-classes", "2001-classes"],
+)
+def test_widest_searches_under_the_bit_cap_are_quick(dims):
+    # every step of the sweep moves a party between classes at about the cap
+    profile = DimensionProfile(dims)
+    assert profile.schmidt_feasible()
+    start = time.monotonic()
+    assert scott_search(profile) is None
+    assert time.monotonic() - start < 1.0
 
 
 def test_hetero_shadow_refuses_above_its_cap_before_any_work(monkeypatch):
