@@ -3,12 +3,11 @@
 Five subcommands cover the library surface, each with the flags it reads:
 
   bound   upper bounds on k for homogeneous systems (single N or a range)
-            --format json|csv   env KUNIFORM_FORMAT
+            --format json|csv
   table   recompute a pinned reference table and diff it cell by cell
-            --format json|csv   env KUNIFORM_FORMAT
+            --format json|csv
   ame     AME non-existence verdict for a dimension profile
   state   brute-force checks on an explicit state file
-            --cap-dim D         env KUNIFORM_CAP_DIM (Hilbert-dimension cap)
   verify  internal cross-validation suites at desk scale
 
 Every run prints a single JSON envelope {command, status, timestamp,
@@ -20,22 +19,21 @@ non-existence certificate or table mismatch is a successful computation),
 reader that closes stdout early (`kuniform ... | head`) ends the run
 with exit 1 and nothing on stderr.
 
-A subcommand reads only its own variables: an explicit flag wins over
-its variable, and an invalid value of a variable the subcommand reads is
-a usage error, as are an integer not written in ASCII digits with an
-optional "-" (`1_0`, `+3`, ` 3`), a --cap-dim below 1, a negative
---check-uniform, a --d or a party count of `bound` below 2 (each checked
-once, by `errors.read_int`) and a flag given to a subcommand that does
-not take it.
+A run reads only its command-line arguments.  Usage errors are an
+integer not written in ASCII digits with an optional "-" (`1_0`, `+3`,
+` 3`), a negative --check-uniform, a --d or a party count of `bound`
+below 2 (each checked once, by `errors.read_int`) and a flag given to a
+subcommand that does not take it.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
 `ame --dims` profile and a state file) are refused with a capacity error
 before any work, and so is a profile whose dimensions take more than
-errors.MAX_DIM_BITS bits.  Below those caps no request needs a search
-limit: each bound is an O(N) sign scan, and `bound --d 5 --n-range
-2:4096` runs in about 9 s with a 32 MB peak resident set (2-core VM); the
-subset search behind `ame` evaluates at most floor(N/2)+3 draws, in
-under 0.3 s on the widest profiles.
+errors.MAX_DIM_BITS bits, and a state whose Hilbert dimension exceeds
+the fixed oracle.DIM_CAP = 4096.  Below those caps no `bound` or `ame`
+request needs a search limit: each bound is an O(N) sign scan, and
+`bound --d 5 --n-range 2:4096` runs in about 9 s with a 32 MB peak
+resident set (2-core VM); the subset search behind `ame` evaluates at
+most floor(N/2)+3 draws, in under 0.3 s on the widest profiles.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .errors import (
 )
 from .hetero import DimensionProfile, ame_verdict
 
-ENV_PREFIX = "KUNIFORM_"
 FORMATS = ("json", "csv")
 
 EXIT_OK = 0
@@ -80,32 +77,6 @@ _VERIFY_SUITES = {
 
 class _UsageError(Exception):
     pass
-
-
-def _csv_asked(args) -> bool:
-    """--format if given, else KUNIFORM_FORMAT if set, else json; csv or not."""
-    if args.format is not None:
-        return args.format == "csv"
-    raw = os.environ.get(ENV_PREFIX + "FORMAT", "json")
-    if raw not in FORMATS:
-        expected = ", ".join(FORMATS)
-        raise _UsageError(f"invalid {ENV_PREFIX}FORMAT {raw!r}, expected one of {expected}")
-    return raw == "csv"
-
-
-def _count(flag: Optional[str], option: str, fallback: int) -> int:
-    """`flag` if given, else the variable KUNIFORM_<OPTION> if set, else `fallback`.
-
-    Flag or variable must be an integer >= 1 (`_usage_int`); any other
-    value is a usage error naming its source.
-    """
-    what, text = "--" + option, flag
-    if flag is None:
-        what = ENV_PREFIX + option.upper().replace("-", "_")
-        text = os.environ.get(what)
-        if text is None:
-            return fallback
-    return _usage_int(text, what, 1)
 
 
 def _usage_int(text: str, what: str, least: int) -> int:
@@ -137,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for p in (p_bound, p_table):
         p.add_argument(
-            "--format", choices=FORMATS, help="output format (default json; env KUNIFORM_FORMAT)"
+            "--format", choices=FORMATS, default="json", help="output format (default json)"
         )
 
     p_ame = sub.add_parser("ame", help="AME non-existence verdict")
@@ -152,10 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     state_group = p_state.add_mutually_exclusive_group(required=True)
     state_group.add_argument("--check-uniform", metavar="K")
     state_group.add_argument("--enumerate", action="store_true")
-    p_state.add_argument(
-        "--cap-dim",
-        help="Hilbert-dimension cap for state brute force (env KUNIFORM_CAP_DIM)",
-    )
 
     p_verify = sub.add_parser("verify", help="cross-validation suites")
     p_verify.set_defaults(run=_run_verify)
@@ -181,7 +148,6 @@ def _parse_n_range(text: str) -> tuple[int, int]:
 
 
 def _run_bound(args) -> tuple[str, dict, Optional[str]]:
-    csv = _csv_asked(args)
     d = _usage_int(args.d, "--d", 2)
     if args.n is not None:
         lo = hi = _usage_int(args.n, "--n", 2)
@@ -192,11 +158,10 @@ def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     payload = {"d": d, "records": [r.to_json_dict() for r in records]}
     csv_lines = ["N,k_max,provenance"]
     csv_lines += [f"{r.n_parties},{r.k_max},{r.provenance}" for r in records]
-    return STATUS_OK, payload, "\n".join(csv_lines) if csv else None
+    return STATUS_OK, payload, "\n".join(csv_lines) if args.format == "csv" else None
 
 
 def _run_table(args) -> tuple[str, dict, Optional[str]]:
-    csv = _csv_asked(args)
     diff = tables.diff_table(args.paper)
     payload: dict = {
         "table": diff.table_id,
@@ -215,7 +180,7 @@ def _run_table(args) -> tuple[str, dict, Optional[str]]:
         ]
         payload["records"] = [r.to_json_dict() for r in diff.records]
     status = STATUS_OK if diff.match else STATUS_VIOLATION
-    return status, payload, tables.table_csv(diff) if csv else None
+    return status, payload, tables.table_csv(diff) if args.format == "csv" else None
 
 
 def _run_ame(args) -> tuple[str, dict, Optional[str]]:
@@ -230,7 +195,6 @@ def _run_ame(args) -> tuple[str, dict, Optional[str]]:
 
 
 def _run_state(args) -> tuple[str, dict, Optional[str]]:
-    cap_dim = _count(args.cap_dim, "cap-dim", oracle.DEFAULT_DIM_CAP)
     k = args.check_uniform
     if k is not None:
         # above N//2 depends on the file, so only the sign is a usage error
@@ -240,16 +204,15 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read state file {args.file}: {exc}") from exc
     if k is not None:
-        answer = oracle.is_k_uniform(state, k, dim_cap=cap_dim)
+        answer = oracle.is_k_uniform(state, k)
         payload = {
             "dims": list(state.profile.dims),
             "k": k,
             "uniform": answer,
         }
         return STATUS_OK, payload, None
-    # the shadow refuses above its party cap before any purity is computed
-    s_direct = oracle.direct_shadow(state, dim_cap=cap_dim)
-    a = oracle.direct_enumerator(state, dim_cap=cap_dim)
+    s_direct = oracle.direct_shadow(state)
+    a = oracle.direct_enumerator(state)
     payload = {
         "dims": list(state.profile.dims),
         "a": a.to_json_dict(),

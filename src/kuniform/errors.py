@@ -2,7 +2,7 @@
 
 These mark the two failure modes the library distinguishes from plain
 programming errors: a computation that does not apply to the given input,
-and an input exceeding a configured capacity cap.
+and an input exceeding a fixed capacity cap.
 
 `MAX_PARTIES` caps the party count a command accepts from outside the
 program, so that a huge request fails at once with a `CapacityError`
@@ -35,7 +35,7 @@ class NotApplicableError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """The input exceeds a configured size cap for exact brute force."""
+    """The input exceeds a fixed size cap of the exact computations."""
 
 
 def check_party_count(n_parties: int) -> None:

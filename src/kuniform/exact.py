@@ -25,11 +25,15 @@ values: integers in give integers out, Fractions give Fractions.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 RatLike = Union[Fraction, int, str]
+
+# a rational as `rat_to_str` writes it
+_RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def binom(n: int, k: int) -> int:
@@ -136,17 +140,19 @@ def substitute(
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse a decimal-free "p/q" (or bare integer "p") rational string.
+    """Parse "p/q" or "p" in ASCII digits with an optional "-" on p.
 
-    Raises ValueError on anything else, a zero denominator included.
+    That is what `rat_to_str` writes.  Anything else, such as "1_0",
+    "+3", " 3 ", "0.5" or a non-ASCII digit, which `Fraction()` would
+    read, raises ValueError, and so does a zero denominator.
     """
-    text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"rational strings must be decimal-free, got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"rational string has a zero denominator: {text!r}") from exc
+    match = _RAT_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"rational strings must be p/q in ASCII digits, got {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"rational string has a zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def rat_to_str(value: Fraction) -> str:

@@ -30,9 +30,11 @@ So s_j = sum_m W_m K_(N-j)(m), with W_m the weights summed over the
 subsets of size m: one contraction with an (N+1)^2 integer table,
 `_krawtchouk_shadow`, after the weights are grouped by size.
 
-These are test fixtures, not production paths: Hilbert dimension is
-capped (default 4096) and the shadow sum at 12 parties, with hard errors
-beyond.
+These are test fixtures, not production paths: the Hilbert dimension
+of a state is capped at a fixed `DIM_CAP` = 4096, checked once where every
+brute force starts (`_scaled_integer_amplitudes`), with a hard error
+beyond.  Every local dimension is at least 2, so a state under the cap
+has at most 12 parties.
 
 A state's `dims` and kets pass the input rule `errors.exact_ints` once,
 in the constructors, and a ket listed twice is refused there; state files
@@ -75,8 +77,8 @@ from .errors import (
 from .exact import GaussianRational, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, hetero_shadow
 
-DEFAULT_DIM_CAP = 4096
-DEFAULT_SHADOW_PARTY_CAP = 12
+DIM_CAP = 4096
+SHADOW_PARTY_CAP = 12
 
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
 
@@ -177,12 +179,12 @@ def product_zero_state(n_parties: int, local_dim: int = 2) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _check_dim_cap(state: PureState, dim_cap: int) -> None:
+def _check_dim_cap(state: PureState) -> None:
     # the size in bits, since a total dimension may have too many digits to print
     total = state.profile.total_dim
-    if total > dim_cap:
+    if total > DIM_CAP:
         raise CapacityError(
-            f"Hilbert dimension of {total.bit_length()} bits exceeds cap {dim_cap}"
+            f"Hilbert dimension of {total.bit_length()} bits exceeds cap {DIM_CAP}"
         )
 
 
@@ -192,8 +194,10 @@ def _scaled_integer_amplitudes(
     """Amplitudes rescaled to Gaussian integers, plus the integer squared norm.
 
     Purities of the normalized state are scale-invariant, so the common
-    denominator is simply cleared.
+    denominator is simply cleared.  Every brute force starts here, so a
+    state above the dimension cap is refused here, before any purity.
     """
+    _check_dim_cap(state)
     scale = 1
     for _, a in state.amplitudes:
         scale = lcm(scale, a.re.denominator, a.im.denominator)
@@ -225,52 +229,50 @@ def _purity_numerator(
     return sum(re * re + im * im for re, im in rho.values())
 
 
-def purity(
-    state: PureState, subset: Iterable[int], dim_cap: int = DEFAULT_DIM_CAP
-) -> Fraction:
-    """Exact Tr(rho_S^2) of the normalized state's reduction to `subset`."""
-    _check_dim_cap(state, dim_cap)
+def purity(state: PureState, subset: Iterable[int]) -> Fraction:
+    """Exact Tr(rho_S^2) of the normalized state's reduction to `subset`.
+
+    Each index must be an exact int in 0..N-1, each at most once; any
+    other subset raises ValueError.
+    """
     n = state.profile.n_parties
     mask = 0
     for i in subset:
         if exact_int(i, "party index", 0) >= n:
             raise ValueError(f"party index {i} out of range")
+        if mask >> i & 1:
+            raise ValueError("subset indices must be distinct")
         mask |= 1 << i
     entries, norm2 = _scaled_integer_amplitudes(state)
     return Fraction(_purity_numerator(entries, n, mask), norm2 * norm2)
 
 
 @lru_cache(maxsize=1)
-def _purity_numerators(state: PureState, dim_cap: int) -> tuple[tuple[int, ...], int]:
+def _purity_numerators(state: PureState) -> tuple[tuple[int, ...], int]:
     """Integer purity numerators of every subset (bitmask indexed) over norm2^2.
 
     The last state's table is kept, so `state --enumerate`, which reads it
     twice (`direct_shadow` and `direct_enumerator`), builds it once; a
     tuple, so that no caller can change the shared table.
     """
-    _check_dim_cap(state, dim_cap)
     n = state.profile.n_parties
     entries, norm2 = _scaled_integer_amplitudes(state)
     nums = tuple(_purity_numerator(entries, n, mask) for mask in range(1 << n))
     return nums, norm2 * norm2
 
 
-def purity_table(
-    state: PureState, dim_cap: int = DEFAULT_DIM_CAP
-) -> list[Fraction]:
+def purity_table(state: PureState) -> list[Fraction]:
     """Purities of every subset, indexed by bitmask over party positions.
 
     Entries satisfy the pure-state endpoints (empty and full subsets have
     purity 1) and the complementary symmetry table[m] == table[full ^ m],
     both exercised by the test suite.
     """
-    nums, denom = _purity_numerators(state, dim_cap)
+    nums, denom = _purity_numerators(state)
     return [Fraction(v, denom) for v in nums]
 
 
-def is_k_uniform(
-    state: PureState, k: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> bool:
+def is_k_uniform(state: PureState, k: int) -> bool:
     """True iff every k-party reduction is maximally mixed.
 
     Uses the purity characterisation: the reduction to S is maximally
@@ -279,7 +281,6 @@ def is_k_uniform(
     n = state.profile.n_parties
     if exact_int(k, "k", 0) > n // 2:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
-    _check_dim_cap(state, dim_cap)
     entries, norm2 = _scaled_integer_amplitudes(state)
     denom = norm2 * norm2
     for subset in itertools.combinations(range(n), k):
@@ -304,9 +305,7 @@ def _local_dim(state: PureState) -> int:
     return state.profile.dims[0]
 
 
-def direct_enumerator(
-    state: PureState, dim_cap: int = DEFAULT_DIM_CAP
-) -> WeightEnumerator:
+def direct_enumerator(state: PureState) -> WeightEnumerator:
     """Weight distribution a_0 .. a_N by purity inclusion-exclusion.
 
     Each U of size u lies in C(N-u, j-u) sets T of size j, so
@@ -316,21 +315,13 @@ def direct_enumerator(
     grouping of the distribution presumes a single local dimension.
     """
     n, d = state.profile.n_parties, _local_dim(state)
-    nums, denom = _purity_numerators(state, dim_cap)
+    nums, denom = _purity_numerators(state)
     w = _by_subset_size(nums)
     a = (
         sum((-1) ** (j - u) * comb(n - u, j - u) * d**u * w[u] for u in range(j + 1))
         for j in range(n + 1)
     )
     return WeightEnumerator(n, d, tuple(Fraction(v, denom) for v in a))
-
-
-def _check_shadow_party_count(n_parties: int) -> None:
-    """Raise CapacityError above the subset sum's party cap, before any work."""
-    if n_parties > DEFAULT_SHADOW_PARTY_CAP:
-        raise CapacityError(
-            f"shadow subset sum capped at {DEFAULT_SHADOW_PARTY_CAP} parties, got {n_parties}"
-        )
 
 
 def _by_subset_size(weights: Sequence[int]) -> list[int]:
@@ -388,11 +379,10 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in _krawtchouk_shadow(_by_subset_size(weights)))
 
 
-def direct_shadow(state: PureState, dim_cap: int = DEFAULT_DIM_CAP) -> ShadowEnumerator:
+def direct_shadow(state: PureState) -> ShadowEnumerator:
     """Shadow coefficients from the definitional subset sum over purities."""
     n, d = state.profile.n_parties, _local_dim(state)
-    _check_shadow_party_count(n)
-    nums, denom = _purity_numerators(state, dim_cap)
+    nums, denom = _purity_numerators(state)
     s = tuple(Fraction(v, denom) for v in _krawtchouk_shadow(_by_subset_size(nums)))
     return ShadowEnumerator(n, d, s)
 
@@ -417,7 +407,8 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     a rather than the 2^N subsets; `_krawtchouk_shadow` contracts them.
     """
     n = profile.n_parties
-    _check_shadow_party_count(n)
+    if n > SHADOW_PARTY_CAP:
+        raise CapacityError(f"shadow subset sum capped at {SHADOW_PARTY_CAP} parties, got {n}")
     total = profile.total_dim
     classes = [(d, len(parties)) for d, parties in profile.classes]
     w = [0] * (n + 1)

@@ -53,9 +53,6 @@ def test_bound_qubit_example(capsys):
     assert doc["payload"]["records"][0]["k_max"] == 3
 
 
-_ENUMERATE = ["state", "--file", "ghz3.json", "--enumerate"]
-
-
 @pytest.mark.parametrize(
     "argv, what, text",
     [
@@ -65,18 +62,12 @@ _ENUMERATE = ["state", "--file", "ghz3.json", "--enumerate"]
         (["bound", "--d", "3", "--n-range", "+3:4"], "--n-range A", "+3"),
         (["bound", "--d", "3", "--n-range", "3:4\n"], "--n-range B", "4\n"),
         (["state", "--file", "ghz3.json", "--check-uniform", "1_0"], "--check-uniform", "1_0"),
-        (_ENUMERATE + ["--cap-dim", "+64"], "--cap-dim", "+64"),
-        (_ENUMERATE, "KUNIFORM_CAP_DIM", "1_0"),
-        (_ENUMERATE, "KUNIFORM_CAP_DIM", "\uff18"),
-        (_ENUMERATE, "KUNIFORM_CAP_DIM", " 8"),
     ],
 )
 def test_cli_integers_are_ascii_digits(tmp_path, capsys, monkeypatch, argv, what, text):
     # int() once read each of these, so `bound --n 1_0` was answered for N = 10
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ghz3.json").write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    if what.startswith("KUNIFORM_"):
-        monkeypatch.setenv(what, text)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -307,6 +298,24 @@ def test_state_file_missing_key(tmp_path, capsys, doc, message):
     assert doc["payload"]["error"] == f"cannot read state file {path}: {message}"
 
 
+def test_state_file_amplitudes_are_ascii_rationals(tmp_path, capsys):
+    # Fraction() once read "1_0" as 10 and answered for that state
+    path = tmp_path / "amps.json"
+    amps = [{"ket": [0, 0], "re": "1_0"}, {"ket": [1, 1], "re": 3}]
+    path.write_text(json.dumps({"dims": [2, 2], "amps": amps}))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == (
+        f"cannot read state file {path}: "
+        "rational strings must be p/q in ASCII digits, got '1_0'"
+    )
+    # "3" reads, and so does the JSON integer 3 of the other ket
+    amps[0]["re"] = "3"
+    path.write_text(json.dumps({"dims": [2, 2], "amps": amps}))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
+    assert code == 0 and doc["payload"]["uniform"] is True
+
+
 def test_state_file_with_a_repeated_ket(tmp_path, capsys):
     # this once answered "ok" with a = (4, 8, 4), though a pure state has a_0 = 1
     path = tmp_path / "twice.json"
@@ -334,12 +343,11 @@ def test_negative_check_uniform_is_a_usage_error(tmp_path, capsys):
 
 
 def test_state_capacity_error(tmp_path, capsys):
-    path = tmp_path / "ghz6.json"
-    path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
-    code, doc = run_json(
-        capsys, "state", "--file", str(path), "--enumerate", "--cap-dim", "4"
-    )
+    path = tmp_path / "ghz13.json"
+    path.write_text(json.dumps(ghz_state(13, 2).to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "Hilbert dimension of 14 bits exceeds cap 4096"
 
 
 def test_state_dim_cap_error_names_bits(tmp_path, capsys):
@@ -369,17 +377,15 @@ def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch
     # the 2^N purity table and its O(3^N) inversion once ran before the
     # shadow's party cap refused the state
     calls = []
-    real = oracle._purity_numerators
+    real = oracle._purity_numerator
     monkeypatch.setattr(
-        oracle, "_purity_numerators", lambda *a: calls.append(a) or real(*a)
+        oracle, "_purity_numerator", lambda *a: calls.append(a) or real(*a)
     )
     path = tmp_path / "ghz16.json"
     path.write_text(json.dumps(ghz_state(16, 2).to_json_dict()))
-    code, doc = run_json(
-        capsys, "state", "--file", str(path), "--enumerate", "--cap-dim", "1048576"
-    )
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "shadow subset sum capped at 12 parties, got 16"
+    assert doc["payload"]["error"] == "Hilbert dimension of 17 bits exceeds cap 4096"
     assert calls == []
 
 
@@ -440,72 +446,25 @@ def test_envelopes_are_deterministic_modulo_timestamp(capsys):
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
-def test_env_variable_mirrors_flags(capsys, monkeypatch):
+def test_environment_variables_are_ignored(tmp_path, capsys, monkeypatch):
+    # KUNIFORM_FORMAT once set --format, and KUNIFORM_CAP_DIM the dimension cap
     monkeypatch.setenv("KUNIFORM_FORMAT", "csv")
-    code, out = run_cli(capsys, "bound", "--d", "2", "--n", "4")
-    assert code == 0 and out.startswith("N,k_max,provenance")
-    # explicit flag wins over the environment
-    code, out = run_cli(capsys, "bound", "--d", "2", "--n", "4", "--format", "json")
-    assert json.loads(out)["status"] == "ok"
-
-
-@pytest.mark.parametrize("name", ["KUNIFORM_CAP_DIM"])
-def test_non_integer_env_value_is_usage_error(tmp_path, capsys, monkeypatch, name):
-    # the variable is read by the one subcommand that takes its flag
-    path = tmp_path / "ghz3.json"
-    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    monkeypatch.setenv(name, "abc")
-    code = main(["state", "--file", str(path), "--enumerate"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"kuniform: {name} must be an integer, got 'abc'\n"
-
-
-def _count_argv(path):
-    """A run of the one subcommand that reads --cap-dim."""
-    return ["state", "--file", str(path), "--enumerate"]
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-@pytest.mark.parametrize(
-    "option, source",
-    [
-        ("cap-dim", "--cap-dim"),
-        ("cap-dim", "KUNIFORM_CAP_DIM"),
-    ],
-)
-def test_counts_below_one_are_usage_errors(
-    tmp_path, capsys, monkeypatch, option, source, value
-):
-    # each once ended in "exceeds cap 0", exit 1
-    path = tmp_path / "ghz3.json"
-    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    argv = _count_argv(path)
-    if source.startswith("--"):
-        argv += [source, value]
-    else:
-        monkeypatch.setenv(source, value)
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"kuniform: {source} must be >= 1, got {value}\n"
-
-
-def test_flags_and_variables_reach_only_their_subcommand(capsys, monkeypatch):
-    # an invalid variable a subcommand does not read once failed it with
-    # exit 2, and a flag it did not read was accepted and ignored
-    monkeypatch.setenv("KUNIFORM_CAP_DIM", "abc")
-    code, doc = run_json(capsys, "bound", "--d", "3", "--n", "5")
+    monkeypatch.setenv("KUNIFORM_CAP_DIM", "1")
+    code, doc = run_json(capsys, "bound", "--d", "2", "--n", "4")
     assert code == 0 and doc["status"] == "ok"
-    monkeypatch.setenv("KUNIFORM_FORMAT", "xml")
-    code, doc = run_json(capsys, "ame", "--dims", "2x4")
-    assert code == 0 and doc["payload"]["status"] == "unknown"
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 0 and doc["payload"]["s_matches_transform"] is True
+
+
+def test_flags_and_variables_reach_only_their_subcommand(capsys):
+    # a flag a subcommand did not read was once accepted and ignored
     for argv in (
         ["ame", "--dims", "3x1,2x8", "--format", "csv"],
         ["bound", "--d", "3", "--n", "5", "--cap-dim", "1"],
         ["verify", "--suite", "recurrence", "--cap-dim", "1"],
+        ["state", "--file", "ghz3.json", "--enumerate", "--cap-dim", "4096"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -527,8 +486,8 @@ def test_party_counts_above_cap_fail_at_once(capsys, argv):
     assert "exceeds the cap of 4096 parties" in doc["payload"]["error"]
 
 
-def _run_contract(argv, env=()):
-    """Run `argv` with the variables `env` set and check the exit contract.
+def _run_contract(argv):
+    """Run `argv` and check the exit contract.
 
     Returns the exit code and the envelope, or None for a usage error:
     one exit code of the contract with one envelope or one `kuniform:`
@@ -538,8 +497,6 @@ def _run_contract(argv, env=()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "stdout", out)
         mp.setattr(sys, "stderr", err)
-        for name, value in env:
-            mp.setenv(name, value)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse itself rejects flag-shaped text
@@ -602,31 +559,26 @@ def test_exit_code_contract_on_bound_arguments(d, n_arg):
             assert record["d"] == d and 0 <= record["k_max"] <= record["n"] // 2
 
 
-def _positive_int(text):
-    """Whether `text` is ASCII digits, with an optional "-", for an integer >= 1."""
-    return re.fullmatch("-?[0-9]+", text) is not None and int(text) >= 1
+def _nonnegative_int(text):
+    """Whether `text` is ASCII digits, with an optional "-", for an integer >= 0."""
+    return re.fullmatch("-?[0-9]+", text) is not None and int(text) >= 0
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.booleans(),
     st.one_of(
         st.integers(-10, 10).map(str),
         st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                 max_size=5),
     ),
 )
-def test_exit_code_contract_on_counts(tmp_path_factory, as_variable, text):
-    # a count that is not an integer >= 1 is a usage error, flag or variable
+def test_exit_code_contract_on_counts(tmp_path_factory, text):
+    # a --check-uniform K that is not an integer >= 0 is a usage error; a K
+    # above N//2 depends on the file, so it is an error envelope
     path = tmp_path_factory.mktemp("state") / "ghz3.json"
     path.write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
-    argv, env = _count_argv(path), []
-    if as_variable:
-        env.append(("KUNIFORM_CAP_DIM", text))
-    else:
-        argv += ["--cap-dim", text]
-    code, _ = _run_contract(argv, env)
-    assert (code == 2) == (not _positive_int(text))
+    code, _ = _run_contract(["state", "--file", str(path), "--check-uniform", text])
+    assert (code == 2) == (not _nonnegative_int(text))
 
 
 # JSON documents biased towards the state-file keys and small integers, so

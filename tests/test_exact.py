@@ -107,6 +107,13 @@ def test_rat_from_str_rejects_decimals():
         rat_from_str("0.5")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "+3", " 3 ", "1/2_0", "1/0"])
+def test_rat_from_str_reads_ascii_digits_only(text):
+    # Fraction() once read the first six as 10, 3, 3, 3, 3 and 1/20
+    with pytest.raises(ValueError):
+        rat_from_str(text)
+
+
 def _times(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):

@@ -37,6 +37,9 @@ def test_purity_worked_values():
     assert purity(bell_state(), [0, 1]) == 1
     with pytest.raises(ValueError, match="^party index must be an integer"):
         purity(bell_state(), [0.0])
+    # a repeated index once gave the purity of the set, 1/2 here
+    with pytest.raises(ValueError, match="^subset indices must be distinct$"):
+        purity(ghz_state(3, 2), [0, 0])
 
 
 def test_purity_handles_unnormalized_and_complex_amplitudes():
@@ -96,12 +99,19 @@ def test_direct_enumerator_rejects_heterogeneous():
 
 
 def test_capacity_errors():
-    big = ghz_state(7, 2)
-    with pytest.raises(CapacityError):
-        purity(big, [0], dim_cap=64)
-    # 2^13 fits the dimension cap, so the 12-party shadow cap is what fires
-    with pytest.raises(CapacityError, match="12 parties"):
-        direct_shadow(ghz_state(13, 2), dim_cap=8192)
+    # 2^13 is above the fixed dimension cap of 4096, so every brute force
+    # refuses a 13-qubit state; 2^12 is at the cap and passes
+    big = ghz_state(13, 2)
+    for brute_force in (
+        lambda: purity(big, [0]),
+        lambda: purity_table(big),
+        lambda: is_k_uniform(big, 1),
+        lambda: direct_enumerator(big),
+        lambda: direct_shadow(big),
+    ):
+        with pytest.raises(CapacityError, match="^Hilbert dimension of 14 bits exceeds cap 4096$"):
+            brute_force()
+    assert is_k_uniform(product_zero_state(12), 1) is False
     with pytest.raises(CapacityError, match="12 parties"):
         ame_shadow_oracle(DimensionProfile((2,) * 13))
 
