@@ -19,6 +19,10 @@ non-existence certificate or table mismatch is a successful computation),
 reader that closes stdout early (`kuniform ... | head`) ends the run
 with exit 1 and nothing on stderr.
 
+`main` may be called any number of times in one process: the argument
+parser is built at the first call and reused after it, and importing
+the module builds none.
+
 A run reads only its command-line arguments.  Usage errors are an
 integer not written in ASCII digits with an optional "-" (`1_0`, `+3`,
 ` 3`), a negative --check-uniform, a --d or a party count of `bound`
@@ -29,7 +33,8 @@ above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
 `ame --dims` profile and a state file) are refused with a capacity error
 before any work, and so is a profile whose dimensions take more than
 errors.MAX_DIM_BITS bits, and a state whose Hilbert dimension exceeds
-the fixed oracle.DIM_CAP = 4096.  Below those caps no `bound` or `ame`
+the fixed oracle.DIM_CAP = 4096 or whose brute force would multiply more
+than oracle.WORK_CAP ket pairs.  Below those caps no `bound` or `ame`
 request needs a search limit: each bound is an O(N) sign scan, and
 `bound --d 5 --n-range 2:4096` runs in about 9 s with a 32 MB peak
 resident set (2-core VM); the subset search behind `ame` evaluates at
@@ -43,6 +48,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import bounds, oracle, tables
@@ -87,7 +93,14 @@ def _usage_int(text: str, what: str, least: int) -> int:
         raise _UsageError(str(exc)) from None
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first `main` call.
+
+    `parse_args` leaves the parser as it was and returns a fresh
+    namespace, and every choice and default here is a module constant,
+    so later calls reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="kuniform",
         description="Exact bounds on k-uniform states and AME non-existence certificates.",

@@ -34,7 +34,12 @@ These are test fixtures, not production paths: the Hilbert dimension
 of a state is capped at a fixed `DIM_CAP` = 4096, checked once where every
 brute force starts (`_scaled_integer_amplitudes`), with a hard error
 beyond.  Every local dimension is at least 2, so a state under the cap
-has at most 12 parties.
+has at most 12 parties.  Next, `purity`, `purity_table` and
+`is_k_uniform` are capped by the ket pairs their purities multiply, at
+most `WORK_CAP` = 2^22 (`_check_work`, about 1 us a pair), before any
+purity: a dense 8-qubit state passes and a dense 9-qubit state is
+refused.  The sum over subsets runs over class count vectors
+(`_subset_classes`), not over the 2^N subsets.
 
 A state's `dims` and kets pass the input rule `errors.exact_ints` once,
 in the constructors, and a ket listed twice is refused there; state files
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .enumerators import ShadowEnumerator, WeightEnumerator, _clear_denominators
 from .errors import (
@@ -78,6 +83,7 @@ from .exact import GaussianRational, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, hetero_shadow
 
 DIM_CAP = 4096
+WORK_CAP = 1 << 22
 SHADOW_PARTY_CAP = 12
 
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
@@ -208,6 +214,35 @@ def _scaled_integer_amplitudes(
     return entries, norm2
 
 
+def _subset_classes(profile: DimensionProfile) -> Iterator[tuple[int, int, int]]:
+    """(|S|, number of such S, D_S) for each class count vector of `profile`.
+
+    A subset's size and dimension depend only on the count a_c of parties
+    it holds in each class c of `DimensionProfile.classes`, and
+    prod_c C(n_c, a_c) subsets share the count vector a.
+    """
+    classes = [(d, len(parties)) for d, parties in profile.classes]
+    for counts in itertools.product(*(range(size + 1) for _, size in classes)):
+        yield (
+            sum(counts),
+            prod(comb(size, a) for (_, size), a in zip(classes, counts)),
+            prod(d**a for (d, _), a in zip(classes, counts)),
+        )
+
+
+def _check_work(kets: int, subsets: Iterable[tuple[int, int]]) -> None:
+    """Refuse purities that multiply more than WORK_CAP ket pairs in all.
+
+    `subsets` holds (number of subsets, D_S) for the subsets S to be read.
+    The purity of S groups the `kets` nonzero kets by their labels off S,
+    and a group holds at most min(kets, D_S) of them, so it multiplies at
+    most kets min(kets, D_S) pairs, exactly that many on a dense state.
+    """
+    pairs = kets * sum(ways * min(kets, d_s) for ways, d_s in subsets)
+    if pairs > WORK_CAP:
+        raise CapacityError(f"brute force of {pairs} ket pairs exceeds cap {WORK_CAP}")
+
+
 def _purity_numerator(
     entries: Sequence[tuple[tuple[int, ...], int, int]], n_parties: int, mask: int
 ) -> int:
@@ -244,6 +279,8 @@ def purity(state: PureState, subset: Iterable[int]) -> Fraction:
             raise ValueError("subset indices must be distinct")
         mask |= 1 << i
     entries, norm2 = _scaled_integer_amplitudes(state)
+    d_s = prod(d for t, d in enumerate(state.profile.dims) if mask >> t & 1)
+    _check_work(len(entries), [(1, d_s)])
     return Fraction(_purity_numerator(entries, n, mask), norm2 * norm2)
 
 
@@ -257,6 +294,7 @@ def _purity_numerators(state: PureState) -> tuple[tuple[int, ...], int]:
     """
     n = state.profile.n_parties
     entries, norm2 = _scaled_integer_amplitudes(state)
+    _check_work(len(entries), ((ways, d_s) for _, ways, d_s in _subset_classes(state.profile)))
     nums = tuple(_purity_numerator(entries, n, mask) for mask in range(1 << n))
     return nums, norm2 * norm2
 
@@ -282,6 +320,8 @@ def is_k_uniform(state: PureState, k: int) -> bool:
     if exact_int(k, "k", 0) > n // 2:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
     entries, norm2 = _scaled_integer_amplitudes(state)
+    sized = _subset_classes(state.profile)
+    _check_work(len(entries), ((ways, d_s) for m, ways, d_s in sized if m == k))
     denom = norm2 * norm2
     for subset in itertools.combinations(range(n), k):
         mask = sum(1 << t for t in subset)
@@ -410,13 +450,10 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     if n > SHADOW_PARTY_CAP:
         raise CapacityError(f"shadow subset sum capped at {SHADOW_PARTY_CAP} parties, got {n}")
     total = profile.total_dim
-    classes = [(d, len(parties)) for d, parties in profile.classes]
     w = [0] * (n + 1)
-    for counts in itertools.product(*(range(size + 1) for _, size in classes)):
-        d_a = prod(d**a for (d, _), a in zip(classes, counts))
-        ways = prod(comb(size, a) for (_, size), a in zip(classes, counts))
+    for m, ways, d_a in _subset_classes(profile):
         # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
-        w[sum(counts)] += ways * max(d_a, total // d_a)
+        w[m] += ways * max(d_a, total // d_a)
     return tuple(Fraction(v, total) for v in _krawtchouk_shadow(w))
 
 

@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform import bounds, oracle, tables
-from kuniform.cli import main
+from kuniform.cli import _build_parser, main
 from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile
 from kuniform.oracle import PureState, ghz_state, product_zero_state
@@ -350,6 +352,21 @@ def test_state_capacity_error(tmp_path, capsys):
     assert doc["payload"]["error"] == "Hilbert dimension of 14 bits exceeds cap 4096"
 
 
+def test_state_work_cap_refuses_a_dense_nine_qubit_state(tmp_path, capsys):
+    # 6^9 ket pairs: the purity sweep once ran about 6 s on this state
+    amps = {
+        ket: GaussianRational.of(1 + sum(ket), ket[0])
+        for ket in itertools.product((0, 1), repeat=9)
+    }
+    path = tmp_path / "dense9.json"
+    path.write_text(json.dumps(PureState.from_amplitudes((2,) * 9, amps).to_json_dict()))
+    start = time.monotonic()
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert time.monotonic() - start < 1
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "brute force of 10077696 ket pairs exceeds cap 4194304"
+
+
 def test_state_dim_cap_error_names_bits(tmp_path, capsys):
     # the dimension 100^4096 once went into the message, and printing its
     # 8193 digits raised Python's integer string conversion limit instead
@@ -444,6 +461,58 @@ def test_envelopes_are_deterministic_modulo_timestamp(capsys):
     _, doc2 = run_json(capsys, "bound", "--d", "3", "--n-range", "2:20")
     doc1.pop("timestamp"), doc2.pop("timestamp")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+def _run_captured(capsys, argv):
+    """Exit code, stdout with the timestamp blanked, and stderr of one call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', captured.out)
+    return code, out, captured.err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # the parser was once built again by every call, most of a small
+    # call's time; reused, it must answer as a freshly built one does
+    path = tmp_path / "ghz4.json"
+    path.write_text(json.dumps(ghz_state(4, 2).to_json_dict()))
+    sequence = [
+        ["bound", "--d", "3", "--n-range", "2:30", "--format", "csv"],
+        ["bound", "--d", "3", "--n-range", "2:30"],
+        ["bound", "--d", "1", "--n", "8"],
+        ["bound", "--d", "3"],
+        ["--help"],
+        ["state", "--file", str(path), "--enumerate"],
+        ["verify", "--suite", "recurrence"],
+    ]
+    _build_parser.cache_clear()
+    reused = [_run_captured(capsys, argv) for argv in sequence]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(_run_captured(capsys, argv))
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0, 0, 0]
+    assert reused == fresh
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import sys; sys.path.insert(0, 'src'); import kuniform.cli as c; "
+        "print(c._build_parser.cache_info().misses)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_environment_variables_are_ignored(tmp_path, capsys, monkeypatch):

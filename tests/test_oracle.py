@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuniform import oracle
 from kuniform.enumerators import shadow_transform, validate_state_constraints
 from kuniform.errors import CapacityError, NotApplicableError
 from kuniform.exact import GaussianRational
@@ -114,6 +116,47 @@ def test_capacity_errors():
     assert is_k_uniform(product_zero_state(12), 1) is False
     with pytest.raises(CapacityError, match="12 parties"):
         ame_shadow_oracle(DimensionProfile((2,) * 13))
+
+
+def _pairs_multiplied(state, subsets):
+    """Ket pairs the purities of `subsets` multiply: sum of squared group sizes."""
+    pairs = 0
+    for subset in subsets:
+        groups = Counter(
+            tuple(x for t, x in enumerate(ket) if t not in subset)
+            for ket, _ in state.amplitudes
+        )
+        pairs += sum(g * g for g in groups.values())
+    return pairs
+
+
+def _dense_state(dims):
+    kets = itertools.product(*(range(d) for d in dims))
+    return PureState.from_amplitudes(dims, {ket: GaussianRational.of(1) for ket in kets})
+
+
+def test_work_cap_bounds_the_pairs_and_meets_them_on_dense_states(monkeypatch, corpus):
+    # the bound is at least the pairs the sweep multiplies, so a cap one
+    # below them refuses every state; on a dense state it is the pair
+    # count itself, so a cap equal to it admits the state
+    states = [(state, False) for _, state in corpus]
+    states += [(_dense_state(dims), True) for dims in ((2,) * 5, (3, 3, 3), (3, 2, 2))]
+    for state, dense in states:
+        n = state.profile.n_parties
+        sweeps = [(lambda: purity_table(state), range(n + 1))]
+        sweeps += [(lambda: purity(state, range(n)), (n,))]
+        sweeps += [(lambda k=k: is_k_uniform(state, k), (k,)) for k in range(1, n // 2 + 1)]
+        for sweep, sizes in sweeps:
+            subsets = [set(c) for m in sizes for c in itertools.combinations(range(n), m)]
+            pairs = _pairs_multiplied(state, subsets)
+            oracle._purity_numerators.cache_clear()
+            monkeypatch.setattr(oracle, "WORK_CAP", pairs - 1)
+            with pytest.raises(CapacityError, match="^brute force of [0-9]+ ket pairs"):
+                sweep()
+            if dense:
+                monkeypatch.setattr(oracle, "WORK_CAP", pairs)
+                sweep()
+    oracle._purity_numerators.cache_clear()
 
 
 def _shadow_from_purities_naive(purities):
