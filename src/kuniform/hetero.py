@@ -316,6 +316,24 @@ class HeteroShadow:
         return None
 
 
+def check_shadow_size(profile: DimensionProfile) -> None:
+    """Raise CapacityError above `MAX_SHADOW_PARTIES` parties or `MAX_SHADOW_BITS` bits of D.
+
+    Both shadow routes apply this input rule first, so they refuse the same profiles.
+    """
+    if profile.n_parties > MAX_SHADOW_PARTIES:
+        raise CapacityError(
+            f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties,"
+            f" got {profile.n_parties}"
+        )
+    total = profile.total_dim
+    if total.bit_length() > MAX_SHADOW_BITS:
+        raise CapacityError(
+            f"the shadow test takes a total dimension of at most {MAX_SHADOW_BITS}"
+            f" bits, got {total.bit_length()}"
+        )
+
+
 def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     """Exact shadow coefficients from the elementary symmetric averages.
 
@@ -328,21 +346,11 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     for k <= floor(N/2), by an integer dynamic program, and one call of
     the kernel `exact.substitute` expands the substitution, pivoting on
     L = x + y (y - x = L (-1 + 2 y/L)); each coefficient is divided by D
-    once at the end.  Raises CapacityError, before any work, above
-    `MAX_SHADOW_PARTIES` parties or when D has more than `MAX_SHADOW_BITS`
-    bits.
+    once at the end.  Raises CapacityError by `check_shadow_size`, before
+    any work.
     """
-    n = profile.n_parties
-    if n > MAX_SHADOW_PARTIES:
-        raise CapacityError(
-            f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties, got {n}"
-        )
-    total = profile.total_dim
-    if total.bit_length() > MAX_SHADOW_BITS:
-        raise CapacityError(
-            f"the shadow test takes a total dimension of at most {MAX_SHADOW_BITS}"
-            f" bits, got {total.bit_length()}"
-        )
+    check_shadow_size(profile)
+    n, total = profile.n_parties, profile.total_dim
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
     e = elem_sym_prefix(profile.dims, n)

@@ -27,8 +27,8 @@ sum_{|T|=j} (-1)^(|S cap T^c|) = K_(N-j)(m; N), the binary Krawtchouk
 polynomial, the coefficient of z^(N-j) in (1-z)^m (1+z)^(N-m)
 (MacWilliams and Sloane, *The Theory of Error-Correcting Codes*, ch. 5).
 So s_j = sum_m W_m K_(N-j)(m), with W_m the weights summed over the
-subsets of size m: one contraction with an (N+1)^2 integer table,
-`_krawtchouk_shadow`, after the weights are grouped by size.
+subsets of size m: `_krawtchouk_shadow` builds each Krawtchouk row from
+the one before and adds it in, so no table of rows is kept.
 
 These are test fixtures, not production paths: the Hilbert dimension
 of a state is capped at a fixed `DIM_CAP` = 4096, checked once where every
@@ -46,19 +46,15 @@ in the constructors, and a ket listed twice is refused there; state files
 go through `read_json` and `required`.
 
 `ame_shadow_oracle` applies the same double subset sum to the purity
-profile of a hypothetical AME state on a dimension profile
-(Tr(rho_S^2) = 1 / min(D_S, D_complement)), giving an independent route
-to the heterogeneous shadow coefficients of `hetero.hetero_shadow`;
-`cross_validate_ame_shadow` compares the two routes.  Every D_S divides
-the total dimension D, so that profile is the integer weight
-max(D_S, D / D_S) over the common denominator D.  The contraction is
-shared by the state route, `shadow_from_purities` and the AME route;
-they differ in how W_m is grouped.  A state's purities, or a given
-table, are summed over the 2^N bitmasks by popcount, as
-`direct_enumerator` groups them.  An AME weight depends on S only
-through how many parties of each dimension class it holds, so W_m sums
-C(n_c, a_c)-weighted class count vectors a of total m and never lists
-the 2^N subsets.
+profile of a hypothetical AME state, Tr(rho_S^2) = 1 / min(D_S, D / D_S),
+an independent route to `hetero.hetero_shadow`, which
+`cross_validate_ame_shadow` compares it with.  The three shadow routes
+share the contraction and differ only in how W_m is grouped: a state's
+purities, or a given table, by popcount over the 2^N bitmasks, as
+`direct_enumerator` groups them; an AME profile's integer weights
+max(D_S, D / D_S) over D by class count vectors, never listing the 2^N
+subsets.  The AME route refuses by size what `hetero_shadow` refuses
+(`hetero.check_shadow_size`) and caps its count vectors by `WORK_CAP`.
 """
 
 from __future__ import annotations
@@ -80,11 +76,10 @@ from .errors import (
     required,
 )
 from .exact import GaussianRational, rat_from_str, rat_to_str
-from .hetero import DimensionProfile, hetero_shadow
+from .hetero import DimensionProfile, check_shadow_size, hetero_shadow
 
 DIM_CAP = 4096
 WORK_CAP = 1 << 22
-SHADOW_PARTY_CAP = 12
 
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
 
@@ -375,34 +370,26 @@ def _by_subset_size(weights: Sequence[int]) -> list[int]:
     return w
 
 
-@lru_cache(maxsize=None)
-def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Rows K(m) = (K_0(m), ..., K_N(m)) of the binary Krawtchouk polynomials.
-
-    K_k(m) is the coefficient of z^k in P_m = (1-z)^m (1+z)^(N-m).  Row 0
-    is C(N, k); since (1+z) P_(m+1) = (1-z) P_m, each further row is one
-    pass K_k(m+1) = K_k(m) - K_(k-1)(m) - K_(k-1)(m+1), O(N^2) in all.
-    """
-    row = [comb(n, k) for k in range(n + 1)]
-    rows = [tuple(row)]
-    for _ in range(n):
-        prev, row = row, [1] + [0] * n
-        for k in range(1, n + 1):
-            row[k] = prev[k] - prev[k - 1] - row[k - 1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _krawtchouk_shadow(w: Sequence[int]) -> list[int]:
     """s_j = sum_m W_m K_(N-j)(m; N) for integer weights W_0 .. W_N by size.
 
     Equal to sum_{|T|=j} sum_S (-1)^(|S cap T^c|) w(S) for any subset
     weights w with size sums W_m, since the inner sum over T is
-    K_(N-j)(|S|).
+    K_(N-j)(|S|).  Row m holds the K_k(m), the coefficients of
+    P_m = (1-z)^m (1+z)^(N-m): row 0 is C(N, k), and since
+    (1+z) P_(m+1) = (1-z) P_m, K_k(m+1) = K_k(m) - K_(k-1)(m) - K_(k-1)(m+1).
+    Each row is added into s as it is built and then dropped, O(N^2) steps.
     """
     n = len(w) - 1
-    rows = _krawtchouk_table(n)
-    return [sum(wm * row[n - j] for wm, row in zip(w, rows)) for j in range(n + 1)]
+    row = [comb(n, k) for k in range(n + 1)]
+    s = [0] * (n + 1)
+    for m, wm in enumerate(w):
+        if m:
+            prev, row = row, [1] + [0] * n
+            for k in range(1, n + 1):
+                row[k] = prev[k] - prev[k - 1] - row[k - 1]
+        s = [acc + wm * kr for acc, kr in zip(s, reversed(row))]
+    return s
 
 
 def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -411,7 +398,7 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
     Evaluates s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) pur(S): the
     purities are brought to integer weights over one denominator, the lcm
     of theirs, summed by subset size and contracted with the Krawtchouk
-    table (`_krawtchouk_shadow`); each s_j is one division at the end.  A
+    rows (`_krawtchouk_shadow`); each s_j is one division at the end.  A
     table whose length is not 2^N raises ValueError.  Exactly equal to
     the nested double sum, which the test suite pins on small instances.
     """
@@ -445,11 +432,14 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     the size sums are W_m = sum_{sum a = m} prod_c C(n_c, a_c)
     max(D_a, D / D_a) with D_a = prod_c d_c^(a_c), over the count vectors
     a rather than the 2^N subsets; `_krawtchouk_shadow` contracts them.
+    Raises CapacityError before any work on what `hetero.check_shadow_size`
+    refuses, or above `WORK_CAP` steps, one per class of each count vector.
     """
-    n = profile.n_parties
-    if n > SHADOW_PARTY_CAP:
-        raise CapacityError(f"shadow subset sum capped at {SHADOW_PARTY_CAP} parties, got {n}")
-    total = profile.total_dim
+    check_shadow_size(profile)
+    steps = len(profile.classes) * prod(len(parties) + 1 for _, parties in profile.classes)
+    if steps > WORK_CAP:
+        raise CapacityError(f"shadow subset sum of {steps} steps exceeds cap {WORK_CAP}")
+    n, total = profile.n_parties, profile.total_dim
     w = [0] * (n + 1)
     for m, ways, d_a in _subset_classes(profile):
         # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D

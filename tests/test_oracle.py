@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kuniform import oracle
+from kuniform import oracle, tables
 from kuniform.enumerators import shadow_transform, validate_state_constraints
 from kuniform.errors import CapacityError, NotApplicableError
 from kuniform.exact import GaussianRational
-from kuniform.hetero import DimensionProfile, hetero_shadow
+from kuniform.hetero import MAX_SHADOW_BITS, MAX_SHADOW_PARTIES, DimensionProfile, hetero_shadow
 from kuniform.oracle import (
+    WORK_CAP,
     PureState,
-    _krawtchouk_table,
+    _krawtchouk_shadow,
     ame_shadow_oracle,
     direct_enumerator,
     direct_shadow,
@@ -114,8 +116,6 @@ def test_capacity_errors():
         with pytest.raises(CapacityError, match="^Hilbert dimension of 14 bits exceeds cap 4096$"):
             brute_force()
     assert is_k_uniform(product_zero_state(12), 1) is False
-    with pytest.raises(CapacityError, match="12 parties"):
-        ame_shadow_oracle(DimensionProfile((2,) * 13))
 
 
 def _pairs_multiplied(state, subsets):
@@ -425,13 +425,92 @@ def test_shadow_from_purities_refuses_a_table_not_of_length_two_to_the_n():
             shadow_from_purities([Fraction(1)] * size)
 
 
-def test_krawtchouk_table_equals_its_defining_sum():
+def test_krawtchouk_shadow_equals_its_defining_sum():
+    # the unit weight on size m gives s_j = K_(N-j)(m), with
     # K_k(m) = sum_l (-1)^l C(m, l) C(N-m, k-l), coefficient of z^k in
     # (1-z)^m (1+z)^(N-m)
     for n in range(13):
-        table = _krawtchouk_table(n)
         for m in range(n + 1):
-            assert table[m] == tuple(
-                sum((-1) ** l * comb(m, l) * comb(n - m, k - l) for l in range(k + 1))
-                for k in range(n + 1)
-            ), (n, m)
+            unit = [0] * (n + 1)
+            unit[m] = 1
+            assert _krawtchouk_shadow(unit) == [
+                sum((-1) ** l * comb(m, l) * comb(n - m, n - j - l) for l in range(n - j + 1))
+                for j in range(n + 1)
+            ], (n, m)
+
+
+def test_ame_shadow_oracle_checks_table_iv():
+    # every Table IV profile d1 x d2^(2n) with n below the threshold: the
+    # oracle equals hetero_shadow, and its negative n are the pinned set
+    checked = 0
+    for d1_lo, d1_hi, d2, threshold, shadow_ns in tables.HETERO_TABLE:
+        for d1 in range(d1_lo, d1_hi + 1):
+            negative = []
+            for n in range(1, threshold):
+                profile = DimensionProfile((d1,) + (d2,) * (2 * n))
+                s = ame_shadow_oracle(profile)
+                assert s == hetero_shadow(profile).s, (d1, d2, n)
+                if any(v < 0 for v in s):
+                    negative.append(n)
+                checked += 1
+            assert tuple(negative) == shadow_ns, (d1, d2)
+    assert checked == 302
+
+
+def _record_subset_classes(monkeypatch):
+    """Replace `_subset_classes` by a stub that records its profiles and yields nothing."""
+    calls = []
+    monkeypatch.setattr(
+        oracle, "_subset_classes", lambda profile: calls.append(profile) or iter(())
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"3x1,2x{MAX_SHADOW_PARTIES + 1}", "1000000x1001"],
+    ids=["parties", "bits"],
+)
+def test_ame_shadow_oracle_refuses_what_hetero_shadow_refuses(monkeypatch, spec):
+    calls = _record_subset_classes(monkeypatch)
+    profile = DimensionProfile.parse(spec)
+    assert (
+        profile.n_parties > MAX_SHADOW_PARTIES
+        or profile.total_dim.bit_length() > MAX_SHADOW_BITS
+    )
+    with pytest.raises(CapacityError) as shadow_error:
+        hetero_shadow(profile)
+    with pytest.raises(CapacityError) as oracle_error:
+        ame_shadow_oracle(profile)
+    assert str(oracle_error.value) == str(shadow_error.value)
+    assert calls == []
+
+
+def test_ame_shadow_oracle_work_bound(monkeypatch):
+    calls = _record_subset_classes(monkeypatch)
+    # 23 classes of one party: 23 * 2^23 steps
+    many = DimensionProfile(tuple(range(2, 25)))
+    with pytest.raises(CapacityError, match=f"^shadow subset sum of {23 << 23} steps exceeds cap"):
+        ame_shadow_oracle(many)
+    # 4 classes of 31 parties: 4 * 32^4 steps, exactly the cap, pass on to
+    # the sum; one party more is refused
+    at_cap = DimensionProfile.parse("2x31,3x31,4x31,5x31")
+    assert 4 * 32**4 == WORK_CAP
+    assert ame_shadow_oracle(at_cap) == (0,) * 125
+    with pytest.raises(CapacityError, match=f"^shadow subset sum of {4 * 32**3 * 33} steps"):
+        ame_shadow_oracle(DimensionProfile.parse("2x31,3x31,4x31,5x32"))
+    assert calls == [at_cap]
+
+
+def test_ame_shadow_oracle_keeps_no_memory():
+    # a table of Krawtchouk rows cached per N would keep megabytes here
+    profiles = [DimensionProfile.parse(f"3x1,2x{n}") for n in (300, 400)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for profile in profiles:
+            assert sum(ame_shadow_oracle(profile)) == 2**profile.n_parties
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
