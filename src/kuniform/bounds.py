@@ -299,20 +299,17 @@ _D3_EXCEPTIONS = frozenset({23, 37, 51})
 def range_formula_d3(n_parties: int) -> int:
     """Closed-form d = 3 bound: 6m-1 / 6m+1 / 6m+3 over bands of N mod 14.
 
-    Defined for N >= 10 except N in {23, 37, 51}, where the sign test the
-    formula encodes does not fire.
+    With m = (N+4) // 14, the offset N - 14m lies in -4..9, and the bound
+    is 6m - 1 + 2b for its band index b (`recurrence_block`).  Defined for
+    N >= 10 except N in {23, 37, 51}, where the sign test the formula
+    encodes does not fire.
     """
     if n_parties < 10:
         raise NotApplicableError(f"range formula needs N >= 10, got {n_parties}")
     if n_parties in _D3_EXCEPTIONS:
         raise NotApplicableError(f"N={n_parties} is an exception of the d=3 formula")
     m = (n_parties + 4) // 14
-    offset = n_parties - 14 * m
-    if offset <= -1:
-        return 6 * m - 1
-    if offset <= 4:
-        return 6 * m + 1
-    return 6 * m + 3
+    return 6 * m - 1 + 2 * recurrence_block(n_parties - 14 * m)
 
 
 # ---------------------------------------------------------------------------

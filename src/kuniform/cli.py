@@ -224,8 +224,7 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
             "uniform": answer,
         }
         return STATUS_OK, payload, None
-    s_direct = oracle.direct_shadow(state)
-    a = oracle.direct_enumerator(state)
+    a, s_direct = oracle.direct_distributions(state)
     payload = {
         "dims": list(state.profile.dims),
         "a": a.to_json_dict(),

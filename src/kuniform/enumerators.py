@@ -48,12 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import exact_int
-from .exact import binom, rat_to_str, substitute
+from .exact import binom, clear_denominators, rat_to_str, substitute
 
 
 def _exact_coeff(value) -> Fraction:
@@ -134,12 +133,6 @@ class ShadowCompressed(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers m * c for each coefficient c, and m, the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _substitute(
     coeffs: Sequence[Fraction],
     line: tuple[int, int],
@@ -151,7 +144,7 @@ def _substitute(
     sum_j a_j (L r)^(N-j) L^j = L^N p(r(y/L)) for p(z) = sum_k a_(N-k) z^k.
     """
     n = len(coeffs) - 1
-    ints, den = _clear_denominators(coeffs[::-1])
+    ints, den = clear_denominators(coeffs[::-1])
     out = substitute(ints, line, ratio, n)
     den *= scale**n
     return tuple(Fraction(v, den) for v in out)
@@ -218,7 +211,7 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
     n, d = enum.n_parties, enum.local_dim
     half = n // 2
     e = d - 1
-    ints, den = _clear_denominators(enum.coeffs[: half + 1])
+    ints, den = clear_denominators(enum.coeffs[: half + 1])
     # (1 + e y)^(-N) = sum_k C(N+k-1, k) (-e)^k y^k by term ratio, stored
     # highest power first so that a slice lines up with ints in a product.
     inverse = [1]
@@ -246,7 +239,7 @@ def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:
     kernel, whose degree N also covers the odd-N factor u.
     """
     n, d = inv.n_parties, inv.local_dim
-    ints, den = _clear_denominators(inv.coeffs)
+    ints, den = clear_denominators(inv.coeffs)
     out = substitute(ints, (1, d - 1), (0, 1, -d), n)
     return WeightEnumerator(n, d, tuple(Fraction(v, den) for v in out))
 
@@ -273,7 +266,7 @@ def b_to_c(compressed: ShadowCompressed, local_dim: int) -> InvariantBasisCoeffs
     """
     d = exact_int(local_dim, "local_dim", 2)
     n = compressed.n_parties
-    ints, den = _clear_denominators(compressed.coeffs)
+    ints, den = clear_denominators(compressed.coeffs)
     sums: list[int] = []
     for v in ints:
         sums = [a + b for a, b in zip(sums + [0], [0] + sums)]

@@ -80,6 +80,17 @@ def exact_ints(values, what: str, least: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def party_subset(subset, n_parties: int) -> tuple[int, ...]:
+    """`subset` as distinct exact ints in 0..n_parties-1: each range first, then distinctness."""
+    members = tuple(subset)
+    for i in members:
+        if exact_int(i, "party index", 0) >= n_parties:
+            raise ValueError(f"party index {i} out of range")
+    if len(set(members)) != len(members):
+        raise ValueError("subset indices must be distinct")
+    return members
+
+
 def read_json(text: str, what: str):
     """The document in `text`; nesting too deep to parse raises ValueError."""
     try:

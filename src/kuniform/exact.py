@@ -8,8 +8,8 @@ number with rational real and imaginary parts.
 Binomials are arbitrary-precision integers (`math.comb` underneath) with
 the combinatorial conventions C(0,0) = 1 and C(n,k) = 0 outside
 0 <= k <= n.  `falling_binom` extends the upper index to negative
-integers, which is the power-series coefficient convention needed by the
-hypergeometric sums in `bounds`.
+integers.  Only the uncalled `enumerators.basis_matrix_entry` calls
+`binom`; the tests and the benchmark's call counts keep both.
 
 `substitute` is the one substitution kernel: it expands
 L^N p(r(y/L)) for a linear form L, an integer polynomial p and a
@@ -17,9 +17,10 @@ polynomial r with small integer coefficients.  Each of its two passes is
 Horner's rule on one packed integer, a few shift-adds per step with no
 product of two long integers, and the digits are read back once.  Every
 change of variables in `enumerators` and the heterogeneous shadow in
-`hetero` is a call to it, with denominators cleared before and divided
-out once per coefficient after.  `elem_sym_prefix` is generic in its
-values: integers in give integers out, Fractions give Fractions.
+`hetero` is a call to it, with denominators cleared before
+(`clear_denominators`, which the oracle's integer sums share) and
+divided out once per coefficient after.  `elem_sym_prefix` is generic
+in its values: integers in give integers out, Fractions give Fractions.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ def _compose(coeffs: Sequence[int], ratio: Sequence[int]) -> list[int]:
         int.from_bytes(raw[i : i + nbytes], "little") - half
         for i in range(0, len(raw), nbytes)
     ]
+
+
+def clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers m * c for each coefficient c, and m, the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def substitute(

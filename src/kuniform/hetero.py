@@ -61,6 +61,7 @@ from .errors import (
     check_party_count,
     exact_int,
     exact_ints,
+    party_subset,
     read_int,
     read_json,
 )
@@ -185,20 +186,17 @@ def scott_check(profile: DimensionProfile, subset: Iterable[int]) -> Fraction:
     """Exact left-hand side of the subset inequality for a candidate A.
 
     A negative value certifies AME non-existence; nonnegative values prove
-    nothing (the test is only sufficient).  Each index must be an exact
-    int in 0..N-1 (`errors.exact_int`); any other raises ValueError.
+    nothing (the test is only sufficient).  The indices pass the input
+    rule `errors.party_subset` (distinct exact ints in 0..N-1) after the
+    size check; anything else raises ValueError.
     """
     members = tuple(subset)
-    n, half = profile.n_parties, profile.n_parties // 2
+    half = profile.n_parties // 2
     if len(members) != half + 2:
         raise ValueError(
             f"subset must have floor(N/2)+2 = {half + 2} parties, got {len(members)}"
         )
-    for i in members:
-        if exact_int(i, "party index", 0) >= n:
-            raise ValueError(f"party index {i} out of range")
-    if len(set(members)) != len(members):
-        raise ValueError("subset indices must be distinct")
+    party_subset(members, profile.n_parties)
     dims_a = [profile.dims[i] for i in members]
     ratio = Fraction(prod(d * d for d in dims_a), profile.total_dim)
     deficit = Fraction(1) - sum(Fraction(1, d * d) for d in dims_a)

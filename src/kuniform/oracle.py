@@ -16,11 +16,11 @@ From the subset purities everything else follows exactly:
   * `direct_shadow` evaluates the definitional double subset sum
     s_j = sum_{|T|=j} sum_S (-1)^(|S cap T^c|) Tr(rho_S^2).
 
-Both run on integers: every purity is an integer numerator over the one
-common denominator norm2^2 (norm2 the squared norm of the state with its
-amplitudes scaled to Gaussian integers), so the inversion and the
-subset sum add and multiply ints only, and each output coefficient is
-one division at the end.
+`direct_distributions` computes both from one sweep of the purities.
+Every purity is an integer numerator over one common denominator norm2^2
+(norm2 the squared norm of the state with its amplitudes scaled to
+Gaussian integers), so the inversion and the subset sum add and multiply
+ints only, and each output coefficient is one division at the end.
 
 The inner sum of the shadow depends on S only through its size m:
 sum_{|T|=j} (-1)^(|S cap T^c|) = K_(N-j)(m; N), the binary Krawtchouk
@@ -30,16 +30,16 @@ So s_j = sum_m W_m K_(N-j)(m), with W_m the weights summed over the
 subsets of size m: `_krawtchouk_shadow` builds each Krawtchouk row from
 the one before and adds it in, so no table of rows is kept.
 
-These are test fixtures, not production paths: the Hilbert dimension
-of a state is capped at a fixed `DIM_CAP` = 4096, checked once where every
-brute force starts (`_scaled_integer_amplitudes`), with a hard error
-beyond.  Every local dimension is at least 2, so a state under the cap
-has at most 12 parties.  Next, `purity`, `purity_table` and
-`is_k_uniform` are capped by the ket pairs their purities multiply, at
-most `WORK_CAP` = 2^22 (`_check_work`, about 1 us a pair), before any
-purity: a dense 8-qubit state passes and a dense 9-qubit state is
-refused.  The sum over subsets runs over class count vectors
-(`_subset_classes`), not over the 2^N subsets.
+The `state` subcommand runs this brute force, so its size is capped:
+the Hilbert dimension of a state at a fixed `DIM_CAP` = 4096, checked
+once where every brute force starts (`_scaled_integer_amplitudes`).
+Every local dimension is at least 2, so a state under the cap has at
+most 12 parties.  Next, `purity`, the table sweep and `is_k_uniform` are
+capped by the ket pairs their purities multiply, at most `WORK_CAP` =
+2^22 (`_check_work`, about 1 us a pair), before any purity: a dense
+8-qubit state passes and a dense 9-qubit state is refused.  Those bounds
+read the number of subsets of each size and dimension, `_subset_classes`.
+Nothing is kept between calls.
 
 A state's `dims` and kets pass the input rule `errors.exact_ints` once,
 in the constructors, and a ket listed twice is refused there; state files
@@ -52,9 +52,9 @@ an independent route to `hetero.hetero_shadow`, which
 share the contraction and differ only in how W_m is grouped: a state's
 purities, or a given table, by popcount over the 2^N bitmasks, as
 `direct_enumerator` groups them; an AME profile's integer weights
-max(D_S, D / D_S) over D by class count vectors, never listing the 2^N
+max(D_S, D / D_S) over D by `_subset_classes`, never listing the 2^N
 subsets.  The AME route refuses by size what `hetero_shadow` refuses
-(`hetero.check_shadow_size`) and caps its count vectors by `WORK_CAP`.
+(`hetero.check_shadow_size`) and caps the table's steps by `WORK_CAP`.
 """
 
 from __future__ import annotations
@@ -62,20 +62,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import comb, prod
+from typing import Iterable, Mapping, Sequence, Union
 
-from .enumerators import ShadowEnumerator, WeightEnumerator, _clear_denominators
+from .enumerators import ShadowEnumerator, WeightEnumerator
 from .errors import (
     CapacityError,
     NotApplicableError,
     exact_int,
     exact_ints,
+    party_subset,
     read_json,
     required,
 )
-from .exact import GaussianRational, rat_from_str, rat_to_str
+from .exact import GaussianRational, clear_denominators, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, check_shadow_size, hetero_shadow
 
 DIM_CAP = 4096
@@ -180,15 +180,6 @@ def product_zero_state(n_parties: int, local_dim: int = 2) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _check_dim_cap(state: PureState) -> None:
-    # the size in bits, since a total dimension may have too many digits to print
-    total = state.profile.total_dim
-    if total > DIM_CAP:
-        raise CapacityError(
-            f"Hilbert dimension of {total.bit_length()} bits exceeds cap {DIM_CAP}"
-        )
-
-
 def _scaled_integer_amplitudes(
     state: PureState,
 ) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
@@ -198,42 +189,49 @@ def _scaled_integer_amplitudes(
     denominator is simply cleared.  Every brute force starts here, so a
     state above the dimension cap is refused here, before any purity.
     """
-    _check_dim_cap(state)
-    scale = 1
-    for _, a in state.amplitudes:
-        scale = lcm(scale, a.re.denominator, a.im.denominator)
-    entries = [
-        (ket, int(a.re * scale), int(a.im * scale)) for ket, a in state.amplitudes
-    ]
+    # the size in bits, since a total dimension may have too many digits to print
+    total = state.profile.total_dim
+    if total > DIM_CAP:
+        raise CapacityError(
+            f"Hilbert dimension of {total.bit_length()} bits exceeds cap {DIM_CAP}"
+        )
+    parts, _ = clear_denominators([x for _, a in state.amplitudes for x in (a.re, a.im)])
+    entries = list(zip([ket for ket, _ in state.amplitudes], parts[::2], parts[1::2]))
     norm2 = sum(re * re + im * im for _, re, im in entries)
     return entries, norm2
 
 
-def _subset_classes(profile: DimensionProfile) -> Iterator[tuple[int, int, int]]:
-    """(|S|, number of such S, D_S) for each class count vector of `profile`.
+def _subset_classes(profile: DimensionProfile) -> dict[tuple[int, int], int]:
+    """{(|S|, D_S): number of subsets S of the parties} for `profile`.
 
-    A subset's size and dimension depend only on the count a_c of parties
-    it holds in each class c of `DimensionProfile.classes`, and
-    prod_c C(n_c, a_c) subsets share the count vector a.
+    Built by folding in one class (d, n_c) of `DimensionProfile.classes`
+    at a time: a subset takes a of the class's parties in C(n_c, a) ways,
+    adding a to |S| and a factor d^a to D_S.  Each entry and count a costs
+    one multiply-add, at most len(classes) prod_c (n_c + 1) in all, and
+    count vectors with the same size and dimension share one entry.
     """
-    classes = [(d, len(parties)) for d, parties in profile.classes]
-    for counts in itertools.product(*(range(size + 1) for _, size in classes)):
-        yield (
-            sum(counts),
-            prod(comb(size, a) for (_, size), a in zip(classes, counts)),
-            prod(d**a for (d, _), a in zip(classes, counts)),
-        )
+    table = {(0, 1): 1}
+    for d, parties in profile.classes:
+        n_c = len(parties)
+        steps = [(a, comb(n_c, a), d**a) for a in range(n_c + 1)]
+        folded: dict[tuple[int, int], int] = {}
+        for (m, d_s), ways in table.items():
+            for a, choose, power in steps:
+                key = (m + a, d_s * power)
+                folded[key] = folded.get(key, 0) + ways * choose
+        table = folded
+    return table
 
 
-def _check_work(kets: int, subsets: Iterable[tuple[int, int]]) -> None:
+def _check_work(kets: int, subsets: Mapping[tuple[int, int], int]) -> None:
     """Refuse purities that multiply more than WORK_CAP ket pairs in all.
 
-    `subsets` holds (number of subsets, D_S) for the subsets S to be read.
-    The purity of S groups the `kets` nonzero kets by their labels off S,
-    and a group holds at most min(kets, D_S) of them, so it multiplies at
-    most kets min(kets, D_S) pairs, exactly that many on a dense state.
+    `subsets` maps (|S|, D_S) to the number of subsets S to be read, as
+    `_subset_classes` does.  The purity of S groups the `kets` nonzero kets
+    by their labels off S, a group of at most min(kets, D_S), so it
+    multiplies at most kets min(kets, D_S) pairs, that many when dense.
     """
-    pairs = kets * sum(ways * min(kets, d_s) for ways, d_s in subsets)
+    pairs = kets * sum(ways * min(kets, d_s) for (_, d_s), ways in subsets.items())
     if pairs > WORK_CAP:
         raise CapacityError(f"brute force of {pairs} ket pairs exceeds cap {WORK_CAP}")
 
@@ -262,35 +260,24 @@ def _purity_numerator(
 def purity(state: PureState, subset: Iterable[int]) -> Fraction:
     """Exact Tr(rho_S^2) of the normalized state's reduction to `subset`.
 
-    Each index must be an exact int in 0..N-1, each at most once; any
-    other subset raises ValueError.
+    The indices pass the input rule `errors.party_subset` (distinct exact
+    ints in 0..N-1); any other subset raises ValueError.
     """
     n = state.profile.n_parties
-    mask = 0
-    for i in subset:
-        if exact_int(i, "party index", 0) >= n:
-            raise ValueError(f"party index {i} out of range")
-        if mask >> i & 1:
-            raise ValueError("subset indices must be distinct")
-        mask |= 1 << i
+    members = party_subset(subset, n)
+    mask = sum(1 << i for i in members)
     entries, norm2 = _scaled_integer_amplitudes(state)
-    d_s = prod(d for t, d in enumerate(state.profile.dims) if mask >> t & 1)
-    _check_work(len(entries), [(1, d_s)])
+    d_s = prod(state.profile.dims[i] for i in members)
+    _check_work(len(entries), {(len(members), d_s): 1})
     return Fraction(_purity_numerator(entries, n, mask), norm2 * norm2)
 
 
-@lru_cache(maxsize=1)
-def _purity_numerators(state: PureState) -> tuple[tuple[int, ...], int]:
-    """Integer purity numerators of every subset (bitmask indexed) over norm2^2.
-
-    The last state's table is kept, so `state --enumerate`, which reads it
-    twice (`direct_shadow` and `direct_enumerator`), builds it once; a
-    tuple, so that no caller can change the shared table.
-    """
+def _purity_numerators(state: PureState) -> tuple[list[int], int]:
+    """Integer purity numerators of every subset (bitmask indexed) over norm2^2."""
     n = state.profile.n_parties
     entries, norm2 = _scaled_integer_amplitudes(state)
-    _check_work(len(entries), ((ways, d_s) for _, ways, d_s in _subset_classes(state.profile)))
-    nums = tuple(_purity_numerator(entries, n, mask) for mask in range(1 << n))
+    _check_work(len(entries), _subset_classes(state.profile))
+    nums = [_purity_numerator(entries, n, mask) for mask in range(1 << n)]
     return nums, norm2 * norm2
 
 
@@ -316,7 +303,7 @@ def is_k_uniform(state: PureState, k: int) -> bool:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
     entries, norm2 = _scaled_integer_amplitudes(state)
     sized = _subset_classes(state.profile)
-    _check_work(len(entries), ((ways, d_s) for m, ways, d_s in sized if m == k))
+    _check_work(len(entries), {key: ways for key, ways in sized.items() if key[0] == k})
     denom = norm2 * norm2
     for subset in itertools.combinations(range(n), k):
         mask = sum(1 << t for t in subset)
@@ -340,14 +327,16 @@ def _local_dim(state: PureState) -> int:
     return state.profile.dims[0]
 
 
-def direct_enumerator(state: PureState) -> WeightEnumerator:
-    """Weight distribution a_0 .. a_N by purity inclusion-exclusion.
+def direct_distributions(state: PureState) -> tuple[WeightEnumerator, ShadowEnumerator]:
+    """Weight and shadow distributions from one sweep of the purity table.
 
-    Each U of size u lies in C(N-u, j-u) sets T of size j, so
-    a_j = sum_u (-1)^(j-u) C(N-u, j-u) d^u W_u, with W_u the integer purity
-    numerators summed over the subsets of size u, divided by their common
-    denominator once per a_j.  Homogeneous profiles only: the per-weight
-    grouping of the distribution presumes a single local dimension.
+    With W_u the integer purity numerators summed over the subsets of
+    size u: each U of size u lies in C(N-u, j-u) sets T of size j, so
+    a_j = sum_u (-1)^(j-u) C(N-u, j-u) d^u W_u by inclusion-exclusion,
+    and s_j is the definitional subset sum, contracted by
+    `_krawtchouk_shadow`; each coefficient is divided by the common
+    denominator once.  Homogeneous profiles only: the per-weight
+    grouping of the distributions presumes a single local dimension.
     """
     n, d = state.profile.n_parties, _local_dim(state)
     nums, denom = _purity_numerators(state)
@@ -356,7 +345,15 @@ def direct_enumerator(state: PureState) -> WeightEnumerator:
         sum((-1) ** (j - u) * comb(n - u, j - u) * d**u * w[u] for u in range(j + 1))
         for j in range(n + 1)
     )
-    return WeightEnumerator(n, d, tuple(Fraction(v, denom) for v in a))
+    return (
+        WeightEnumerator(n, d, tuple(Fraction(v, denom) for v in a)),
+        ShadowEnumerator(n, d, tuple(Fraction(v, denom) for v in _krawtchouk_shadow(w))),
+    )
+
+
+def direct_enumerator(state: PureState) -> WeightEnumerator:
+    """Weight distribution a_0 .. a_N, by `direct_distributions`."""
+    return direct_distributions(state)[0]
 
 
 def _by_subset_size(weights: Sequence[int]) -> list[int]:
@@ -402,16 +399,13 @@ def shadow_from_purities(purities: Sequence[Fraction]) -> tuple[Fraction, ...]:
     table whose length is not 2^N raises ValueError.  Exactly equal to
     the nested double sum, which the test suite pins on small instances.
     """
-    weights, den = _clear_denominators(purities)
+    weights, den = clear_denominators(purities)
     return tuple(Fraction(v, den) for v in _krawtchouk_shadow(_by_subset_size(weights)))
 
 
 def direct_shadow(state: PureState) -> ShadowEnumerator:
-    """Shadow coefficients from the definitional subset sum over purities."""
-    n, d = state.profile.n_parties, _local_dim(state)
-    nums, denom = _purity_numerators(state)
-    s = tuple(Fraction(v, denom) for v in _krawtchouk_shadow(_by_subset_size(nums)))
-    return ShadowEnumerator(n, d, s)
+    """Shadow coefficients s_0 .. s_N, by `direct_distributions`."""
+    return direct_distributions(state)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +421,13 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     That profile is consistent only on Schmidt-feasible profiles; callers
     compare the result against `hetero.hetero_shadow` there.
 
-    The weight max(D_S, D / D_S) of S depends only on the count a_c of
-    parties it holds in each class c of `DimensionProfile.classes`, so
-    the size sums are W_m = sum_{sum a = m} prod_c C(n_c, a_c)
-    max(D_a, D / D_a) with D_a = prod_c d_c^(a_c), over the count vectors
-    a rather than the 2^N subsets; `_krawtchouk_shadow` contracts them.
+    The weight max(D_S, D / D_S) of S depends only on |S| and D_S, so
+    the size sums are W_m = sum over the (m, D_S) entries of
+    `_subset_classes` of their subset counts times max(D_S, D / D_S),
+    rather than over the 2^N subsets; `_krawtchouk_shadow` contracts them.
     Raises CapacityError before any work on what `hetero.check_shadow_size`
-    refuses, or above `WORK_CAP` steps, one per class of each count vector.
+    refuses, or above `WORK_CAP` steps, the table's bound
+    len(classes) prod_c (n_c + 1).
     """
     check_shadow_size(profile)
     steps = len(profile.classes) * prod(len(parties) + 1 for _, parties in profile.classes)
@@ -441,9 +435,9 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
         raise CapacityError(f"shadow subset sum of {steps} steps exceeds cap {WORK_CAP}")
     n, total = profile.n_parties, profile.total_dim
     w = [0] * (n + 1)
-    for m, ways, d_a in _subset_classes(profile):
+    for (m, d_s), ways in _subset_classes(profile).items():
         # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
-        w[m] += ways * max(d_a, total // d_a)
+        w[m] += ways * max(d_s, total // d_s)
     return tuple(Fraction(v, total) for v in _krawtchouk_shadow(w))
 
 

@@ -413,12 +413,26 @@ def test_state_enumerate_builds_the_purity_table_once(tmp_path, capsys, monkeypa
     monkeypatch.setattr(
         oracle, "_purity_numerator", lambda *a: calls.append(a[2]) or real(*a)
     )
-    oracle._purity_numerators.cache_clear()
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 0 and doc["payload"]["s_matches_transform"] is True
     assert sorted(calls) == list(range(2**6))
+
+
+def test_state_enumerate_keeps_nothing_between_runs(tmp_path, capsys, monkeypatch):
+    # the last state's purity table was once kept, so a second run on the
+    # same file was answered from it after the cap had been lowered
+    path = tmp_path / "ghz6.json"
+    path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 0 and doc["status"] == "ok"
+    # 2 kets: the empty subset groups them apart, each of the other 63 together
+    pairs = 2 * (1 + 63 * 2)
+    monkeypatch.setattr(oracle, "WORK_CAP", pairs - 1)
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == f"brute force of {pairs} ket pairs exceeds cap {pairs - 1}"
 
 
 def test_state_enumerate_heterogeneous_is_not_applicable(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
 from kuniform.errors import MAX_DIM_BITS, MAX_PARTIES, CapacityError, NotApplicableError
-from kuniform.exact import binom, elem_sym_prefix
+from kuniform.exact import GaussianRational, binom, elem_sym_prefix
 from kuniform.hetero import (
     MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
@@ -22,7 +22,7 @@ from kuniform.hetero import (
     scott_pair_threshold,
     scott_search,
 )
-from kuniform.oracle import ame_shadow_oracle
+from kuniform.oracle import PureState, ame_shadow_oracle, purity
 
 
 def pair_profile(d1, d2, n):
@@ -145,8 +145,11 @@ def test_scott_check_worked_values():
         ((0, 1, 2, 3, 4, 9), "party index 9 out of range"),
         ((0, True, 2, 3, 4, 5), "party index must be an integer, got True"),
         ((0, 1, 2, 3, 4, 5.0), "party index must be an integer, got 5.0"),
+        ((0, 1, 2, 3, 4, -1), "party index must be >= 0, got -1"),
+        ((0, 1, 2, 3, 4, 4), "subset indices must be distinct"),
+        ((0, 0, 2, 3, 4, 9), "party index 9 out of range"),
     ],
-    ids=["negative", "far", "just-past", "bool", "float"],
+    ids=["negative", "far", "just-past", "bool", "float", "minus-one", "repeated", "range-first"],
 )
 def test_scott_check_refuses_party_indices_outside_the_profile(subset, message):
     # -9 once wrapped round to party 0 and counted the 3 twice, a false
@@ -155,6 +158,10 @@ def test_scott_check_refuses_party_indices_outside_the_profile(subset, message):
     assert scott_search(profile) is None
     with pytest.raises(ValueError, match=f"^{message}$"):
         scott_check(profile, subset)
+    # `oracle.purity` reads its subset by the same rule, `errors.party_subset`
+    state = PureState.from_amplitudes(profile, {(0,) * 9: GaussianRational.of(1)})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        purity(state, subset)
 
 
 def test_pair_threshold_takes_exact_ints():

@@ -2,7 +2,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -149,14 +149,12 @@ def test_work_cap_bounds_the_pairs_and_meets_them_on_dense_states(monkeypatch, c
         for sweep, sizes in sweeps:
             subsets = [set(c) for m in sizes for c in itertools.combinations(range(n), m)]
             pairs = _pairs_multiplied(state, subsets)
-            oracle._purity_numerators.cache_clear()
             monkeypatch.setattr(oracle, "WORK_CAP", pairs - 1)
             with pytest.raises(CapacityError, match="^brute force of [0-9]+ ket pairs"):
                 sweep()
             if dense:
                 monkeypatch.setattr(oracle, "WORK_CAP", pairs)
                 sweep()
-    oracle._purity_numerators.cache_clear()
 
 
 def _shadow_from_purities_naive(purities):
@@ -458,10 +456,10 @@ def test_ame_shadow_oracle_checks_table_iv():
 
 
 def _record_subset_classes(monkeypatch):
-    """Replace `_subset_classes` by a stub that records its profiles and yields nothing."""
+    """Replace `_subset_classes` by a stub that records its profiles and returns no subsets."""
     calls = []
     monkeypatch.setattr(
-        oracle, "_subset_classes", lambda profile: calls.append(profile) or iter(())
+        oracle, "_subset_classes", lambda profile: calls.append(profile) or {}
     )
     return calls
 
@@ -500,6 +498,22 @@ def test_ame_shadow_oracle_work_bound(monkeypatch):
     with pytest.raises(CapacityError, match=f"^shadow subset sum of {4 * 32**3 * 33} steps"):
         ame_shadow_oracle(DimensionProfile.parse("2x31,3x31,4x31,5x32"))
     assert calls == [at_cap]
+
+
+@pytest.mark.parametrize("spec", ["2x2,4x2,8x2", "3x2,9x2,27x1,2x3", "5x2,25x2,125x1"])
+def test_subset_classes_count_every_subset(spec):
+    # two count vectors share a size and a dimension only across three
+    # classes of powers of one base: (1, 0, 1) and (0, 2, 0) on 2, 4, 8
+    profile = DimensionProfile.parse(spec)
+    n = profile.n_parties
+    direct = Counter(
+        (m, prod(profile.dims[i] for i in subset))
+        for m in range(n + 1)
+        for subset in itertools.combinations(range(n), m)
+    )
+    table = oracle._subset_classes(profile)
+    assert table == direct
+    assert len(table) < prod(len(parties) + 1 for _, parties in profile.classes)
 
 
 def test_ame_shadow_oracle_keeps_no_memory():
