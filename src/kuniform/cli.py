@@ -32,10 +32,11 @@ Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
 `ame --dims` profile and a state file) are refused with a capacity error
 before any work, and so is a profile whose dimensions take more than
-errors.MAX_DIM_BITS bits, and a state whose Hilbert dimension exceeds
-the fixed oracle.DIM_CAP = 4096 or whose brute force would multiply more
-than oracle.WORK_CAP ket pairs.  Below those caps no `bound` or `ame`
-request needs a search limit: each bound is an O(N) sign scan, and
+errors.MAX_DIM_BITS bits, and a state whose brute force would take more
+than oracle.WORK_CAP = 2^22 steps, K (N + min(K, D_S)) per subset S read
+with K nonzero kets: the one size rule of `state`, which answers a dense
+8-qubit state in about 1 s.  Below those caps no `bound` or `ame` request
+needs a search limit: each bound is an O(N) sign scan, and
 `bound --d 5 --n-range 2:4096` runs in about 9 s with a 32 MB peak
 resident set (2-core VM); the subset search behind `ame` evaluates at
 most floor(N/2)+3 draws, in under 0.3 s on the widest profiles.
@@ -169,31 +170,13 @@ def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     check_party_count(hi)  # lo <= hi, so this bounds both ends
     records = tables.compute_bound_records(d, lo, hi)
     payload = {"d": d, "records": [r.to_json_dict() for r in records]}
-    csv_lines = ["N,k_max,provenance"]
-    csv_lines += [f"{r.n_parties},{r.k_max},{r.provenance}" for r in records]
-    return STATUS_OK, payload, "\n".join(csv_lines) if args.format == "csv" else None
+    return STATUS_OK, payload, tables.bound_csv(records) if args.format == "csv" else None
 
 
 def _run_table(args) -> tuple[str, dict, Optional[str]]:
     diff = tables.diff_table(args.paper)
-    payload: dict = {
-        "table": diff.table_id,
-        "match": diff.match,
-        "diffs": [d.to_json_dict() for d in diff.diffs],
-    }
-    if diff.table_id == "IV":
-        payload["rows"] = [
-            {"d1": d1, "d2": d2, "threshold_n": thr, "shadow_certified_n": list(ns)}
-            for d1, d2, thr, ns in diff.computed
-        ]
-    else:
-        payload["cells"] = [
-            {"n_range": tables.format_n_range(lo, hi), "k_max": k}
-            for lo, hi, k in diff.computed
-        ]
-        payload["records"] = [r.to_json_dict() for r in diff.records]
     status = STATUS_OK if diff.match else STATUS_VIOLATION
-    return status, payload, tables.table_csv(diff) if args.format == "csv" else None
+    return status, diff.to_json_dict(), tables.table_csv(diff) if args.format == "csv" else None
 
 
 def _run_ame(args) -> tuple[str, dict, Optional[str]]:

@@ -8,9 +8,9 @@ certified by the shadow coefficients below each threshold).
 
 `diff_table` recomputes a table from scratch and reports every cell that
 differs; an empty diff is the reproduction statement the command-line
-`table` command prints.  `table_csv` renders the computed table as the
-CSV that `table --format csv` prints and `scripts/reproduce_tables.py`
-writes.
+`table` command prints.  `TableDiff.to_json_dict` is its payload, and
+`table_csv` and `bound_csv` the CSV of `table --format csv` (which
+`scripts/reproduce_tables.py` writes) and of `bound --format csv`.
 """
 
 from __future__ import annotations
@@ -115,6 +115,21 @@ class TableDiff:
     def match(self) -> bool:
         return not self.diffs
 
+    def to_json_dict(self) -> dict:
+        doc = {"table": self.table_id, "match": self.match}
+        doc["diffs"] = [d.to_json_dict() for d in self.diffs]
+        if self.table_id == "IV":
+            doc["rows"] = [
+                {"d1": d1, "d2": d2, "threshold_n": thr, "shadow_certified_n": list(ns)}
+                for d1, d2, thr, ns in self.computed
+            ]
+        else:
+            doc["cells"] = [
+                {"n_range": format_n_range(lo, hi), "k_max": k} for lo, hi, k in self.computed
+            ]
+            doc["records"] = [r.to_json_dict() for r in self.records]
+        return doc
+
 
 def shadow_certified_set(d1: int, d2: int, n_below: int) -> tuple[int, ...]:
     """All n < n_below whose shadow coefficients go negative on d1 x d2^(2n)."""
@@ -184,6 +199,13 @@ def table_csv(diff: TableDiff) -> str:
     else:
         lines = ["N_range,k_max"]
         lines += [f"{format_n_range(lo, hi)},{k}" for lo, hi, k in diff.computed]
+    return "\n".join(lines)
+
+
+def bound_csv(records: list[BoundVerdict]) -> str:
+    """Per-N bounds as CSV lines, header first, without a final newline."""
+    lines = ["N,k_max,provenance"]
+    lines += [f"{r.n_parties},{r.k_max},{r.provenance}" for r in records]
     return "\n".join(lines)
 
 

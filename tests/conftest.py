@@ -33,6 +33,24 @@ def _ame43_state():
 
 
 @pytest.fixture
+def tetracode():
+    """The 2-uniform eight-qutrit state sum |a, b> over a, b in the ternary tetracode.
+
+    The tetracode is the [4, 2, 3]_3 code spanned by (1, 0, 1, 1) and
+    (0, 1, 1, 2); its nine words form an orthogonal array of strength 2
+    (Goyeneche and Zyczkowski, *Genuinely multipartite entangled states
+    and orthogonal arrays*, 2014), so the 81-ket state is 2-uniform.
+    """
+    code = [
+        tuple((i * g + j * h) % 3 for g, h in zip((1, 0, 1, 1), (0, 1, 1, 2)))
+        for i in range(3)
+        for j in range(3)
+    ]
+    amps = {a + b: GaussianRational.of(1) for a in code for b in code}
+    return PureState.from_amplitudes((3,) * 8, amps)
+
+
+@pytest.fixture
 def corpus():
     """Named reference states: GHZ and product states, the W state and the AME(4, 3) state."""
     states = []

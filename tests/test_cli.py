@@ -345,15 +345,29 @@ def test_negative_check_uniform_is_a_usage_error(tmp_path, capsys):
 
 
 def test_state_capacity_error(tmp_path, capsys):
-    path = tmp_path / "ghz13.json"
-    path.write_text(json.dumps(ghz_state(13, 2).to_json_dict()))
+    # 2^18 subsets at 18 + 1 steps each, above the cap of 2^22 steps
+    path = tmp_path / "product18.json"
+    path.write_text(json.dumps(product_zero_state(18).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "Hilbert dimension of 14 bits exceeds cap 4096"
+    assert doc["payload"]["error"] == "brute force of 4980736 steps exceeds cap 4194304"
+
+
+def test_state_answers_the_two_uniform_tetracode_state(tmp_path, capsys, tetracode):
+    # eight qutrits, 81 kets: once refused for its Hilbert dimension of 3^8
+    path = tmp_path / "tetracode.json"
+    path.write_text(json.dumps(tetracode.to_json_dict()))
+    for k, uniform in (("2", True), ("3", False)):
+        code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", k)
+        assert code == 0 and doc["payload"]["uniform"] is uniform
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 0 and doc["payload"]["s_matches_transform"] is True
+    assert doc["payload"]["a"]["coeffs"][:3] == ["1", "0", "0"]
 
 
 def test_state_work_cap_refuses_a_dense_nine_qubit_state(tmp_path, capsys):
-    # 6^9 ket pairs: the purity sweep once ran about 6 s on this state
+    # 512 (9 + min(512, D_S)) steps per subset, 6^9 of them ket pairs: the
+    # purity sweep once ran about 6 s on this state
     amps = {
         ket: GaussianRational.of(1 + sum(ket), ket[0])
         for ket in itertools.product((0, 1), repeat=9)
@@ -364,18 +378,21 @@ def test_state_work_cap_refuses_a_dense_nine_qubit_state(tmp_path, capsys):
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert time.monotonic() - start < 1
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "brute force of 10077696 ket pairs exceeds cap 4194304"
+    assert doc["payload"]["error"] == "brute force of 12436992 steps exceeds cap 4194304"
 
 
 def test_state_dim_cap_error_names_bits(tmp_path, capsys):
     # the dimension 100^4096 once went into the message, and printing its
-    # 8193 digits raised Python's integer string conversion limit instead
+    # 8193 digits raised Python's integer string conversion limit instead;
+    # the 2^4096 * 4097 steps of a full sweep are named by their bits
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(product_zero_state(4096, 100).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
     assert code == 1 and doc["status"] == "error"
-    bits = (100**4096).bit_length()
-    assert doc["payload"]["error"] == f"Hilbert dimension of {bits} bits exceeds cap 4096"
+    assert doc["payload"]["error"] == f"brute force of {4096 * 4097} steps exceeds cap 4194304"
+    code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["error"] == "brute force of at least 2^4108 steps exceeds cap 4194304"
 
 
 def test_state_file_party_cap(tmp_path, capsys):
@@ -392,17 +409,19 @@ def test_state_file_party_cap(tmp_path, capsys):
 
 def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch):
     # the 2^N purity table and its O(3^N) inversion once ran before the
-    # shadow's party cap refused the state
+    # shadow's party cap refused the state; 2^17 subsets of 17 parties and
+    # 2 kets are above the cap
     calls = []
     real = oracle._purity_numerator
     monkeypatch.setattr(
         oracle, "_purity_numerator", lambda *a: calls.append(a) or real(*a)
     )
-    path = tmp_path / "ghz16.json"
-    path.write_text(json.dumps(ghz_state(16, 2).to_json_dict()))
+    path = tmp_path / "ghz17.json"
+    path.write_text(json.dumps(ghz_state(17, 2).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "Hilbert dimension of 17 bits exceeds cap 4096"
+    steps = 2 * (2**17 * 17 + 1 + (2**17 - 1) * 2)
+    assert doc["payload"]["error"] == f"brute force of {steps} steps exceeds cap 4194304"
     assert calls == []
 
 
@@ -427,12 +446,13 @@ def test_state_enumerate_keeps_nothing_between_runs(tmp_path, capsys, monkeypatc
     path.write_text(json.dumps(ghz_state(6, 2).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 0 and doc["status"] == "ok"
-    # 2 kets: the empty subset groups them apart, each of the other 63 together
-    pairs = 2 * (1 + 63 * 2)
-    monkeypatch.setattr(oracle, "WORK_CAP", pairs - 1)
+    # 2 kets, each regrouped by its 6 labels for each of the 64 subsets; the
+    # empty subset groups them apart, each of the other 63 together
+    steps = 2 * (64 * 6 + 1 + 63 * 2)
+    monkeypatch.setattr(oracle, "WORK_CAP", steps - 1)
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == f"brute force of {pairs} ket pairs exceeds cap {pairs - 1}"
+    assert doc["payload"]["error"] == f"brute force of {steps} steps exceeds cap {steps - 1}"
 
 
 def test_state_enumerate_heterogeneous_is_not_applicable(tmp_path, capsys):

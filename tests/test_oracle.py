@@ -81,6 +81,16 @@ def test_is_k_uniform_examples(corpus):
         is_k_uniform(bell_state(), 1.0)
 
 
+def test_tetracode_state_is_two_uniform(tetracode):
+    # its Hilbert dimension, 3^8, was once refused outright, though its
+    # sweep takes about 1.4M steps
+    assert len(tetracode.amplitudes) == 81
+    assert is_k_uniform(tetracode, 2) and not is_k_uniform(tetracode, 3)
+    a = direct_enumerator(tetracode)
+    assert a.coeffs[:3] == (1, 0, 0) and a.coeffs[3] != 0
+    assert shadow_transform(a).coeffs == direct_shadow(tetracode).coeffs
+
+
 def test_direct_enumerator_worked_values():
     assert direct_enumerator(bell_state()).coeffs == (1, 0, 3)
     assert direct_enumerator(ghz_state(3, 2)).coeffs == (1, 0, 3, 4)
@@ -103,31 +113,45 @@ def test_direct_enumerator_rejects_heterogeneous():
 
 
 def test_capacity_errors():
-    # 2^13 is above the fixed dimension cap of 4096, so every brute force
-    # refuses a 13-qubit state; 2^12 is at the cap and passes
-    big = ghz_state(13, 2)
+    # one rule, K (N + min(K, D_S)) steps per subset read with K nonzero
+    # kets: the 2048 kets of a dense 11-qubit state take 2048 * 2059 steps
+    # for the purity of all 11 parties alone, above the cap of 2^22
+    big = _dense_state((2,) * 11)
     for brute_force in (
-        lambda: purity(big, [0]),
+        lambda: purity(big, range(11)),
         lambda: purity_table(big),
-        lambda: is_k_uniform(big, 1),
+        lambda: is_k_uniform(big, 5),
         lambda: direct_enumerator(big),
         lambda: direct_shadow(big),
     ):
-        with pytest.raises(CapacityError, match="^Hilbert dimension of 14 bits exceeds cap 4096$"):
+        with pytest.raises(CapacityError, match="^brute force of [0-9]+ steps exceeds cap 4194304$"):
             brute_force()
-    assert is_k_uniform(product_zero_state(12), 1) is False
+    # a product state sweeps 2^N subsets at N + 1 steps each: 18 qubits
+    # are refused, and 17 qubits pass, as does a 16-qubit GHZ state
+    for sweep in (purity_table, direct_enumerator, direct_shadow):
+        with pytest.raises(CapacityError, match="^brute force of 4980736 steps"):
+            sweep(product_zero_state(18))
+    table = purity_table(ghz_state(16, 2))
+    assert table[0] == table[-1] == 1 and set(table[1:-1]) == {Fraction(1, 2)}
+    # the subset table checks its own steps on the state route too: 23
+    # classes of one party take 23 * 2^23 fold steps, though the 23 subsets
+    # of one party would take few
+    wide = PureState.from_amplitudes(tuple(range(2, 25)), {(0,) * 23: GaussianRational.of(1)})
+    with pytest.raises(CapacityError, match=f"^subset table of {23 << 23} steps exceeds cap"):
+        is_k_uniform(wide, 1)
 
 
-def _pairs_multiplied(state, subsets):
-    """Ket pairs the purities of `subsets` multiply: sum of squared group sizes."""
-    pairs = 0
+def _steps_taken(state, subsets):
+    """Steps the purities of `subsets` take: K N to regroup, then the squared group sizes."""
+    kets, n = len(state.amplitudes), state.profile.n_parties
+    steps = 0
     for subset in subsets:
         groups = Counter(
             tuple(x for t, x in enumerate(ket) if t not in subset)
             for ket, _ in state.amplitudes
         )
-        pairs += sum(g * g for g in groups.values())
-    return pairs
+        steps += kets * n + sum(g * g for g in groups.values())
+    return steps
 
 
 def _dense_state(dims):
@@ -136,9 +160,9 @@ def _dense_state(dims):
 
 
 def test_work_cap_bounds_the_pairs_and_meets_them_on_dense_states(monkeypatch, corpus):
-    # the bound is at least the pairs the sweep multiplies, so a cap one
-    # below them refuses every state; on a dense state it is the pair
-    # count itself, so a cap equal to it admits the state
+    # the bound is at least the steps the sweep takes, regrouping and ket
+    # pairs, so a cap one below them refuses every state; on a dense state
+    # it is the step count itself, so a cap equal to it admits the state
     states = [(state, False) for _, state in corpus]
     states += [(_dense_state(dims), True) for dims in ((2,) * 5, (3, 3, 3), (3, 2, 2))]
     for state, dense in states:
@@ -148,12 +172,12 @@ def test_work_cap_bounds_the_pairs_and_meets_them_on_dense_states(monkeypatch, c
         sweeps += [(lambda k=k: is_k_uniform(state, k), (k,)) for k in range(1, n // 2 + 1)]
         for sweep, sizes in sweeps:
             subsets = [set(c) for m in sizes for c in itertools.combinations(range(n), m)]
-            pairs = _pairs_multiplied(state, subsets)
-            monkeypatch.setattr(oracle, "WORK_CAP", pairs - 1)
-            with pytest.raises(CapacityError, match="^brute force of [0-9]+ ket pairs"):
+            steps = _steps_taken(state, subsets)
+            monkeypatch.setattr(oracle, "WORK_CAP", steps - 1)
+            with pytest.raises(CapacityError, match="^brute force of [0-9]+ steps"):
                 sweep()
             if dense:
-                monkeypatch.setattr(oracle, "WORK_CAP", pairs)
+                monkeypatch.setattr(oracle, "WORK_CAP", steps)
                 sweep()
 
 
@@ -484,20 +508,18 @@ def test_ame_shadow_oracle_refuses_what_hetero_shadow_refuses(monkeypatch, spec)
     assert calls == []
 
 
-def test_ame_shadow_oracle_work_bound(monkeypatch):
-    calls = _record_subset_classes(monkeypatch)
+def test_ame_shadow_oracle_work_bound():
     # 23 classes of one party: 23 * 2^23 steps
     many = DimensionProfile(tuple(range(2, 25)))
-    with pytest.raises(CapacityError, match=f"^shadow subset sum of {23 << 23} steps exceeds cap"):
+    with pytest.raises(CapacityError, match=f"^subset table of {23 << 23} steps exceeds cap"):
         ame_shadow_oracle(many)
-    # 4 classes of 31 parties: 4 * 32^4 steps, exactly the cap, pass on to
-    # the sum; one party more is refused
+    # 4 classes of 31 parties: 4 * 32^4 steps, exactly the cap, pass the
+    # table's own check; one party more is refused
     at_cap = DimensionProfile.parse("2x31,3x31,4x31,5x31")
     assert 4 * 32**4 == WORK_CAP
-    assert ame_shadow_oracle(at_cap) == (0,) * 125
-    with pytest.raises(CapacityError, match=f"^shadow subset sum of {4 * 32**3 * 33} steps"):
+    assert next(oracle._subset_classes(at_cap)) == (0, 1, 1)
+    with pytest.raises(CapacityError, match=f"^subset table of {4 * 32**3 * 33} steps"):
         ame_shadow_oracle(DimensionProfile.parse("2x31,3x31,4x31,5x32"))
-    assert calls == [at_cap]
 
 
 @pytest.mark.parametrize("spec", ["2x2,4x2,8x2", "3x2,9x2,27x1,2x3", "5x2,25x2,125x1"])
@@ -511,9 +533,24 @@ def test_subset_classes_count_every_subset(spec):
         for m in range(n + 1)
         for subset in itertools.combinations(range(n), m)
     )
-    table = oracle._subset_classes(profile)
+    table = Counter()
+    for m, d_s, ways in oracle._subset_classes(profile):
+        table[m, d_s] += ways
     assert table == direct
     assert len(table) < prod(len(parties) + 1 for _, parties in profile.classes)
+
+
+def test_subset_classes_streams_the_last_class():
+    # the whole (|S|, D_S) table of four classes once stayed in memory:
+    # 12^4 entries here, 3.2 MB at peak, and 224 MB at the work cap
+    profile = DimensionProfile.parse("2x11,3x11,4x11,5x11")
+    tracemalloc.start()
+    try:
+        assert sum(ame_shadow_oracle(profile)) == 2**profile.n_parties
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ame_shadow_oracle_keeps_no_memory():
