@@ -34,8 +34,8 @@ above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
 before any work, and so is a profile whose dimensions take more than
 errors.MAX_DIM_BITS bits, and a state whose brute force would take more
 than oracle.WORK_CAP = 2^22 steps, K (N + min(K, D_S)) per subset S read
-with K nonzero kets: the one size rule of `state`, which answers a dense
-8-qubit state in about 1 s.  Below those caps no `bound` or `ame` request
+with K nonzero kets: the one size rule of `state` (see `oracle`).
+Below those caps no `bound` or `ame` request
 needs a search limit: each bound is an O(N) sign scan, and
 `bound --d 5 --n-range 2:4096` runs in about 9 s with a 32 MB peak
 resident set (2-core VM); the subset search behind `ame` evaluates at

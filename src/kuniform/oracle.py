@@ -37,9 +37,8 @@ K (N + min(K, D_S)) steps, N to regroup each ket by its labels off S and
 at most K min(K, D_S) ket pairs, summed over the subsets that `purity`,
 `is_k_uniform` or the table sweep read, at most `WORK_CAP` = 2^22.  A
 17-qubit product state, a 16-qubit GHZ state and a dense 8-qubit state
-pass (sweeps of 0.8-1.1 s, under 30 MB peak resident set, 2-core VM);
-an 18-qubit product state and a dense 9-qubit state are refused.
-Nothing is kept between calls.
+pass; an 18-qubit product state and a dense 9-qubit state are refused
+(README.md times each).  Nothing is kept between calls.
 
 A state's `dims` and kets pass the input rule `errors.exact_ints` once,
 in the constructors, and a ket listed twice is refused there; state files
@@ -56,8 +55,7 @@ max(D_S, D / D_S) over D by `_subset_classes`, never listing the 2^N
 subsets.  The AME route refuses by size what `hetero_shadow` refuses
 (`hetero.check_shadow_size`).  On both routes `_subset_classes` caps its
 steps by `WORK_CAP` and streams its last class, keeping the other
-classes' table: at the cap, 2x31,3x31,4x31,5x31 takes 0.7-1.0 s and a
-23 MB peak resident set (2-core VM).
+classes' table: at the cap, under 25 MB peak resident set (README.md).
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, log2, prod
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .enumerators import ShadowEnumerator, WeightEnumerator
@@ -201,41 +199,42 @@ def _scaled_integer_amplitudes(
 
 
 def _check_work(what: str, steps: int) -> None:
-    """The one size rule: at most WORK_CAP steps, a count past its square named in bits."""
+    """The one size rule: at most WORK_CAP steps, a refused count named by its log2."""
     if steps > WORK_CAP:
-        count = steps if steps <= WORK_CAP * WORK_CAP else f"at least 2^{steps.bit_length() - 1}"
-        raise CapacityError(f"{what} of {count} steps exceeds cap {WORK_CAP}")
+        raise CapacityError(f"{what} of about 2^{log2(steps):.2f} steps exceeds cap {WORK_CAP}")
 
 
-def _subset_classes(profile: DimensionProfile) -> Iterator[tuple[int, int, int]]:
-    """(|S|, D_S, number of subsets) triples that count every subset S of the parties.
+def _subset_classes(profile: DimensionProfile, cap: int) -> Iterator[tuple[int, int, int]]:
+    """(|S|, min(cap, D_S), number of subsets) triples that count every subset S.
 
     Built by folding in one class (d, n_c) of `DimensionProfile.classes`
-    at a time: a subset takes a of the class's parties in C(n_c, a) ways,
-    adding a to |S| and a factor d^a to D_S.  Each entry and count a costs
-    one multiply-add, len(classes) prod_c (n_c + 1) steps at most, refused
-    above `WORK_CAP` before any fold.  Equal (|S|, D_S) pairs share one
-    entry, except in the last fold, which is streamed and may repeat them.
+    at a time, refused above `WORK_CAP` steps, len(classes) prod_c (n_c + 1),
+    before any fold.  min(cap, .) commutes with products of ints >= 1, so
+    no integer of the table exceeds cap^2: the AME route passes D, which
+    clips nothing, and the state route K, since its rule reads min(K, D_S).
+    Equal pairs share one entry, except in the last fold, which is streamed.
     """
     classes = profile.classes
     _check_work("subset table", len(classes) * prod(len(p) + 1 for _, p in classes))
+    *head, last = classes
     table = {(0, 1): 1}
-    for index, (d, parties) in enumerate(classes, 1):
-        n_c, steps = len(parties), [(0, 1, 1)]
-        for a in range(n_c):  # C(n_c, a + 1) and d^(a + 1) from the step before
-            steps.append((a + 1, steps[-1][1] * (n_c - a) // (a + 1), steps[-1][2] * d))
-        folded = (
-            (m + a, d_s * power, ways * choose)
-            for (m, d_s), ways in table.items()
-            for a, choose, power in steps
-        )
-        if index == len(classes):
-            yield from folded
-        else:
-            merged: dict[tuple[int, int], int] = {}
-            for m, d_s, ways in folded:
-                merged[m, d_s] = merged.get((m, d_s), 0) + ways
-            table = merged
+    for each in head:
+        merged: dict[tuple[int, int], int] = {}
+        for m, d_s, ways in _fold(table, each, cap):
+            merged[m, d_s] = merged.get((m, d_s), 0) + ways
+        table = merged
+    yield from _fold(table, last, cap)
+
+
+def _fold(table: dict, each: tuple[int, tuple], cap: int) -> Iterator[tuple[int, int, int]]:
+    """Each (|S|, D_S) entry joined with a of the class's n_c parties, in C(n_c, a) ways."""
+    d, n_c, steps = min(cap, each[0]), len(each[1]), [(0, 1, 1)]
+    for a in range(n_c):  # C(n_c, a + 1) and d^(a + 1) from the step before
+        steps.append((a + 1, steps[-1][1] * (n_c - a) // (a + 1), min(cap, steps[-1][2] * d)))
+    for (m, d_s), ways in table.items():
+        for a, choose, power in steps:
+            d_s_a = d_s * power
+            yield m + a, d_s_a if d_s_a < cap else cap, ways * choose
 
 
 def _purity_numerator(
@@ -276,7 +275,8 @@ def purity(state: PureState, subset: Iterable[int]) -> Fraction:
 def _purity_numerators(state: PureState) -> tuple[list[int], int]:
     """Integer purity numerators of every subset (bitmask indexed) over norm2^2."""
     n = state.profile.n_parties
-    entries, norm2 = _scaled_integer_amplitudes(state, _subset_classes(state.profile))
+    subsets = _subset_classes(state.profile, len(state.amplitudes))
+    entries, norm2 = _scaled_integer_amplitudes(state, subsets)
     nums = [_purity_numerator(entries, n, mask) for mask in range(1 << n)]
     return nums, norm2 * norm2
 
@@ -301,7 +301,7 @@ def is_k_uniform(state: PureState, k: int) -> bool:
     n = state.profile.n_parties
     if exact_int(k, "k", 0) > n // 2:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
-    sized = (entry for entry in _subset_classes(state.profile) if entry[0] == k)
+    sized = (e for e in _subset_classes(state.profile, len(state.amplitudes)) if e[0] == k)
     entries, norm2 = _scaled_integer_amplitudes(state, sized)
     denom = norm2 * norm2
     for subset in itertools.combinations(range(n), k):
@@ -430,7 +430,7 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     check_shadow_size(profile)
     n, total = profile.n_parties, profile.total_dim
     w = [0] * (n + 1)
-    for m, d_s, ways in _subset_classes(profile):
+    for m, d_s, ways in _subset_classes(profile, total):
         # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
         w[m] += ways * max(d_s, total // d_s)
     return tuple(Fraction(v, total) for v in _krawtchouk_shadow(w))

@@ -350,7 +350,7 @@ def test_state_capacity_error(tmp_path, capsys):
     path.write_text(json.dumps(product_zero_state(18).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "brute force of 4980736 steps exceeds cap 4194304"
+    assert doc["payload"]["error"] == "brute force of about 2^22.25 steps exceeds cap 4194304"
 
 
 def test_state_answers_the_two_uniform_tetracode_state(tmp_path, capsys, tetracode):
@@ -378,21 +378,35 @@ def test_state_work_cap_refuses_a_dense_nine_qubit_state(tmp_path, capsys):
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert time.monotonic() - start < 1
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "brute force of 12436992 steps exceeds cap 4194304"
+    assert doc["payload"]["error"] == "brute force of about 2^23.57 steps exceeds cap 4194304"
 
 
 def test_state_dim_cap_error_names_bits(tmp_path, capsys):
     # the dimension 100^4096 once went into the message, and printing its
     # 8193 digits raised Python's integer string conversion limit instead;
-    # the 2^4096 * 4097 steps of a full sweep are named by their bits
+    # every refused count is named by its log2, as the 2^4096 * 4097 steps
+    # of a full sweep are
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(product_zero_state(4096, 100).to_json_dict()))
     code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == f"brute force of {4096 * 4097} steps exceeds cap 4194304"
+    assert doc["payload"]["error"] == "brute force of about 2^24.00 steps exceeds cap 4194304"
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == "brute force of at least 2^4108 steps exceeds cap 4194304"
+    assert doc["payload"]["error"] == "brute force of about 2^4108.00 steps exceeds cap 4194304"
+
+
+def test_state_with_wide_dimensions_is_answered_at_once(tmp_path, capsys):
+    # 600 parties of dimension 2^31 +- 1 and one ket: 600 * 601 steps, but
+    # the subset table once multiplied their dimensions of up to 18600 bits
+    # for 2 s before any purity, and 2000 such parties ran for minutes
+    dims = [2**31 + 1] * 300 + [2**31 - 1] * 300
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dims": dims, "amps": [{"ket": [0] * 600, "re": "1"}]}))
+    start = time.monotonic()
+    code, doc = run_json(capsys, "state", "--file", str(path), "--check-uniform", "1")
+    assert time.monotonic() - start < 1
+    assert code == 0 and doc["payload"]["uniform"] is False
 
 
 def test_state_file_party_cap(tmp_path, capsys):
@@ -421,7 +435,8 @@ def test_state_enumerate_refuses_before_any_purity(tmp_path, capsys, monkeypatch
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
     steps = 2 * (2**17 * 17 + 1 + (2**17 - 1) * 2)
-    assert doc["payload"]["error"] == f"brute force of {steps} steps exceeds cap 4194304"
+    assert steps == 4980734
+    assert doc["payload"]["error"] == "brute force of about 2^22.25 steps exceeds cap 4194304"
     assert calls == []
 
 
@@ -452,7 +467,8 @@ def test_state_enumerate_keeps_nothing_between_runs(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(oracle, "WORK_CAP", steps - 1)
     code, doc = run_json(capsys, "state", "--file", str(path), "--enumerate")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["error"] == f"brute force of {steps} steps exceeds cap {steps - 1}"
+    assert steps == 1022
+    assert doc["payload"]["error"] == "brute force of about 2^10.00 steps exceeds cap 1021"
 
 
 def test_state_enumerate_heterogeneous_is_not_applicable(tmp_path, capsys):

@@ -124,12 +124,14 @@ def test_capacity_errors():
         lambda: direct_enumerator(big),
         lambda: direct_shadow(big),
     ):
-        with pytest.raises(CapacityError, match="^brute force of [0-9]+ steps exceeds cap 4194304$"):
+        with pytest.raises(
+            CapacityError, match=r"^brute force of about 2\^[0-9.]+ steps exceeds cap 4194304$"
+        ):
             brute_force()
     # a product state sweeps 2^N subsets at N + 1 steps each: 18 qubits
     # are refused, and 17 qubits pass, as does a 16-qubit GHZ state
     for sweep in (purity_table, direct_enumerator, direct_shadow):
-        with pytest.raises(CapacityError, match="^brute force of 4980736 steps"):
+        with pytest.raises(CapacityError, match=r"^brute force of about 2\^22.25 steps"):
             sweep(product_zero_state(18))
     table = purity_table(ghz_state(16, 2))
     assert table[0] == table[-1] == 1 and set(table[1:-1]) == {Fraction(1, 2)}
@@ -137,8 +139,25 @@ def test_capacity_errors():
     # classes of one party take 23 * 2^23 fold steps, though the 23 subsets
     # of one party would take few
     wide = PureState.from_amplitudes(tuple(range(2, 25)), {(0,) * 23: GaussianRational.of(1)})
-    with pytest.raises(CapacityError, match=f"^subset table of {23 << 23} steps exceeds cap"):
+    with pytest.raises(CapacityError, match=r"^subset table of about 2\^27.52 steps exceeds cap"):
         is_k_uniform(wide, 1)
+
+
+def test_state_subset_table_keeps_its_integers_short(monkeypatch):
+    # the table once multiplied the dimensions D_S of all 2^600 subsets of
+    # this state, up to 18600 bits each, for its one ket; the state route
+    # reads only min(K, D_S), so the table clips every D_S at K = 1
+    dims = (2**31 + 1,) * 300 + (2**31 - 1,) * 300
+    state = PureState.from_amplitudes(dims, {(0,) * 600: GaussianRational.of(1)})
+    seen = set()
+    real = oracle._subset_classes
+    monkeypatch.setattr(
+        oracle, "_subset_classes",
+        lambda *args: (seen.add(entry[1]) or entry for entry in real(*args)),
+    )
+    assert not is_k_uniform(state, 1)
+    assert is_k_uniform(state, 0)
+    assert seen == {1}
 
 
 def _steps_taken(state, subsets):
@@ -174,7 +193,7 @@ def test_work_cap_bounds_the_pairs_and_meets_them_on_dense_states(monkeypatch, c
             subsets = [set(c) for m in sizes for c in itertools.combinations(range(n), m)]
             steps = _steps_taken(state, subsets)
             monkeypatch.setattr(oracle, "WORK_CAP", steps - 1)
-            with pytest.raises(CapacityError, match="^brute force of [0-9]+ steps"):
+            with pytest.raises(CapacityError, match=r"^brute force of about 2\^"):
                 sweep()
             if dense:
                 monkeypatch.setattr(oracle, "WORK_CAP", steps)
@@ -483,7 +502,7 @@ def _record_subset_classes(monkeypatch):
     """Replace `_subset_classes` by a stub that records its profiles and returns no subsets."""
     calls = []
     monkeypatch.setattr(
-        oracle, "_subset_classes", lambda profile: calls.append(profile) or {}
+        oracle, "_subset_classes", lambda profile, cap: calls.append(profile) or []
     )
     return calls
 
@@ -508,17 +527,25 @@ def test_ame_shadow_oracle_refuses_what_hetero_shadow_refuses(monkeypatch, spec)
     assert calls == []
 
 
-def test_ame_shadow_oracle_work_bound():
+def test_ame_shadow_oracle_work_bound(monkeypatch):
     # 23 classes of one party: 23 * 2^23 steps
     many = DimensionProfile(tuple(range(2, 25)))
-    with pytest.raises(CapacityError, match=f"^subset table of {23 << 23} steps exceeds cap"):
+    with pytest.raises(CapacityError, match=r"^subset table of about 2\^27.52 steps exceeds cap"):
         ame_shadow_oracle(many)
     # 4 classes of 31 parties: 4 * 32^4 steps, exactly the cap, pass the
     # table's own check; one party more is refused
     at_cap = DimensionProfile.parse("2x31,3x31,4x31,5x31")
     assert 4 * 32**4 == WORK_CAP
-    assert next(oracle._subset_classes(at_cap)) == (0, 1, 1)
-    with pytest.raises(CapacityError, match=f"^subset table of {4 * 32**3 * 33} steps"):
+    calls = []
+    real = oracle._subset_classes
+    monkeypatch.setattr(
+        oracle, "_subset_classes",
+        lambda *args: calls.append(args) or itertools.islice(real(*args), 1),
+    )
+    ame_shadow_oracle(at_cap)  # the first triple only, past every check
+    assert calls == [(at_cap, at_cap.total_dim)]
+    monkeypatch.undo()
+    with pytest.raises(CapacityError, match=r"^subset table of about 2\^22.04 steps"):
         ame_shadow_oracle(DimensionProfile.parse("2x31,3x31,4x31,5x32"))
 
 
@@ -526,17 +553,19 @@ def test_ame_shadow_oracle_work_bound():
 def test_subset_classes_count_every_subset(spec):
     # two count vectors share a size and a dimension only across three
     # classes of powers of one base: (1, 0, 1) and (0, 2, 0) on 2, 4, 8
+    # a cap below D, such as the state route's K, clips D_S to min(cap, D_S)
     profile = DimensionProfile.parse(spec)
     n = profile.n_parties
-    direct = Counter(
-        (m, prod(profile.dims[i] for i in subset))
-        for m in range(n + 1)
-        for subset in itertools.combinations(range(n), m)
-    )
-    table = Counter()
-    for m, d_s, ways in oracle._subset_classes(profile):
-        table[m, d_s] += ways
-    assert table == direct
+    for cap in (1, 5, 30, profile.total_dim):
+        direct = Counter(
+            (m, min(cap, prod(profile.dims[i] for i in subset)))
+            for m in range(n + 1)
+            for subset in itertools.combinations(range(n), m)
+        )
+        table = Counter()
+        for m, d_s, ways in oracle._subset_classes(profile, cap):
+            table[m, d_s] += ways
+        assert table == direct
     assert len(table) < prod(len(parties) + 1 for _, parties in profile.classes)
 
 
