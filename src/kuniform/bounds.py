@@ -23,7 +23,10 @@ two independent computations of it live here:
   inversion in O(N^2) integer operations, done once per (N, d) and cached
   (`alpha_oracle_vector`).  It shares no code with the recurrence, so
   `cross_validate_alpha` (the `verify --suite alpha` command) checks the
-  engine that `bound` and `table` run against an independent route.
+  engine that `bound` and `table` run against an independent route.  It
+  compares integers: the sums S_i with the inversion's numerators
+  (`enumerators._c_numerators`, over denominator 1 for the unit prefix),
+  so it builds no Fraction and fills neither cache.
 
 `k_upper_bound` combines the sign test with the trivial Schmidt bound,
 the classical even/odd party-count threshold (provenance "scott"), a
@@ -55,7 +58,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .enumerators import WeightEnumerator, a_to_c
+from .enumerators import WeightEnumerator, _c_numerators, a_to_c
 from .errors import NotApplicableError, exact_int
 from .exact import rat_to_str
 
@@ -171,19 +174,28 @@ def alpha_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
 def cross_validate_alpha(
     n_values: Iterable[int] = range(2, 61), local_dims: Sequence[int] = (2, 3, 4, 5)
 ) -> tuple[int, list[str]]:
-    """Compare the recurrence (`alpha_vector`) with the a_to_c route at every index.
+    """Compare the recurrence with the a_to_c route at every index, on integers.
 
-    Returns the number of values compared and one message per mismatch.
-    The default range, N = 2..60 and d = 2..5, gives 3836 checks.
+    For each (N, d), the series inversion of the unit-prefix enumerator
+    (`enumerators._c_numerators`, the integer part of `a_to_c`) gives
+    alpha_0 .. alpha_(N//2) as integers c_i, and the check is c_0 = 1 and
+    i c_i = -N (d-1) S_i against the sums S_i of `_alpha_sums`, so neither
+    route builds a Fraction.  Returns the number of values compared and
+    one message per mismatch; a route giving too few or too many values
+    raises ValueError.  The default range, N = 2..60 and d = 2..5, gives
+    3836 checks.
     """
     checks = 0
     failures: list[str] = []
     for n in n_values:
         for d in local_dims:
-            pairs = zip(alpha_vector(n, d), alpha_oracle_vector(n, d), strict=True)
-            for i, (engine, oracle) in enumerate(pairs):
-                checks += 1
-                if engine != oracle:
+            c = _c_numerators([1] + [0] * (n // 2), n, d)
+            sums = zip(_alpha_sums(n, d), c[1:], strict=True)
+            agree = [c[0] == 1]
+            agree += [i * c_i == -n * (d - 1) * s for i, (s, c_i) in enumerate(sums, 1)]
+            checks += len(agree)
+            for i, ok in enumerate(agree):
+                if not ok:
                     failures.append(f"alpha mismatch at N={n} d={d} i={i}")
     return checks, failures
 

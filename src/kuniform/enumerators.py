@@ -27,7 +27,9 @@ two independent routes:
     b -> c is Rains' lemma, an integer sum per c_i.
 
 Each closed form runs on cleared numerators in O(N^2) integer operations
-and divides once per c_i at the end.  `basis_matrix_entry` gives the
+and divides once per c_i at the end; the integer part of a -> c,
+`_c_numerators`, is also what `bounds.cross_validate_alpha` compares with
+the alpha recurrence, with no Fraction built.  `basis_matrix_entry` gives the
 entries of the unitriangular matrix of the c -> a map directly, as a
 reference for tests.
 
@@ -197,21 +199,31 @@ def basis_matrix_entry(n_parties: int, local_dim: int, row: int, col: int) -> in
 def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
     """Invariant-basis coordinates from a_0 .. a_(floor(N/2)), by series inversion.
 
-    With e = d - 1, A(1, y) / (1 + e y)^N = sum_i c_i z^i for
-    z = y (1 - y) / (1 + e y)^2, and z = y + O(y^2), so c_0 .. c_h
-    (h = floor(N/2)) are the coefficients of that series expanded in powers
-    of z, read off mod y^(h+1).  Each step takes c_i = F(0) and replaces F
-    by (F - c_i) / z: drop the constant term and shift (divide by y), then
-    multiply by (1 + e y)^2 / (1 - y) = d^2 / (1 - y) - (d^2 - 1) - e^2 y,
-    that is d^2 times the prefix sums minus a two-term correction.  Every
-    multiplier is an integer series, so the whole solve runs on the cleared
-    numerators of a_0 .. a_h in O(N^2) integer operations and divides by
-    their lcm once per c_i.
+    Clears the denominators of a_0 .. a_h (h = floor(N/2)), solves on the
+    numerators by `_c_numerators` and divides by their lcm once per c_i.
     """
     n, d = enum.n_parties, enum.local_dim
+    ints, den = clear_denominators(enum.coeffs[: n // 2 + 1])
+    c = _c_numerators(ints, n, d)
+    return InvariantBasisCoeffs(n, d, tuple(Fraction(v, den) for v in c))
+
+
+def _c_numerators(ints: Sequence[int], n: int, d: int) -> list[int]:
+    """c_0 .. c_h times D, from the numerators a_0 D .. a_h D (h = floor(N/2)).
+
+    With e = d - 1, A(1, y) / (1 + e y)^N = sum_i c_i z^i for
+    z = y (1 - y) / (1 + e y)^2, and z = y + O(y^2), so c_0 .. c_h are the
+    coefficients of that series expanded in powers of z, read off
+    mod y^(h+1).  Each step takes c_i = F(0) and replaces F by
+    (F - c_i) / z: drop the constant term and shift (divide by y), then
+    multiply by (1 + e y)^2 / (1 - y) = d^2 / (1 - y) - (d^2 - 1) - e^2 y,
+    that is d^2 times the prefix sums minus a two-term correction.  Every
+    multiplier is an integer series, so the whole solve runs on integers
+    in O(N^2) operations; the map is linear, so the c_i come out scaled by
+    the same D as the a_j.
+    """
     half = n // 2
     e = d - 1
-    ints, den = clear_denominators(enum.coeffs[: half + 1])
     # (1 + e y)^(-N) = sum_k C(N+k-1, k) (-e)^k y^k by term ratio, stored
     # highest power first so that a slice lines up with ints in a product.
     inverse = [1]
@@ -228,7 +240,7 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
             for p, v, w in zip(accumulate(s), s, [0] + s)
         ]
         c.append(series[0])
-    return InvariantBasisCoeffs(n, d, tuple(Fraction(v, den) for v in c))
+    return c
 
 
 def c_to_a(inv: InvariantBasisCoeffs) -> WeightEnumerator:

@@ -28,7 +28,11 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
     with A'_k = A'_(N-k) above the midpoint; these are the coefficients
     of A'(x + y, y - x).  Any s_j < 0 certifies non-existence
     (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties and a total
-    dimension of `MAX_SHADOW_BITS` bits).
+    dimension of `MAX_SHADOW_BITS` bits).  It returns the integer
+    numerators of the s_j over the total dimension D: the sign test and
+    the cross-check against the oracle read those integers, and a
+    Fraction is built only for a certificate's s_j or on a read of
+    `HeteroShadow.s`.
 
 `ame_verdict` runs the cheap tests first (Schmidt feasibility, the subset
 search, then the shadow) and reports the first certificate found; it
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import prod
 from typing import Iterable, Optional
@@ -303,12 +308,21 @@ def scott_pair_threshold(d1: int, d2: int) -> int:
 
 @dataclass(frozen=True)
 class HeteroShadow:
-    """Shadow coefficients s_0 .. s_N of a hypothetical AME state on an odd-N profile."""
+    """Shadow coefficients s_j = numerators[j] / total of a hypothetical AME state.
 
-    s: tuple[Fraction, ...]
+    `total` is the profile's total dimension D > 0, so each s_j has the
+    sign of its integer numerator; `s` is built, as Fractions, on first use.
+    """
+
+    numerators: tuple[int, ...]
+    total: int
+
+    @cached_property
+    def s(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.total) for v in self.numerators)
 
     def first_negative(self) -> Optional[int]:
-        for j, v in enumerate(self.s):
+        for j, v in enumerate(self.numerators):
             if v < 0:
                 return j
         return None
@@ -343,9 +357,9 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
     for k <= floor(N/2), by an integer dynamic program, and one call of
     the kernel `exact.substitute` expands the substitution, pivoting on
-    L = x + y (y - x = L (-1 + 2 y/L)); each coefficient is divided by D
-    once at the end.  Raises CapacityError by `check_shadow_size`, before
-    any work.
+    L = x + y (y - x = L (-1 + 2 y/L)).  The result holds those integers
+    over D; `HeteroShadow.s` divides each once, on first use.  Raises
+    CapacityError by `check_shadow_size`, before any work.
     """
     check_shadow_size(profile)
     n, total = profile.n_parties, profile.total_dim
@@ -355,8 +369,7 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     # D A'_k, with A'_k = A'_(N-k) above the midpoint
     a_int = [e[max(k, n - k)] for k in range(n + 1)]
     # y - x = L (-1 + 2 y/L) for the pivot L = x + y
-    s = substitute(a_int, (1, 1), (-1, 2), n)
-    return HeteroShadow(tuple(Fraction(v, total) for v in s))
+    return HeteroShadow(tuple(substitute(a_int, (1, 1), (-1, 2), n)), total)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +468,7 @@ def ame_verdict(profile: DimensionProfile) -> AmeVerdict:
                 Certificate(
                     f"shadow-negative({j})",
                     shadow_index=j,
-                    shadow_value=shadow.s[j],
+                    shadow_value=Fraction(shadow.numerators[j], shadow.total),
                 ),
             )
 

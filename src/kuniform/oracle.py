@@ -47,7 +47,9 @@ go through `read_json` and `required`.
 `ame_shadow_oracle` applies the same double subset sum to the purity
 profile of a hypothetical AME state, Tr(rho_S^2) = 1 / min(D_S, D / D_S),
 an independent route to `hetero.hetero_shadow`, which
-`cross_validate_ame_shadow` compares it with.  The three shadow routes
+`cross_validate_ame_shadow` compares it with on integers: both routes
+give the shadow's numerators over the total dimension D, and the check
+builds no Fraction.  The three shadow routes
 share the contraction and differ only in how W_m is grouped: a state's
 purities, or a given table, by popcount over the 2^N bitmasks, as
 `direct_enumerator` groups them; an AME profile's integer weights
@@ -56,6 +58,8 @@ subsets.  The AME route refuses by size what `hetero_shadow` refuses
 (`hetero.check_shadow_size`).  On both routes `_subset_classes` caps its
 steps by `WORK_CAP` and streams its last class, keeping the other
 classes' table: at the cap, under 25 MB peak resident set (README.md).
+`is_k_uniform` reads the subsets of size k alone, so its table keeps no
+larger subset.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2, prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .enumerators import ShadowEnumerator, WeightEnumerator
 from .errors import (
@@ -204,7 +208,9 @@ def _check_work(what: str, steps: int) -> None:
         raise CapacityError(f"{what} of about 2^{log2(steps):.2f} steps exceeds cap {WORK_CAP}")
 
 
-def _subset_classes(profile: DimensionProfile, cap: int) -> Iterator[tuple[int, int, int]]:
+def _subset_classes(
+    profile: DimensionProfile, cap: int, size: Optional[int] = None
+) -> Iterator[tuple[int, int, int]]:
     """(|S|, min(cap, D_S), number of subsets) triples that count every subset S.
 
     Built by folding in one class (d, n_c) of `DimensionProfile.classes`
@@ -213,26 +219,34 @@ def _subset_classes(profile: DimensionProfile, cap: int) -> Iterator[tuple[int, 
     no integer of the table exceeds cap^2: the AME route passes D, which
     clips nothing, and the state route K, since its rule reads min(K, D_S).
     Equal pairs share one entry, except in the last fold, which is streamed.
+    With `size`, only the subsets of that size are counted: no fold keeps
+    a larger one, and the last yields that size alone.
     """
     classes = profile.classes
     _check_work("subset table", len(classes) * prod(len(p) + 1 for _, p in classes))
+    lo, hi = (0, profile.n_parties) if size is None else (size, size)
     *head, last = classes
     table = {(0, 1): 1}
     for each in head:
         merged: dict[tuple[int, int], int] = {}
-        for m, d_s, ways in _fold(table, each, cap):
+        for m, d_s, ways in _fold(table, each, cap, 0, hi):
             merged[m, d_s] = merged.get((m, d_s), 0) + ways
         table = merged
-    yield from _fold(table, last, cap)
+    yield from _fold(table, last, cap, lo, hi)
 
 
-def _fold(table: dict, each: tuple[int, tuple], cap: int) -> Iterator[tuple[int, int, int]]:
-    """Each (|S|, D_S) entry joined with a of the class's n_c parties, in C(n_c, a) ways."""
+def _fold(
+    table: dict, each: tuple[int, tuple], cap: int, lo: int, hi: int
+) -> Iterator[tuple[int, int, int]]:
+    """Each (|S|, D_S) entry joined with a of the class's n_c parties, in C(n_c, a) ways.
+
+    Only the joins with lo <= |S| + a <= hi are yielded; every entry has |S| <= hi.
+    """
     d, n_c, steps = min(cap, each[0]), len(each[1]), [(0, 1, 1)]
-    for a in range(n_c):  # C(n_c, a + 1) and d^(a + 1) from the step before
+    for a in range(min(n_c, hi)):  # C(n_c, a + 1) and d^(a + 1) from the step before
         steps.append((a + 1, steps[-1][1] * (n_c - a) // (a + 1), min(cap, steps[-1][2] * d)))
     for (m, d_s), ways in table.items():
-        for a, choose, power in steps:
+        for a, choose, power in steps[max(0, lo - m) : hi - m + 1]:
             d_s_a = d_s * power
             yield m + a, d_s_a if d_s_a < cap else cap, ways * choose
 
@@ -301,7 +315,7 @@ def is_k_uniform(state: PureState, k: int) -> bool:
     n = state.profile.n_parties
     if exact_int(k, "k", 0) > n // 2:
         raise ValueError(f"k must be in 0..{n // 2}, got {k}")
-    sized = (e for e in _subset_classes(state.profile, len(state.amplitudes)) if e[0] == k)
+    sized = _subset_classes(state.profile, len(state.amplitudes), k)
     entries, norm2 = _scaled_integer_amplitudes(state, sized)
     denom = norm2 * norm2
     for subset in itertools.combinations(range(n), k):
@@ -423,25 +437,33 @@ def ame_shadow_oracle(profile: DimensionProfile) -> tuple[Fraction, ...]:
     The weight max(D_S, D / D_S) of S depends only on |S| and D_S, so
     the size sums are W_m = sum over the (m, D_S) triples of
     `_subset_classes` of their subset counts times max(D_S, D / D_S),
-    rather than over the 2^N subsets; `_krawtchouk_shadow` contracts them.
+    rather than over the 2^N subsets; `_krawtchouk_shadow` contracts them
+    (`_ame_shadow_numerators`), and each s_j is one division by D.
     Raises CapacityError before any work on what `hetero.check_shadow_size`
     refuses, or on a subset table above `WORK_CAP` steps.
     """
+    total = profile.total_dim
+    return tuple(Fraction(v, total) for v in _ame_shadow_numerators(profile))
+
+
+def _ame_shadow_numerators(profile: DimensionProfile) -> list[int]:
+    """The coefficients of `ame_shadow_oracle` times the total dimension D, as integers."""
     check_shadow_size(profile)
     n, total = profile.n_parties, profile.total_dim
     w = [0] * (n + 1)
     for m, d_s, ways in _subset_classes(profile, total):
         # 1 / min(D_S, D / D_S) = max(D_S, D / D_S) / D, since D_S divides D
         w[m] += ways * max(d_s, total // d_s)
-    return tuple(Fraction(v, total) for v in _krawtchouk_shadow(w))
+    return _krawtchouk_shadow(w)
 
 
 def cross_validate_ame_shadow() -> tuple[int, list[str]]:
-    """Compare `hetero.hetero_shadow` with `ame_shadow_oracle`, exactly.
+    """Compare `hetero.hetero_shadow` with the subset-sum route, exactly.
 
     Covers every Schmidt-feasible profile with dimensions in {2, 3, 4} and
-    odd N = 3..11 (89 profiles).  Returns the number of profiles compared
-    and a message per mismatch.
+    odd N = 3..11 (89 profiles).  Both routes give integer numerators over
+    the same D, which are compared as they are, with no Fraction built.
+    Returns the number of profiles compared and a message per mismatch.
     """
     checks = 0
     failures: list[str] = []
@@ -451,6 +473,6 @@ def cross_validate_ame_shadow() -> tuple[int, list[str]]:
             if not profile.schmidt_feasible():
                 continue
             checks += 1
-            if ame_shadow_oracle(profile) != hetero_shadow(profile).s:
+            if tuple(_ame_shadow_numerators(profile)) != hetero_shadow(profile).numerators:
                 failures.append(f"shadow mismatch on profile {dims}")
     return checks, failures

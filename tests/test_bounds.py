@@ -99,6 +99,47 @@ def test_alpha_routes_agree_at_every_table_n():
     assert checks == 18866
 
 
+def test_alpha_cross_validation_names_one_perturbed_sum(monkeypatch):
+    # the suite compares the recurrence's integers: one S_i off by one is
+    # one mismatch, named by its index
+    real = bounds._alpha_sums
+
+    def perturbed(n, d):
+        for i, s in enumerate(real(n, d), 1):
+            yield s + 1 if (n, d, i) == (37, 4, 7) else s
+
+    monkeypatch.setattr(bounds, "_alpha_sums", perturbed)
+    assert cross_validate_alpha() == (3836, ["alpha mismatch at N=37 d=4 i=7"])
+
+
+def test_alpha_cross_validation_checks_the_constant_term(monkeypatch):
+    real = bounds._c_numerators
+
+    def perturbed(ints, n, d):
+        c = real(ints, n, d)
+        c[0] += (n, d) == (12, 5)
+        return c
+
+    monkeypatch.setattr(bounds, "_c_numerators", perturbed)
+    assert cross_validate_alpha() == (3836, ["alpha mismatch at N=12 d=5 i=0"])
+
+
+@pytest.mark.parametrize("change", [lambda s: s[:-1], lambda s: s + [0]], ids=["short", "long"])
+def test_alpha_cross_validation_refuses_a_route_of_the_wrong_length(monkeypatch, change):
+    real = bounds._alpha_sums
+    monkeypatch.setattr(bounds, "_alpha_sums", lambda n, d: change(list(real(n, d))))
+    with pytest.raises(ValueError):
+        cross_validate_alpha(n_values=(10,), local_dims=(3,))
+
+
+def test_alpha_public_routes_agree():
+    # the suite compares integers, so the two routes' public Fraction
+    # vectors are compared here
+    for n in (2, 3, 17, 60, 61, 128):
+        for d in (2, 3, 4, 5, 7):
+            assert bounds.alpha_vector(n, d) == bounds.alpha_oracle_vector(n, d), (n, d)
+
+
 def test_alpha_oracle_sweep_solves_once(monkeypatch):
     solves = []
     solve = bounds.a_to_c

@@ -490,7 +490,8 @@ def test_verify_suites_pass(capsys, suite):
 
 
 def test_verify_alpha_drives_the_recurrence(capsys, monkeypatch):
-    # the suite checks the engine `bound` and `table` run, once per (N, d)
+    # the suite checks the engine `bound` and `table` run, once per (N, d),
+    # on its integer sums, and fills neither route's cache of Fractions
     calls = []
     alpha_sums = bounds._alpha_sums
 
@@ -499,11 +500,14 @@ def test_verify_alpha_drives_the_recurrence(capsys, monkeypatch):
         return alpha_sums(n, d)
 
     monkeypatch.setattr(bounds, "_alpha_sums", counting_sums)
-    bounds.alpha_vector.cache_clear()
+    caches = (bounds.alpha_vector, bounds.alpha_oracle_vector)
+    for cache in caches:  # emptied, so that a value the suite caches would show
+        cache.cache_clear()
     code, doc = run_json(capsys, "verify", "--suite", "alpha")
     assert code == 0 and doc["payload"]["failures"] == []
     assert doc["payload"]["checks"] == 3836
     assert sorted(calls) == [(n, d) for n in range(2, 61) for d in (2, 3, 4, 5)]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
 
 def test_envelopes_are_deterministic_modulo_timestamp(capsys):

@@ -499,6 +499,23 @@ def test_hetero_shadow_matches_subset_sum_oracle(dims):
     assert hetero_shadow(prof).s == ame_shadow_oracle(prof)
 
 
+@st.composite
+def odd_profiles(draw):
+    """N = 3..25 parties of dimensions 2..9, in any order."""
+    n = 2 * draw(st.integers(1, 12)) + 1
+    return DimensionProfile(tuple(draw(st.lists(st.integers(2, 9), min_size=n, max_size=n))))
+
+
+@given(odd_profiles())
+def test_hetero_shadow_fractions_are_its_numerators_over_d(profile):
+    # the sign test reads the integers; `s` must be the same values as Fractions
+    shadow = hetero_shadow(profile)
+    assert shadow.total == profile.total_dim
+    assert shadow.s == tuple(Fraction(v, profile.total_dim) for v in shadow.numerators)
+    negative = [j for j, v in enumerate(shadow.s) if v < 0]
+    assert shadow.first_negative() == (negative[0] if negative else None)
+
+
 def test_ame_verdict_examples():
     v = ame_verdict(DimensionProfile.parse("3x1,2x8"))
     assert v.status == "nonexistent"

@@ -149,15 +149,38 @@ def test_state_subset_table_keeps_its_integers_short(monkeypatch):
     # reads only min(K, D_S), so the table clips every D_S at K = 1
     dims = (2**31 + 1,) * 300 + (2**31 - 1,) * 300
     state = PureState.from_amplitudes(dims, {(0,) * 600: GaussianRational.of(1)})
-    seen = set()
+    seen, triples = set(), []
     real = oracle._subset_classes
-    monkeypatch.setattr(
-        oracle, "_subset_classes",
-        lambda *args: (seen.add(entry[1]) or entry for entry in real(*args)),
-    )
+
+    def recording(*args):
+        for entry in real(*args):
+            seen.add(entry[1])
+            triples.append(entry)
+            yield entry
+
+    monkeypatch.setattr(oracle, "_subset_classes", recording)
     assert not is_k_uniform(state, 1)
+    # the subsets of one party, one triple per class, not the 301^2 = 90601
+    # triples of the full table
+    assert triples == [(1, 1, 300), (1, 1, 300)]
     assert is_k_uniform(state, 0)
     assert seen == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from((2, 3, 4, 5, 8, 9)), min_size=2, max_size=10),
+    st.integers(1, 40),
+    st.data(),
+)
+def test_subset_classes_of_one_size_equal_the_full_table(dims, cap, data):
+    # `is_k_uniform` folds no subset larger than k; what it reads, the
+    # triples of size k, is the full table's, in the same order
+    profile = DimensionProfile(tuple(dims))
+    k = data.draw(st.integers(0, profile.n_parties))
+    for clip in (cap, profile.total_dim):
+        full = [e for e in oracle._subset_classes(profile, clip) if e[0] == k]
+        assert list(oracle._subset_classes(profile, clip, k)) == full
 
 
 def _steps_taken(state, subsets):
@@ -496,6 +519,22 @@ def test_ame_shadow_oracle_checks_table_iv():
                 checked += 1
             assert tuple(negative) == shadow_ns, (d1, d2)
     assert checked == 302
+
+
+def test_shadow_cross_validation_names_one_perturbed_profile(monkeypatch):
+    # the suite compares the two routes' integer numerators over D: one
+    # numerator off by one is one mismatch, on its profile
+    real = oracle._ame_shadow_numerators
+
+    def perturbed(profile):
+        s = real(profile)
+        s[2] += profile.dims == (2, 3, 3, 3, 4)
+        return s
+
+    monkeypatch.setattr(oracle, "_ame_shadow_numerators", perturbed)
+    assert oracle.cross_validate_ame_shadow() == (
+        89, ["shadow mismatch on profile (2, 3, 3, 3, 4)"]
+    )
 
 
 def _record_subset_classes(monkeypatch):
