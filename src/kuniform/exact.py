@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -66,10 +67,15 @@ def elem_sym_prefix(
 ) -> list[Union[Fraction, int]]:
     """All elementary symmetric polynomials e_0 .. e_k_max of `values`.
 
-    O(len(values) * k_max) dynamic programming over the product expansion
-    of prod(1 + v_i x); subset enumeration is never materialised.  The
-    sums start from the integers 0 and 1, so integer values give exact
-    integers and Fraction values give Fractions.
+    The coefficients of prod(1 + v_i x) up to x^k_max; subset enumeration
+    is never materialised.  The most frequent value v, with multiplicity
+    n, enters in closed form, (1 + v x)^n = sum_j C(n, j) v^j x^j, walked
+    by term ratio (C(n, j) = C(n, j-1) (n-j+1)/j, exact in integers);
+    every other value takes one step of dynamic programming.  That is
+    O((len(values) - n) * k_max) steps, O(len(values)) when one class
+    holds all but a few values.  The sums start from the integers 0 and
+    1, so integer values give exact integers and Fraction values give
+    Fractions.
     """
     if not 0 <= k_max <= len(values):
         raise ValueError(
@@ -77,9 +83,22 @@ def elem_sym_prefix(
         )
     e = [0] * (k_max + 1)
     e[0] = 1
-    for m, v in enumerate(values, start=1):
-        for j in range(min(m, k_max), 0, -1):
-            e[j] += v * e[j - 1]
+    counts = Counter(values)
+    if not counts:
+        return e
+    common, n = counts.most_common(1)[0]
+    power = choose = 1
+    for j in range(1, min(n, k_max) + 1):
+        power *= common
+        choose = choose * (n - j + 1) // j
+        e[j] = choose * power
+    del counts[common]
+    m = n
+    for v, count in counts.items():
+        for _ in range(count):
+            m += 1
+            for j in range(min(m, k_max), 0, -1):
+                e[j] += v * e[j - 1]
     return e
 
 

@@ -26,7 +26,9 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
         s_j = sum_k [ sum_a (-1)^a C(N-k, N-j-a) C(k, a) ] A'_k,
 
     with A'_k = A'_(N-k) above the midpoint; these are the coefficients
-    of A'(x + y, y - x).  Any s_j < 0 certifies non-existence
+    of A'(x + y, y - x).  That symmetry makes s_j = 0 whenever N - j is
+    odd, and the substitution expands only half of A' (the proof is in
+    `hetero_shadow`).  Any s_j < 0 certifies non-existence
     (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties and a total
     dimension of `MAX_SHADOW_BITS` bits).  It returns the integer
     numerators of the s_j over the total dimension D: the sign test and
@@ -72,14 +74,15 @@ from .errors import (
 )
 from .exact import elem_sym_prefix, rat_to_str, substitute
 
-# The shadow's cost grows about as N^3 in big-integer work: 1.0 s at
-# N = 1001, 8.9 s at N = 2001 and 63 s at N = 4095 on 3x1,2x(N-1) (2-core
-# VM), so it stops at a party count well above Table IV (N <= 37).
+# The shadow's cost grows about as N^3 in big-integer work: 0.23-0.41 s
+# at N = 1001, 1.8-2.1 s at N = 2001 and 34 s at N = 4095 on 3x1,2x(N-1)
+# (2-core VM, Python 3.11), so it stops at a party count well above
+# Table IV (N <= 37).
 MAX_SHADOW_PARTIES = 1001
-# It also grows with the bit length of the total dimension D: 0.65-0.9 s
-# on 3x1,2x1000 (1002 bits), 2.6-4.4 s on 257x1,256x1000 (8009 bits) and
-# 10 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark profiles
-# stay below 600 bits.
+# It also grows with the bit length of the total dimension D: 0.23-0.41 s
+# on 3x1,2x1000 (1002 bits), 0.68-1.2 s on 257x1,256x1000 (8009 bits) and
+# 2.0-4.1 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark
+# profiles stay below 600 bits.
 MAX_SHADOW_BITS = 8192
 
 @dataclass(frozen=True)
@@ -355,21 +358,31 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
 
     The shadow is the polynomial A'(x + y, y - x).  Scaled by the total
     dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
-    for k <= floor(N/2), by an integer dynamic program, and one call of
-    the kernel `exact.substitute` expands the substitution, pivoting on
+    for k <= floor(N/2), by `exact.elem_sym_prefix`, and one call of the
+    kernel `exact.substitute` expands the substitution, pivoting on
     L = x + y (y - x = L (-1 + 2 y/L)).  The result holds those integers
     over D; `HeteroShadow.s` divides each once, on first use.  Raises
     CapacityError by `check_shadow_size`, before any work.
+
+    The substitution runs on half the coefficients.  Write
+    W(x, y) = sum_k a_k x^(N-k) y^k with a_k = D A'_k; a_k = a_(N-k), so
+    W = H(x, y) + H(y, x) with H the terms k < m = (N+1)/2.  Then
+    S(x, y) = W(x + y, y - x) = T(x, y) + T(-x, y) with
+    T(x, y) = H(x + y, y - x), since H(y - x, x + y) = T(-x, y).  The
+    coefficient of x^(N-j) y^j in T(-x, y) is (-1)^(N-j) t_j, so
+    s_j = 2 t_j when N - j is even and s_j = 0 when it is odd: one
+    substitution of degree m - 1 in its first pass gives every s_j.
     """
     check_shadow_size(profile)
     n, total = profile.n_parties, profile.total_dim
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
     e = elem_sym_prefix(profile.dims, n)
-    # D A'_k, with A'_k = A'_(N-k) above the midpoint
-    a_int = [e[max(k, n - k)] for k in range(n + 1)]
-    # y - x = L (-1 + 2 y/L) for the pivot L = x + y
-    return HeteroShadow(tuple(substitute(a_int, (1, 1), (-1, 2), n)), total)
+    # a_k = D A'_k for k < m; y - x = L (-1 + 2 y/L) for the pivot L = x + y
+    half = substitute([e[n - k] for k in range((n + 1) // 2)], (1, 1), (-1, 2), n)
+    return HeteroShadow(
+        tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half)), total
+    )
 
 
 # ---------------------------------------------------------------------------

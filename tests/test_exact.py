@@ -250,6 +250,31 @@ def test_substitute_with_aligned_signs(n, size, rho, shift):
     assert 2 * max(out) >= bound
 
 
+@st.composite
+def repeated_values(draw):
+    """Up to 12 values drawn from a pool of 2-3 ints or 2-3 Fractions, so most repeat."""
+    numbers = st.integers(-9, 9) if draw(st.booleans()) else rationals
+    pool = draw(st.lists(numbers, min_size=2, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+@given(repeated_values())
+def test_elem_sym_prefix_of_repeated_values_is_every_prefix_of_the_product(values):
+    # the most frequent value enters in closed form, the others one by one
+    poly = [Fraction(1)]
+    for v in values:
+        poly = [
+            (poly[k] if k < len(poly) else 0) + (v * poly[k - 1] if k else 0)
+            for k in range(len(poly) + 1)
+        ]
+    integral = all(type(v) is int for v in values)
+    for k_max in range(len(values) + 1):
+        e = elem_sym_prefix(values, k_max)
+        assert e == poly[: k_max + 1]
+        if integral:
+            assert all(type(v) is int for v in e)
+
+
 @given(st.lists(st.integers(-50, 50), max_size=10))
 def test_elem_sym_prefix_keeps_integers(values):
     e = elem_sym_prefix(values, len(values))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
 from kuniform.errors import MAX_DIM_BITS, MAX_PARTIES, CapacityError, NotApplicableError
-from kuniform.exact import GaussianRational, binom, elem_sym_prefix
+from kuniform.exact import GaussianRational, binom
 from kuniform.hetero import (
     MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
@@ -354,8 +354,13 @@ def _hetero_shadow_reference(profile):
     """The O(N^3) Krawtchouk triple loop the substitution kernel replaced."""
     n = profile.n_parties
     half = (n - 1) // 2
-    reciprocals = [Fraction(1, d) for d in profile.dims]
-    a_prime = elem_sym_prefix(reciprocals, half)
+    # A'_k: the coefficients of prod(1 + x/d_i), expanded party by party
+    a_prime = [Fraction(1)]
+    for d in profile.dims:
+        a_prime = [
+            (a_prime[k] if k < len(a_prime) else 0) + (a_prime[k - 1] / d if k else 0)
+            for k in range(len(a_prime) + 1)
+        ]
     a_full = [a_prime[k] if k <= half else a_prime[n - k] for k in range(n + 1)]
     total = profile.total_dim
     a_int = [int(v * total) for v in a_full]
@@ -375,6 +380,9 @@ def test_hetero_shadow_equals_the_reference_loop():
     rng = random.Random(61121)
     profiles = [
         pair_profile(3, 2, 30),
+        # one class of all but one party, and two classes of about equal size
+        DimensionProfile.parse("3x1,2x60"),
+        DimensionProfile.parse("2x30,3x31"),
         DimensionProfile(tuple(rng.choice((2, 3, 5, 7)) for _ in range(61))),
         pair_profile(9, 4, 60),
         DimensionProfile(tuple(rng.randint(2, 9) for _ in range(121))),

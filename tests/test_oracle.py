@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -519,6 +520,30 @@ def test_ame_shadow_oracle_checks_table_iv():
                 checked += 1
             assert tuple(negative) == shadow_ns, (d1, d2)
     assert checked == 302
+
+
+def _seeded_class_profiles(count, seed):
+    """`count` Schmidt-feasible profiles of odd N = 3..201 with 2 or 3 classes of 2..9."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randrange(3, 202, 2)
+        dims = rng.sample(range(2, 10), rng.choice((2, 3)))
+        cuts = sorted(rng.sample(range(1, n), len(dims) - 1))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+        profile = DimensionProfile(tuple(d for d, c in zip(dims, sizes) for _ in range(c)))
+        if profile.schmidt_feasible():
+            found.append(profile)
+    return found
+
+
+def test_ame_shadow_oracle_numerators_equal_the_shadow_up_to_201_parties():
+    # the same integers over the same D, and the odd N - j coefficients vanish
+    for profile in _seeded_class_profiles(16, 2501):
+        numerators = hetero_shadow(profile).numerators
+        assert numerators == tuple(oracle._ame_shadow_numerators(profile)), profile.classes
+        n = profile.n_parties
+        assert all(v == 0 for j, v in enumerate(numerators) if (n - j) % 2), profile.classes
 
 
 def test_shadow_cross_validation_names_one_perturbed_profile(monkeypatch):
