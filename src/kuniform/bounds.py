@@ -17,7 +17,12 @@ two independent computations of it live here:
   `alpha_closed_form` reads one index of it, `alpha_vector` all of them,
   and `k_upper_bound` scans the signs on integers, stops at the first
   firing index and builds one `Fraction`, the witness, so one bound costs
-  O(N) steps and caches nothing;
+  O(N) steps and caches nothing.  A range of N (`_walk_hits`, behind
+  `tables.compute_bound_records`) scans its first N and then walks the
+  sign boundary: a certified first-order relation in N (`_step_n`)
+  moves the two sums around the first firing index to N + 1, and the
+  same i-recurrence, run forwards or backwards, re-locates it, so each
+  further N costs O(1) steps;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
   change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
   inversion in O(N^2) integer operations, done once per (N, d) and cached
@@ -36,8 +41,8 @@ that formula at almost every N but lands one above it for N = 5 (mod 6)
 from N = 17 on, so the formula stays in the candidate set to keep the
 qubit verdicts sharp.
 
-For d = 3 the sign pattern of alpha is periodic enough to admit a
-piecewise range formula (`range_formula_d3`).  No formula is kept for
+For d = 3 a piecewise range formula (`range_formula_d3`) bounds k at
+every N, though above the computed bound for large N.  No formula is kept for
 d = 4 or 5: there the computed bound is the only answer, and the pinned
 Tables II and III check it.  The three-term recurrences that certify the
 d = 3 sign facts ship as static data in factored form (one spec per
@@ -104,6 +109,13 @@ def alpha_oracle_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
     return a_to_c(WeightEnumerator(n_parties, local_dim, unit_prefix)).coeffs
 
 
+def _recurrence(n: int, d: int) -> tuple[int, int, int]:
+    """(f, c, g) of the i-recurrence of `_alpha_sums`: L = f i + c, and g is
+    the constant factor of S_i's coefficient g (N-2i)(N-2i-1)."""
+    dd = (d - 1) ** 2
+    return 8 - (d - 3) ** 2, dd * n + 3 - (d - 2) ** 2, d * dd
+
+
 def _alpha_sums(n_parties: int, local_dim: int) -> Iterator[int]:
     """Yield S_1, ..., S_(N//2), where alpha_i(N) = -N (d-1) S_i / i.
 
@@ -132,13 +144,58 @@ def _alpha_sums(n_parties: int, local_dim: int) -> Iterator[int]:
     half = n // 2
     s_prev, s = 1, 2 + (1 - d) * (n - 3)
     yield from (s_prev, s)[:half]
-    dd = (d - 1) ** 2
-    # L = f i + c, and g is the constant factor of S_i's coefficient
-    f, c, g = 8 - (d - 3) ** 2, dd * n + 3 - (d - 2) ** 2, d * dd
+    f, c, g = _recurrence(n, d)
     for i in range(1, half - 1):
         m = n - 2 * i
         s_prev, s = s, (i * (f * i + c) * s + g * m * (m - 1) * s_prev) // (i * (i + 1))
         yield s
+
+
+def _step_up(n: int, d: int, i: int, s0: int, s1: int) -> int:
+    """S_(i+2) from S_i and S_(i+1), one forward step of the i-recurrence."""
+    f, c, g = _recurrence(n, d)
+    m = n - 2 * i
+    return (i * (f * i + c) * s1 + g * m * (m - 1) * s0) // (i * (i + 1))
+
+
+def _step_down(n: int, d: int, i: int, s1: int, s2: int) -> int:
+    """S_i from S_(i+1) and S_(i+2), the same recurrence run backwards.
+
+    Its divisor g (N-2i)(N-2i-1) is nonzero for i <= N//2 - 1, and S_i is
+    an integer, so the division is exact.
+    """
+    f, c, g = _recurrence(n, d)
+    m = n - 2 * i
+    return (i * (i + 1) * s2 - i * (f * i + c) * s1) // (g * m * (m - 1))
+
+
+def _step_n(n: int, d: int, i: int, s0: int, s1: int) -> int:
+    """S_i(N+1) from S_i(N) and S_(i+1)(N), for 1 <= i <= N//2 - 1, by
+
+        d (d+1) (N-2i+1) S_i(N+1) = ((d^2+1) N - (d-1)^2 i) S_i(N) - i S_(i+1)(N),
+
+    so the division is exact.  Proof, by creative telescoping (Petkovsek,
+    Wilf and Zeilberger, *A = B*, ch. 6): write M = N - 2i and
+    t(i, j; N) for the summands of `_alpha_sums`.  For i >= 2 and M >= 2
+    the relation applied to t(i, j; N+1), t(i, j; N) and t(i+1, j; N)
+    equals G(j+1) - G(j) for 0 <= j <= i, where
+
+        G(j) = i j Q(j) t(i+1, j; N) / (M (M-1) (2i-j)),
+        Q(j) = -(d+1) j^2 + ((3d+7) i - (d+3) N + d + 1) j
+               - N^2 + (d+7) N i + N - (2d+10) i^2 - (d+3) i,
+
+    the rational function t(i, j; N) j (j-2i+1) Q(j) / ((j-i)(M+j)(M+j-1))
+    written over t(i+1, j; N), which is nonzero on that range (t(i, i; N)
+    is 0 there).  No denominator vanishes on it.  Summing gives the
+    relation: G(0) = 0 by the factor j, G(i+1) = 0 because t(i+1, i+1; N)
+    holds C(i-1, i) = 0 while 2i - j = i - 1 >= 1, and the range adds only
+    the zero terms t(i, i; N) and t(i, i; N+1) to S_i.  At i = 1 the
+    relation is an identity of polynomials in (N, d), since S_1 = 1 and
+    S_2 = 2 + (1-d)(N-3).  The test suite ships Q, checks the telescoping
+    identity exactly on a grid larger than its degree in each variable, and
+    checks i = 1 directly.
+    """
+    return (((d * d + 1) * n - (d - 1) ** 2 * i) * s0 - i * s1) // (d * (d + 1) * (n - 2 * i + 1))
 
 
 def _alpha_from_sum(n_parties: int, local_dim: int, index: int, total: int) -> Fraction:
@@ -269,6 +326,53 @@ class BoundVerdict:
         return doc
 
 
+def _scan(n_parties: int, local_dim: int) -> tuple[int, int, int]:
+    """(i, S_(i-1), S_i) at the first firing index i, or at i = N//2 if none fires.
+
+    Reads the sums of `_alpha_sums` in order and stops at the first i with
+    (-1)^i S_i > 0, the test of `_hit` read off the sign of S_i and the
+    parity of i; S_0 is taken as 0.
+    """
+    s_prev = s = 0
+    for i, s_next in enumerate(_alpha_sums(n_parties, local_dim), 1):
+        s_prev, s = s, s_next
+        if s < 0 if i & 1 else s > 0:
+            break
+    return i, s_prev, s
+
+
+def _hit(i: int, s: int) -> Optional[tuple[int, int]]:
+    """(i, S_i) when index i fires, else None.
+
+    Index i fires when (-1)^i alpha_i < 0, that is when (-1)^i S_i > 0.
+    """
+    return (i, s) if (s < 0 if i & 1 else s > 0) else None
+
+
+def _verdict(n_parties: int, local_dim: int, hit: Optional[tuple[int, int]]) -> BoundVerdict:
+    """Combine the first firing alpha index `hit` = (i, S_i), or None, with the other tests.
+
+    Ties report the first test in the fixed order: alpha-sign, rains,
+    non-existence table, scott, trivial.  Only the alpha witness becomes a
+    `Fraction`.
+    """
+    half = n_parties // 2
+    # (k, provenance, witness) in tie-break order; min keeps the first of equals
+    candidates: list[tuple[int, str, Optional[Fraction]]] = []
+    if hit is not None:
+        i, s = hit
+        candidates.append((i - 1, provenance_alpha(i), _alpha_from_sum(n_parties, local_dim, i, s)))
+    if local_dim == 2:
+        candidates.append((rains_bound(n_parties), PROVENANCE_RAINS, None))
+    if known_ame_nonexistence(n_parties, local_dim):
+        candidates.append((half - 1, PROVENANCE_AME_TABLE, None))
+    if scott_gap_condition(n_parties, local_dim):
+        candidates.append((half - 1, PROVENANCE_SCOTT, None))
+    candidates.append((half, PROVENANCE_TRIVIAL, None))
+    k_max, provenance, witness = min(candidates, key=lambda c: c[0])
+    return BoundVerdict(n_parties, local_dim, k_max, provenance, witness)
+
+
 def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     """Best available upper bound on k for N parties of dimension d.
 
@@ -282,23 +386,77 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     """
     exact_int(n_parties, "n_parties", 2)
     exact_int(local_dim, "local_dim", 2)
-    half = n_parties // 2
-    # (k, provenance, witness) in tie-break order; min keeps the first of equals
-    candidates: list[tuple[int, str, Optional[Fraction]]] = []
-    for i, s in enumerate(_alpha_sums(n_parties, local_dim), 1):
-        if (-1) ** i * s > 0:  # (-1)^i alpha_i < 0 exactly when (-1)^i S_i > 0
-            witness = _alpha_from_sum(n_parties, local_dim, i, s)
-            candidates.append((i - 1, provenance_alpha(i), witness))
-            break
-    if local_dim == 2:
-        candidates.append((rains_bound(n_parties), PROVENANCE_RAINS, None))
-    if known_ame_nonexistence(n_parties, local_dim):
-        candidates.append((half - 1, PROVENANCE_AME_TABLE, None))
-    if scott_gap_condition(n_parties, local_dim):
-        candidates.append((half - 1, PROVENANCE_SCOTT, None))
-    candidates.append((half, PROVENANCE_TRIVIAL, None))
-    k_max, provenance, witness = min(candidates, key=lambda c: c[0])
-    return BoundVerdict(n_parties, local_dim, k_max, provenance, witness)
+    i, _, s = _scan(n_parties, local_dim)
+    return _verdict(n_parties, local_dim, _hit(i, s))
+
+
+# the first N of a walk's steps: from N = 6 on the top pair (h-1, h) has an
+# index h - 2 >= 1 below it, so every step stays inside the recurrences' range
+_WALK_FROM = 6
+
+
+def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[Optional[tuple[int, int]]]:
+    """The first firing alpha index (i, S_i), or None, for N = n_min .. n_max in turn.
+
+    N = n_min, and every N below `_WALK_FROM`, is answered by `_scan`.  From
+    there the walk carries the pair (S_(i-1), S_i) at the answer's index i
+    (or the top index h = N//2 when nothing fires) from N to N+1: if i = h
+    it first takes S_(h-2) by one backward step and carries (h-2, h-1);
+    one forward step gives S_(i+1)(N), and `_step_n` moves the pair to
+    N+1, using only indices up to N//2 - 1.  It then re-locates the first
+    firing index at N+1 by forward steps (up to h) or backward steps, each
+    stopping on the sign test below, so each N costs O(1) big-integer
+    steps on average instead of `_scan`'s O(N).
+
+    The sign test rests on one fact.  Let P(i) be S_(i-1) S_i > 0 for
+    2 <= i <= h, and let P(1) be false.  Then P is monotone in i, the first firing
+    index i* is the first i with P(i), so P(i*) and not P(i*-1) certify
+    it, and nothing fires when P(h) is false.
+
+    Proof.  Wherever S_(i+2) exists (i >= 1, N - 2i >= 4), both
+    coefficients of the i-recurrence in `_alpha_sums` are positive:
+    g (N-2i)(N-2i-1) is, and so is L.  For d <= 5, f = 8 - (d-3)^2 >= 0 and
+    L >= c >= 2 (d-1)^2 + 3 - (d-2)^2 = d^2 + 1, as N >= 2; for d >= 6,
+    f < 0 and 2i <= N - 4 give L >= f (N-4)/2 + c = N (d+1)^2/2 + d^2 - 8d + 1,
+    which is positive for N >= 6.  So S_(i+1) is a positive combination of
+    S_i and S_(i-1) for 2 <= i <= h - 1.  Hence P(i) implies P(i+1); and a
+    zero S_j forces S_(j+1) to take the sign of S_(j-1), which is nonzero,
+    since two consecutive zeros would, run backwards through the nonzero
+    divisor of `_step_down`, make S_1 = 1 zero.  Now let no index below i
+    fire.  S_1 = 1 does not fire, and every S_j with j < i is 0 or has the
+    sign (-1)^(j+1).  If S_(i-1) is nonzero, it has the sign (-1)^i, so
+    P(i) holds exactly when S_i has that sign, that is when i fires.  If
+    S_(i-1) = 0, then P(i) fails, and S_i has the sign (-1)^(i-1) of
+    S_(i-2), so i does not fire either.
+    """
+    exact_int(local_dim, "local_dim", 2)
+    d = local_dim
+    if n_min > n_max:
+        return
+    exact_int(n_min, "n_parties", 2)
+    exact_int(n_max, "n_parties", 2)
+    base = max(n_min, _WALK_FROM)
+    for n in range(n_min, min(base, n_max) + 1):
+        i, u, v = _scan(n, d)
+        yield _hit(i, v)
+    for n in range(base + 1, n_max + 1):
+        m = n - 1  # (u, v) = (S_(i-1), S_i) at N = m
+        if i == m // 2:  # the top pair: carry (h-2, h-1), so _step_n reads i <= h - 1
+            i, u, v = i - 1, _step_down(m, d, i - 2, u, v), u
+        w = _step_up(m, d, i - 1, u, v)
+        u, v = _step_n(m, d, i - 1, u, v), _step_n(m, d, i, v, w)
+        if u * v > 0:  # P(i): step down while P(i - 1)
+            while i > 2:
+                w = _step_down(n, d, i - 2, u, v)
+                if w * u <= 0:
+                    break
+                i, u, v = i - 1, w, u
+        else:  # step up to the first P, or to the top
+            while i < n // 2:
+                i, u, v = i + 1, v, _step_up(n, d, i - 1, u, v)
+                if u * v > 0:
+                    break
+        yield _hit(i, v)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +473,16 @@ def range_formula_d3(n_parties: int) -> int:
     is 6m - 1 + 2b for its band index b (`recurrence_block`).  Defined for
     N >= 10 except N in {23, 37, 51}, where the sign test the formula
     encodes does not fire.
+
+    The formula's slope, 3/7 ~ 0.42857, lies above lambda*(3) ~ 0.42599,
+    the slope of the first firing alpha index i*/N as N grows (where the
+    two saddle points of the alpha sums' generating function cross).  So
+    it is a valid bound, but it drifts above the computed bound by about
+    (3/7 - lambda*(3)) N.  Against `k_upper_bound` for N = 10..4096 it is
+    equal up to N = 111, apart from N = 14 and 19, where the AME
+    non-existence table gives one less; 0 or 2 above on 112..895, equal
+    for the last time at N = 821; and the gap keeps growing: it is first 4
+    at N = 896, 6 at 1666, 8 at 2436, 10 at 3220 and 12 at 3990.
     """
     if n_parties < 10:
         raise NotApplicableError(f"range formula needs N >= 10, got {n_parties}")

@@ -21,6 +21,9 @@ change of variables in `enumerators` and the heterogeneous shadow in
 (`clear_denominators`, which the oracle's integer sums share) and
 divided out once per coefficient after.  `elem_sym_prefix` is generic
 in its values: integers in give integers out, Fractions give Fractions.
+No module of the package calls it since `hetero_shadow` expands only
+the half of the product it reads; the tests keep it as the reference
+for that expansion, and the benchmark's spans name it.
 """
 
 from __future__ import annotations

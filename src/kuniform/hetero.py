@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from typing import Iterable, Optional
 
 from .errors import (
@@ -72,7 +72,7 @@ from .errors import (
     read_int,
     read_json,
 )
-from .exact import elem_sym_prefix, rat_to_str, substitute
+from .exact import rat_to_str, substitute
 
 # The shadow's cost grows about as N^3 in big-integer work: 0.23-0.41 s
 # at N = 1001, 1.8-2.1 s at N = 2001 and 34 s at N = 4095 on 3x1,2x(N-1)
@@ -349,6 +349,35 @@ def check_shadow_size(profile: DimensionProfile) -> None:
         )
 
 
+def _product_head(classes, m: int) -> list[int]:
+    """Coefficients of x^0 .. x^(m-1) in prod_i (x + d_i), from a profile's classes.
+
+    The most frequent dimension v, with multiplicity c, enters in closed
+    form, (x + v)^c = sum_k C(c, k) v^(c-k) x^k; every other party takes
+    one step of multiplying by x + d_i, truncated at x^(m-1) and at the
+    degree reached so far.
+    """
+    common, parties = max(classes, key=lambda cls: len(cls[1]))
+    count = len(parties)
+    top = min(count, m - 1)
+    head = [0] * m
+    power, choose = common ** (count - top), comb(count, top)
+    for k in range(top, -1, -1):
+        head[k] = choose * power
+        power *= common
+        choose = choose * k // (count - k + 1)  # C(c, k-1) = C(c, k) k / (c-k+1)
+    degree = count
+    for d, idxs in classes:
+        if d == common:
+            continue
+        for _ in idxs:
+            degree += 1
+            for k in range(min(degree, m - 1), 0, -1):
+                head[k] = d * head[k] + head[k - 1]
+            head[0] *= d
+    return head
+
+
 def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     """Exact shadow coefficients from the elementary symmetric averages.
 
@@ -358,8 +387,9 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
 
     The shadow is the polynomial A'(x + y, y - x).  Scaled by the total
     dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
-    for k <= floor(N/2), by `exact.elem_sym_prefix`, and one call of the
-    kernel `exact.substitute` expands the substitution, pivoting on
+    for k <= floor(N/2), the coefficient of x^k in prod_i (x + d_i)
+    (`_product_head`), and one call of the kernel `exact.substitute`
+    expands the substitution, pivoting on
     L = x + y (y - x = L (-1 + 2 y/L)).  The result holds those integers
     over D; `HeteroShadow.s` divides each once, on first use.  Raises
     CapacityError by `check_shadow_size`, before any work.
@@ -377,9 +407,8 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     n, total = profile.n_parties, profile.total_dim
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
-    e = elem_sym_prefix(profile.dims, n)
     # a_k = D A'_k for k < m; y - x = L (-1 + 2 y/L) for the pivot L = x + y
-    half = substitute([e[n - k] for k in range((n + 1) // 2)], (1, 1), (-1, 2), n)
+    half = substitute(_product_head(profile.classes, (n + 1) // 2), (1, 1), (-1, 2), n)
     return HeteroShadow(
         tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half)), total
     )

@@ -11,6 +11,10 @@ differs; an empty diff is the reproduction statement the command-line
 `table` command prints.  `TableDiff.to_json_dict` is its payload, and
 `table_csv` and `bound_csv` the CSV of `table --format csv` (which
 `scripts/reproduce_tables.py` writes) and of `bound --format csv`.
+
+The per-N bounds of Tables I-III and of `bound` come from
+`compute_bound_records`, which scans the first N and walks the alpha
+sign boundary from each N to the next, in O(1) big-integer steps per N.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundVerdict, k_upper_bound
+from .bounds import BoundVerdict, _verdict, _walk_hits
 from .hetero import DimensionProfile, hetero_shadow, scott_pair_threshold
 
 TABLE_IDS = ("I", "II", "III", "IV")
@@ -74,7 +78,15 @@ def format_n_range(lo: int, hi: int) -> str:
 def compute_bound_records(
     local_dim: int, n_min: int, n_max: int
 ) -> list[BoundVerdict]:
-    return [k_upper_bound(n, local_dim) for n in range(n_min, n_max + 1)]
+    """`k_upper_bound` at each N = n_min .. n_max, record for record.
+
+    The first N is scanned as `k_upper_bound` scans it; every later N costs
+    O(1) big-integer steps, by walking the alpha sign boundary from N to
+    N + 1 (`bounds._walk_hits`).  The verdicts are combined by the same
+    `bounds._verdict`.
+    """
+    hits = _walk_hits(local_dim, n_min, n_max)
+    return [_verdict(n, local_dim, hit) for n, hit in zip(range(n_min, n_max + 1), hits)]
 
 
 def compress_to_ranges(records: list[BoundVerdict]) -> tuple[tuple[int, int, int], ...]:

@@ -8,9 +8,14 @@ integer sum in alpha_i(N) = -N (d-1) S_i / i.  The recurrence
 
 is proven by creative telescoping: applied to t(., j) it equals
 G(j+1) - G(j), with G(j) = t(i+2, j) j P(j) / ((2i+2-j)(2i+1-j)(2i-j)).
-Only exact integer and `Fraction` arithmetic is used.  Near the party cap
-the recurrence is compared with the closed form summed by its term ratio,
-a route that shares no code with the package.
+The first-order relation in N behind `bounds._step_n`,
+
+    d (d+1) (N-2i+1) S_i(N+1) = ((d^2+1) N - (d-1)^2 i) S_i(N) - i S_(i+1)(N),
+
+is proven the same way, with G(j) = i j Q(j) t(i+1, j) / (M (M-1) (2i-j)),
+M = N - 2i.  Only exact integer and `Fraction` arithmetic is used.  Near
+the party cap the recurrence is compared with the closed form summed by
+its term ratio, a route that shares no code with the package.
 """
 
 import math
@@ -158,6 +163,117 @@ def test_alpha_sums_equal_the_closed_form_sums():
         for d in (2, 3, 4, 5, 7, 9):
             want = [_closed_sum(n, d, i) for i in range(1, n // 2 + 1)]
             assert list(bounds._alpha_sums(n, d)) == want, (n, d)
+
+
+# Q(j) of the relation in N, stored as {(a, b, c): coefficient} per power
+# of j for the monomials i^a N^b d^c.  Derived offline by solving for Q
+# over this ansatz; the identity below checks it.
+_N_CERTIFICATE = (
+    {  # j^0
+        (0, 2, 0): -1, (1, 1, 1): 1, (1, 1, 0): 7, (0, 1, 0): 1, (2, 0, 1): -2,
+        (2, 0, 0): -10, (1, 0, 1): -1, (1, 0, 0): -3,
+    },
+    {  # j^1
+        (1, 0, 1): 3, (1, 0, 0): 7, (0, 1, 1): -1, (0, 1, 0): -3, (0, 0, 1): 1,
+        (0, 0, 0): 1,
+    },
+    {  # j^2
+        (0, 0, 1): -1, (0, 0, 0): -1,
+    },
+)
+
+
+def _n_factors(n, d, i):
+    """The factors d (d+1) (N-2i+1) of S_i(N+1) and (d^2+1) N - (d-1)^2 i of S_i(N)."""
+    return d * (d + 1) * (n - 2 * i + 1), (d * d + 1) * n - (d - 1) ** 2 * i
+
+
+def _n_certificate_g(n, d, i, j):
+    q = sum(
+        coef * i**a * n**b * d**c * j**k
+        for k, terms in enumerate(_N_CERTIFICATE)
+        for (a, b, c), coef in terms.items()
+    )
+    m = n - 2 * i
+    return Fraction(i * j * q * _term(n, d, i + 1, j), m * (m - 1) * (2 * i - j))
+
+
+def _n_operator_on_term(n, d, i, j):
+    """The relation in N applied to the summand: zero once summed over j."""
+    up, here = _n_factors(n, d, i)
+    return up * _term(n + 1, d, i, j) - here * _term(n, d, i, j) + i * _term(n, d, i + 1, j)
+
+
+def test_n_certificate_degrees_fit_the_grid():
+    # Divided by t(i+1, j) and multiplied by
+    # D = (N-2i)(N-2i-1)(2i-j)(2i-1-j), both sides of the telescoping
+    # identity are polynomials.  The operator side has degree (5, 4, 3, 2)
+    # in (i, j, N, d) as written.  On the G side
+    # i (1-d)(N-2i-1+j)(i-j) Q(j+1) and i j (2i-1-j) Q(j) stay within that
+    # bound when every Q_k has degree <= 2 in i, <= 2 in N and <= 1 in d,
+    # and k <= 2.
+    assert len(_N_CERTIFICATE) == 3
+    monomials = [m for q in _N_CERTIFICATE for m in q]
+    assert max(a for a, _, _ in monomials) <= 2
+    assert max(b for _, b, _ in monomials) <= 2
+    assert max(c for _, _, c in monomials) <= 1
+
+
+def test_n_telescoping_identity_on_a_grid_beyond_its_degree():
+    # A polynomial of degree (5, 4, 3, 2) that vanishes on a 6 x 5 x 4 x 3
+    # product grid is zero.  The grid (j < i) avoids every pole and every
+    # zero of t(i+1, j), so the cleared identity vanishes exactly where
+    # this holds.
+    checked = 0
+    for i in range(10, 16):
+        for j in range(0, 5):
+            for n in range(100, 104):
+                for d in range(2, 5):
+                    assert _term(n, d, i + 1, j) != 0
+                    lhs = _n_operator_on_term(n, d, i, j)
+                    assert lhs == _n_certificate_g(n, d, i, j + 1) - _n_certificate_g(n, d, i, j)
+                    checked += 1
+    assert checked == 6 * 5 * 4 * 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_n_boundary_terms_vanish_and_the_sum_telescopes(d):
+    # for i >= 2 and N - 2i >= 2: G(0) = G(i+1) = 0, and the range 0..i
+    # adds only zero terms to S_i at N and N+1
+    for i in range(2, 9):
+        for n in range(2 * i + 2, 2 * i + 7):
+            assert _n_certificate_g(n, d, i, 0) == 0 and _n_certificate_g(n, d, i, i + 1) == 0
+            assert _term(n, d, i, i) == _term(n + 1, d, i, i) == 0
+            assert sum(_n_operator_on_term(n, d, i, j) for j in range(i + 1)) == 0
+
+
+def test_n_relation_at_i_1_as_an_identity_in_n_and_d():
+    # S_1 = 1 and S_2 = 2 + (1-d)(N-3): of degree at most 1 in N and 2 in
+    # d, so a 2 x 3 grid with N >= 4 proves it for every N and d
+    for n in (4, 5):
+        for d in (2, 3, 4):
+            up, here = _n_factors(n, d, 1)
+            assert up * _closed_sum(n + 1, d, 1) == here * _closed_sum(n, d, 1) - _closed_sum(n, d, 2)
+
+
+def test_relation_in_n_and_the_steps_on_the_closed_sums():
+    # every i = 1 .. N//2 - 1 for N <= 60, including the N below the
+    # certificate's range, against sums that share no package code
+    sums = {
+        (n, d): [None] + [_closed_sum(n, d, i) for i in range(1, n // 2 + 1)]
+        for d in range(2, 9)
+        for n in range(2, 62)
+    }
+    for d in range(2, 9):
+        for n in range(2, 61):
+            s, s_next = sums[n, d], sums[n + 1, d]
+            for i in range(1, n // 2):
+                up, here = _n_factors(n, d, i)
+                assert up * s_next[i] == here * s[i] - i * s[i + 1], (n, d, i)
+                assert bounds._step_n(n, d, i, s[i], s[i + 1]) == s_next[i], (n, d, i)
+            for i in range(1, n // 2 - 1):
+                assert bounds._step_up(n, d, i, s[i], s[i + 1]) == s[i + 2], (n, d, i)
+                assert bounds._step_down(n, d, i, s[i + 1], s[i + 2]) == s[i], (n, d, i)
 
 
 def _term_ratio_alpha(n, d, i):

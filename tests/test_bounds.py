@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuniform import bounds
@@ -27,9 +27,9 @@ from kuniform.bounds import (
     taylor_shift,
     verify_recurrence,
 )
-from kuniform.errors import NotApplicableError
+from kuniform.errors import MAX_PARTIES, NotApplicableError
 from kuniform.exact import binom, falling_binom
-from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
+from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES, compute_bound_records
 
 
 def test_alpha_base_cases():
@@ -211,6 +211,56 @@ def test_k_upper_bound_never_exceeds_trivial(n, d):
         assert v.k_max < n // 2 or d == 2  # rains can tie the trivial bound
     # the witness travels with alpha-sign provenance and only with it
     assert (v.witness is not None) == v.provenance.startswith("alpha-sign")
+
+
+# ---------------------------------------------------------------------------
+# the boundary walk behind compute_bound_records
+# ---------------------------------------------------------------------------
+
+
+def _scanned(d, lo, hi):
+    return [k_upper_bound(n, d).to_json_dict() for n in range(lo, hi + 1)]
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 9), st.integers(2, 700), st.integers(0, 40))
+@example(5, 300, 0)  # one N: the scan alone
+@example(2, 2, 10)  # N = 2..12 straddles the walk's first step at N = 6
+@example(6, 5, 3)  # N = 5..8 at a d where no alpha index fires
+def test_walk_equals_the_per_n_scan(d, lo, width):
+    hi = min(lo + width, 700)
+    walked = [r.to_json_dict() for r in compute_bound_records(d, lo, hi)]
+    assert walked == _scanned(d, lo, hi)
+
+
+def test_walk_steps_stay_where_their_proofs_hold(monkeypatch):
+    # the relation in N is proven for 1 <= i <= N//2 - 1, and the
+    # i-recurrence for 1 <= i with S_(i+2) present; the top pair (h-1, h)
+    # must be carried as (h-2, h-1), not stepped past the top
+    steps = []
+
+    def within(name, low, top):
+        step = getattr(bounds, name)
+
+        def checked(n, d, i, a, b):
+            assert low <= i <= n // 2 - top, (name, n, d, i)
+            steps.append(name)
+            return step(n, d, i, a, b)
+
+        monkeypatch.setattr(bounds, name, checked)
+
+    within("_step_n", 1, 1)
+    within("_step_up", 1, 2)
+    within("_step_down", 1, 2)
+    for d in range(2, 8):
+        assert compute_bound_records(d, 2, 300) == [k_upper_bound(n, d) for n in range(2, 301)]
+    assert {"_step_n", "_step_up", "_step_down"} <= set(steps)
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_walk_equals_the_per_n_scan_at_the_party_cap(d):
+    walked = [r.to_json_dict() for r in compute_bound_records(d, 3990, MAX_PARTIES)]
+    assert walked == _scanned(d, 3990, MAX_PARTIES)
 
 
 def test_range_formula_d3():

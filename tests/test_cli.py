@@ -50,6 +50,19 @@ def test_bound_range_csv(capsys):
     assert lines[-1].startswith("88,37,")
 
 
+def test_bound_range_equals_the_per_n_runs(capsys):
+    # the range walks the alpha sign boundary; each --n run scans on its own
+    singles = [run_json(capsys, "bound", "--d", "5", "--n", str(n))[1] for n in range(2, 301)]
+    _, doc = run_json(capsys, "bound", "--d", "5", "--n-range", "2:300")
+    assert doc["payload"]["records"] == [r for s in singles for r in s["payload"]["records"]]
+    _, out = run_cli(capsys, "bound", "--d", "5", "--n-range", "2:300", "--format", "csv")
+    rows = [
+        run_cli(capsys, "bound", "--d", "5", "--n", str(n), "--format", "csv")[1].splitlines()
+        for n in range(2, 301)
+    ]
+    assert out.splitlines() == rows[0][:1] + [row for lines in rows for row in lines[1:]]
+
+
 def test_bound_qubit_example(capsys):
     code, doc = run_json(capsys, "bound", "--d", "2", "--n", "10")
     assert doc["payload"]["records"][0]["k_max"] == 3

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kuniform import hetero, tables
 from kuniform.bounds import scott_gap_condition
 from kuniform.errors import MAX_DIM_BITS, MAX_PARTIES, CapacityError, NotApplicableError
-from kuniform.exact import GaussianRational, binom
+from kuniform.exact import GaussianRational, binom, elem_sym_prefix, substitute
 from kuniform.hetero import (
     MAX_SHADOW_BITS,
     MAX_SHADOW_PARTIES,
@@ -393,6 +393,34 @@ def test_hetero_shadow_equals_the_reference_loop():
         )
 
 
+def _elem_sym_numerators(profile):
+    """The shadow numerators by the full e_0..e_N of `exact.elem_sym_prefix`."""
+    n = profile.n_parties
+    e = elem_sym_prefix(profile.dims, n)
+    half = substitute([e[n - k] for k in range((n + 1) // 2)], (1, 1), (-1, 2), n)
+    return tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half))
+
+
+@st.composite
+def odd_class_profiles(draw):
+    """1 to 5 classes of 1 to 25 parties each, dimensions 2..40, N odd, in any order."""
+    dims = draw(st.lists(st.integers(2, 40), min_size=1, max_size=5, unique=True))
+    counts = [draw(st.integers(1, 25)) for _ in dims]
+    parties = [d for d, c in zip(dims, counts) for _ in range(c)]
+    if len(parties) % 2 == 0:
+        parties.append(dims[0])
+    if len(parties) < 3:
+        parties += [dims[-1]] * 2
+    return DimensionProfile(tuple(draw(st.permutations(parties))))
+
+
+@given(odd_class_profiles())
+def test_hetero_shadow_numerators_equal_the_elementary_symmetric_route(profile):
+    # the product is expanded only up to x^((N-1)/2), the largest class in
+    # closed form; the numerators must be those of the full expansion
+    assert hetero_shadow(profile).numerators == _elem_sym_numerators(profile)
+
+
 def test_profile_constructor_party_cap():
     assert DimensionProfile((2,) * MAX_PARTIES).n_parties == MAX_PARTIES
     with pytest.raises(CapacityError, match=f"party count {MAX_PARTIES + 1} exceeds"):
@@ -433,7 +461,7 @@ def test_widest_searches_under_the_bit_cap_are_quick(dims):
 
 def test_hetero_shadow_refuses_above_its_cap_before_any_work(monkeypatch):
     calls = []
-    for name in ("elem_sym_prefix", "substitute"):
+    for name in ("_product_head", "substitute"):
         monkeypatch.setattr(hetero, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties"):
         hetero_shadow(pair_profile(3, 2, MAX_SHADOW_PARTIES // 2 + 1))
@@ -442,7 +470,7 @@ def test_hetero_shadow_refuses_above_its_cap_before_any_work(monkeypatch):
 
 def test_hetero_shadow_refuses_wide_dimensions_before_any_work(monkeypatch):
     calls = []
-    for name in ("elem_sym_prefix", "substitute"):
+    for name in ("_product_head", "substitute"):
         monkeypatch.setattr(hetero, name, lambda *args, name=name: calls.append(name))
     profile = DimensionProfile.parse("1000000x1001")
     assert profile.total_dim.bit_length() > MAX_SHADOW_BITS
