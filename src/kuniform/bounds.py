@@ -55,19 +55,18 @@ runs it over every spec.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb
-from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumerators import WeightEnumerator, _c_numerators, a_to_c
 from .errors import NotApplicableError, exact_int
-from .exact import rat_to_str
+from .exact import FrozenRecord, rat_to_str
 
-_DATA_DIR = Path(__file__).parent / "data"
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 PROVENANCE_TRIVIAL = "trivial-Schmidt"
 PROVENANCE_SCOTT = "scott"
@@ -278,7 +277,8 @@ def scott_gap_condition(n_parties: int, local_dim: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _ame_nonexistence_data() -> dict[int, frozenset[int]]:
-    doc = json.loads((_DATA_DIR / "ame_nonexistence.json").read_text())
+    with open(os.path.join(_DATA_DIR, "ame_nonexistence.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     return {int(rec["local_dim"]): frozenset(rec["n_parties"]) for rec in doc["entries"]}
 
 
@@ -299,8 +299,7 @@ def known_ame_nonexistence(n_parties: int, local_dim: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(FrozenRecord):
     """An upper bound on k with the test that produced it.
 
     provenance is one of "trivial-Schmidt", "alpha-sign(i)", "scott",
@@ -308,11 +307,10 @@ class BoundVerdict:
     value exactly when an alpha-sign test decided the bound.
     """
 
-    n_parties: int
-    local_dim: int
-    k_max: int
-    provenance: str
-    witness: Optional[Fraction] = None
+    def __init__(self, n_parties: int, local_dim: int, k_max: int, provenance: str,
+                 witness: Fraction | None = None) -> None:
+        self.__dict__.update(n_parties=n_parties, local_dim=local_dim, k_max=k_max,
+                             provenance=provenance, witness=witness)
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -341,7 +339,7 @@ def _scan(n_parties: int, local_dim: int) -> tuple[int, int, int]:
     return i, s_prev, s
 
 
-def _hit(i: int, s: int) -> Optional[tuple[int, int]]:
+def _hit(i: int, s: int) -> tuple[int, int] | None:
     """(i, S_i) when index i fires, else None.
 
     Index i fires when (-1)^i alpha_i < 0, that is when (-1)^i S_i > 0.
@@ -349,7 +347,7 @@ def _hit(i: int, s: int) -> Optional[tuple[int, int]]:
     return (i, s) if (s < 0 if i & 1 else s > 0) else None
 
 
-def _verdict(n_parties: int, local_dim: int, hit: Optional[tuple[int, int]]) -> BoundVerdict:
+def _verdict(n_parties: int, local_dim: int, hit: tuple[int, int] | None) -> BoundVerdict:
     """Combine the first firing alpha index `hit` = (i, S_i), or None, with the other tests.
 
     Ties report the first test in the fixed order: alpha-sign, rains,
@@ -358,7 +356,7 @@ def _verdict(n_parties: int, local_dim: int, hit: Optional[tuple[int, int]]) -> 
     """
     half = n_parties // 2
     # (k, provenance, witness) in tie-break order; min keeps the first of equals
-    candidates: list[tuple[int, str, Optional[Fraction]]] = []
+    candidates: list[tuple[int, str, Fraction | None]] = []
     if hit is not None:
         i, s = hit
         candidates.append((i - 1, provenance_alpha(i), _alpha_from_sum(n_parties, local_dim, i, s)))
@@ -395,7 +393,7 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
 _WALK_FROM = 6
 
 
-def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[Optional[tuple[int, int]]]:
+def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, int] | None]:
     """The first firing alpha index (i, S_i), or None, for N = n_min .. n_max in turn.
 
     N = n_min, and every N below `_WALK_FROM`, is answered by `_scan`.  From
@@ -501,8 +499,7 @@ def range_formula_d3(n_parties: int) -> int:
 RECURRENCE_BASE_N = 1
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(FrozenRecord):
     """Three-term recurrence lead(n) p_(n+2) = mid(n) p_(n+1) + low(n) p_n.
 
     The polynomials are integer coefficient lists in ascending powers of n.
@@ -512,12 +509,11 @@ class RecurrenceSpec:
     all three polynomials are positive for n >= positive_from.
     """
 
-    offset: int
-    lead: tuple[int, ...]
-    mid: tuple[int, ...]
-    low: tuple[int, ...]
-    initial_terms: tuple[tuple[int, int], ...]
-    positive_from: int
+    def __init__(self, offset: int, lead: tuple[int, ...], mid: tuple[int, ...],
+                 low: tuple[int, ...], initial_terms: tuple[tuple[int, int], ...],
+                 positive_from: int) -> None:
+        self.__dict__.update(offset=offset, lead=lead, mid=mid, low=low,
+                             initial_terms=initial_terms, positive_from=positive_from)
 
 
 def poly_eval(coeffs: Sequence[int], n: int) -> int:
@@ -641,7 +637,8 @@ def recurrence_specs() -> tuple[RecurrenceSpec, ...]:
     The file stores each polynomial factored, as a constant and a list of
     integer polynomial factors; this expands them.
     """
-    doc = json.loads((_DATA_DIR / "range_recurrences.json").read_text())
+    with open(os.path.join(_DATA_DIR, "range_recurrences.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
     return tuple(
         RecurrenceSpec(
             offset=rec["offset"],

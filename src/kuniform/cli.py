@@ -49,9 +49,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from . import bounds, oracle, tables
 from .enumerators import shadow_transform
@@ -162,7 +162,7 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run_bound(args) -> tuple[str, dict, Optional[str]]:
+def _run_bound(args) -> tuple[str, dict, str | None]:
     d = _usage_int(args.d, "--d", 2)
     if args.n is not None:
         lo = hi = _usage_int(args.n, "--n", 2)
@@ -174,13 +174,13 @@ def _run_bound(args) -> tuple[str, dict, Optional[str]]:
     return STATUS_OK, payload, tables.bound_csv(records) if args.format == "csv" else None
 
 
-def _run_table(args) -> tuple[str, dict, Optional[str]]:
+def _run_table(args) -> tuple[str, dict, str | None]:
     diff = tables.diff_table(args.paper)
     status = STATUS_OK if diff.match else STATUS_VIOLATION
     return status, diff.to_json_dict(), tables.table_csv(diff) if args.format == "csv" else None
 
 
-def _run_ame(args) -> tuple[str, dict, Optional[str]]:
+def _run_ame(args) -> tuple[str, dict, str | None]:
     try:
         profile = DimensionProfile.parse(args.dims)
     except ValueError as exc:
@@ -191,7 +191,7 @@ def _run_ame(args) -> tuple[str, dict, Optional[str]]:
     return status, payload, None
 
 
-def _run_state(args) -> tuple[str, dict, Optional[str]]:
+def _run_state(args) -> tuple[str, dict, str | None]:
     k = args.check_uniform
     if k is not None:
         # above N//2 depends on the file, so only the sign is a usage error
@@ -218,7 +218,7 @@ def _run_state(args) -> tuple[str, dict, Optional[str]]:
     return STATUS_OK, payload, None
 
 
-def _run_verify(args) -> tuple[str, dict, Optional[str]]:
+def _run_verify(args) -> tuple[str, dict, str | None]:
     checks, failures = _VERIFY_SUITES[args.suite]()
     payload = {"suite": args.suite, "checks": checks, "failures": failures}
     status = STATUS_OK if not failures else STATUS_ERROR
@@ -230,7 +230,7 @@ def _run_verify(args) -> tuple[str, dict, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(command: str, status: str, payload: dict, csv_text: Optional[str] = None) -> None:
+def _emit(command: str, status: str, payload: dict, csv_text: str | None = None) -> None:
     if csv_text is not None:
         print(csv_text)
         return
@@ -243,7 +243,7 @@ def _emit(command: str, status: str, payload: dict, csv_text: Optional[str] = No
     print(json.dumps(envelope, sort_keys=True))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = _main(argv)
         sys.stdout.flush()
@@ -257,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def _main(argv: Optional[Sequence[str]]) -> int:
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 

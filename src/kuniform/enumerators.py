@@ -34,11 +34,12 @@ entries of the unitriangular matrix of the c -> a map directly, as a
 reference for tests.
 
 The four coefficient records (`WeightEnumerator`, `ShadowEnumerator`,
-`InvariantBasisCoeffs`, `ShadowCompressed`) share one validation: N is an
-exact int >= 1 and d an exact int >= 2 (the compressed shadow holds
-N mod 2 in its place), both by the input rule `errors.exact_int`, and
-the coefficients are ints or Fractions only, floats and bools refused,
-N+1 of them or floor(N/2)+1.
+`InvariantBasisCoeffs`, `ShadowCompressed`) are `exact.FrozenRecord`s
+with fields (n_parties, local_dim or parity, coeffs), and their
+constructors share one validation: N is an exact int >= 1 and d an
+exact int >= 2 (the compressed shadow holds N mod 2 in its place), both
+by the input rule `errors.exact_int`, and the coefficients are ints or
+Fractions only, floats and bools refused, N+1 of them or floor(N/2)+1.
 
 `validate_state_constraints` evaluates every coefficient inequality and
 identity a pure-state enumerator must satisfy, returning a report rather
@@ -47,14 +48,13 @@ than raising on violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Optional, Sequence
 
 from .errors import exact_int
-from .exact import binom, clear_denominators, rat_to_str, substitute
+from .exact import FrozenRecord, binom, clear_denominators, rat_to_str, substitute
 
 
 def _exact_coeff(value) -> Fraction:
@@ -64,31 +64,26 @@ def _exact_coeff(value) -> Fraction:
     raise ValueError(f"coefficients must be int or Fraction, got {value!r}")
 
 
-class _Record:
+class _Record(FrozenRecord):
     """The module docstring's record rule; `half` means floor(N/2)+1 coefficients."""
 
     half = False
 
-    def __post_init__(self) -> None:
-        n = exact_int(self.n_parties, "n_parties", 1)
-        self._check_second(n)
-        coeffs = tuple(map(_exact_coeff, self.coeffs))
+    def __init__(self, n_parties: int, local_dim: int, coeffs: Sequence[Fraction]) -> None:
+        n = exact_int(n_parties, "n_parties", 1)
+        exact_int(local_dim, "local_dim", 2)
+        self._store(n, local_dim, coeffs)
+
+    def _store(self, n: int, second: int, coeffs: Sequence[Fraction]) -> None:
+        coeffs = tuple(map(_exact_coeff, coeffs))
         size = n // 2 + 1 if self.half else n + 1
         if len(coeffs) != size:
             raise ValueError(f"need {size} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _check_second(self, n: int) -> None:
-        exact_int(self.local_dim, "local_dim", 2)
+        self.__dict__.update(zip(self._fields, (n, second, coeffs)))
 
 
-@dataclass(frozen=True)
 class _Enumerator(_Record):
-    """Fields and JSON output of the full-length enumerators; subclasses add no field."""
-
-    n_parties: int
-    local_dim: int
-    coeffs: tuple[Fraction, ...]
+    """JSON output of the full-length enumerators; subclasses add no field."""
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,28 +101,22 @@ class ShadowEnumerator(_Enumerator):
     """Coefficients s_0 .. s_N of the shadow polynomial S(x, y)."""
 
 
-@dataclass(frozen=True)
 class InvariantBasisCoeffs(_Record):
     """Coordinates c_0 .. c_(floor(N/2)) in the duality-invariant basis."""
 
-    n_parties: int
-    local_dim: int
-    coeffs: tuple[Fraction, ...]
     half = True
 
 
-@dataclass(frozen=True)
 class ShadowCompressed(_Record):
     """Nonvanishing shadow coefficients b_j = s_(2j+t), t = N mod 2."""
 
-    n_parties: int
-    parity: int
-    coeffs: tuple[Fraction, ...]
     half = True
 
-    def _check_second(self, n: int) -> None:
-        if exact_int(self.parity, "parity", 0) != n % 2:
+    def __init__(self, n_parties: int, parity: int, coeffs: Sequence[Fraction]) -> None:
+        n = exact_int(n_parties, "n_parties", 1)
+        if exact_int(parity, "parity", 0) != n % 2:
             raise ValueError("parity must equal n_parties mod 2")
+        self._store(n, parity, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +291,19 @@ def shadow_compress(shadow: ShadowEnumerator) -> ShadowCompressed:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateConstraintReport:
+class StateConstraintReport(FrozenRecord):
     """Pass/fail record for each pure-state enumerator constraint."""
 
-    a0_is_one: bool
-    coeffs_nonnegative: bool
-    duality_invariant: bool
-    shadow_nonnegative: bool
-    shadow_odd_tail_zero: bool
-    uniform_prefix_zero: Optional[bool]  # None when no k was supplied
+    def __init__(self, a0_is_one: bool, coeffs_nonnegative: bool, duality_invariant: bool,
+                 shadow_nonnegative: bool, shadow_odd_tail_zero: bool,
+                 uniform_prefix_zero: bool | None) -> None:  # None when no k was supplied
+        self.__dict__.update(zip(self._fields, (
+            a0_is_one, coeffs_nonnegative, duality_invariant,
+            shadow_nonnegative, shadow_odd_tail_zero, uniform_prefix_zero)))
 
     def failed_checks(self) -> tuple[str, ...]:
         # uniform_prefix_zero is None, not a failure, when no k was supplied
-        return tuple(f.name for f in fields(self) if getattr(self, f.name) is False)
+        return tuple(name for name in self._fields if getattr(self, name) is False)
 
     @property
     def ok(self) -> bool:
@@ -323,7 +311,7 @@ class StateConstraintReport:
 
 
 def validate_state_constraints(
-    enum: WeightEnumerator, k: Optional[int] = None
+    enum: WeightEnumerator, k: int | None = None
 ) -> StateConstraintReport:
     """Check every constraint a pure-state enumerator must satisfy.
 
@@ -332,7 +320,7 @@ def validate_state_constraints(
     """
     n = enum.n_parties
     shadow = shadow_transform(enum)
-    uniform: Optional[bool] = None
+    uniform: bool | None = None
     if k is not None:
         uniform = all(enum.coeffs[j] == 0 for j in range(1, k + 1))
     return StateConstraintReport(

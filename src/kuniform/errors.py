@@ -76,7 +76,8 @@ def exact_ints(values, what: str, least: int) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{what} must be an array of integers, got {values!r}")
     for index, value in enumerate(values):
-        exact_int(value, f"{what}[{index}]", least)
+        if type(value) is not int or value < least:  # the label is formatted only here
+            exact_int(value, f"{what}[{index}]", least)
     return tuple(values)
 
 

@@ -3,7 +3,9 @@
 All quantities in this package are rational and are kept as
 `fractions.Fraction` values end to end; no float ever enters a computation.
 Amplitudes of explicit states use `GaussianRational`, an exact complex
-number with rational real and imaginary parts.
+number with rational real and imaginary parts.  It and every other
+result record of the package derive from `FrozenRecord`: immutable,
+compared, hashed and printed by the fields its constructor takes.
 
 Binomials are arbitrary-precision integers (`math.comb` underneath) with
 the combinatorial conventions C(0,0) = 1 and C(n,k) = 0 outside
@@ -31,11 +33,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 # a rational as `rat_to_str` writes it
 _RAT_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -65,9 +66,7 @@ def falling_binom(a: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-def elem_sym_prefix(
-    values: Sequence[Union[Fraction, int]], k_max: int
-) -> list[Union[Fraction, int]]:
+def elem_sym_prefix(values: Sequence[Fraction | int], k_max: int) -> list[Fraction | int]:
     """All elementary symmetric polynomials e_0 .. e_k_max of `values`.
 
     The coefficients of prod(1 + v_i x) up to x^k_max; subset enumeration
@@ -189,12 +188,47 @@ def rat_to_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class FrozenRecord:
+    """Base of the package's immutable records.
+
+    A record's fields are the parameters of its class's `__init__`, whose
+    names `_fields` (and `__match_args__`) hold in order.  `__init__` stores them once, through
+    the instance `__dict__`; setting or deleting an attribute then raises
+    AttributeError.  Records of one type with equal fields are equal; a
+    record hashes as its field tuple and prints as `Name(field=value, ...)`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GaussianRational(FrozenRecord):
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        self.__dict__.update(re=re, im=im)
 
     @classmethod
     def of(cls, re: RatLike, im: RatLike = 0) -> "GaussianRational":

@@ -54,12 +54,11 @@ class, and the search walks class counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb, prod
-from typing import Iterable, Optional
 
 from .errors import (
     MAX_DIM_BITS,
@@ -72,7 +71,7 @@ from .errors import (
     read_int,
     read_json,
 )
-from .exact import rat_to_str, substitute
+from .exact import FrozenRecord, rat_to_str, substitute
 
 # The shadow's cost grows about as N^3 in big-integer work: 0.23-0.41 s
 # at N = 1001, 1.8-2.1 s at N = 2001 and 34 s at N = 4095 on 3x1,2x(N-1)
@@ -85,8 +84,8 @@ MAX_SHADOW_PARTIES = 1001
 # profiles stay below 600 bits.
 MAX_SHADOW_BITS = 8192
 
-@dataclass(frozen=True)
-class DimensionProfile:
+
+class DimensionProfile(FrozenRecord):
     """Ordered local dimensions d_1 .. d_N of a multipartite system.
 
     `dims` is a list or tuple of exact ints >= 2 (`errors.exact_ints`); a
@@ -97,15 +96,8 @@ class DimensionProfile:
     to more than `errors.MAX_DIM_BITS`.
     """
 
-    dims: tuple[int, ...]
-    # the distinct dimensions, largest first, each with its party indices
-    # ascending; the one grouping of a profile by dimension
-    classes: tuple[tuple[int, tuple[int, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        dims = exact_ints(self.dims, "dims", 2)
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        dims = exact_ints(dims, "dims", 2)
         if len(dims) < 2:
             raise ValueError("a profile needs at least 2 parties")
         check_party_count(len(dims))
@@ -118,8 +110,9 @@ class DimensionProfile:
             raise CapacityError(
                 f"the dimensions take {bits} bits, above the cap of {MAX_DIM_BITS} bits"
             )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "classes", classes)
+        # `classes`, outside `_fields`: the distinct dimensions, largest first, each
+        # with its party indices ascending; the one grouping of a profile by dimension
+        self.__dict__.update(dims=dims, classes=classes)
 
     @property
     def n_parties(self) -> int:
@@ -179,12 +172,11 @@ class DimensionProfile:
         return cls(tuple(dims))
 
 
-@dataclass(frozen=True)
-class ScottWitness:
+class ScottWitness(FrozenRecord):
     """A subset (0-based party indices) with negative inequality value."""
 
-    subset: tuple[int, ...]
-    value: Fraction
+    def __init__(self, subset: tuple[int, ...], value: Fraction) -> None:
+        self.__dict__.update(subset=subset, value=value)
 
     def to_json_dict(self) -> dict:
         return {"subset": list(self.subset), "value": rat_to_str(self.value)}
@@ -211,7 +203,7 @@ def scott_check(profile: DimensionProfile, subset: Iterable[int]) -> Fraction:
     return ratio * deficit + half + 1
 
 
-def scott_search(profile: DimensionProfile) -> Optional[ScottWitness]:
+def scott_search(profile: DimensionProfile) -> ScottWitness | None:
     """A witness subset with negative inequality value, if any subset has one.
 
     With m = floor(N/2)+2 and `order` the parties of
@@ -309,22 +301,21 @@ def scott_pair_threshold(d1: int, d2: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeteroShadow:
+class HeteroShadow(FrozenRecord):
     """Shadow coefficients s_j = numerators[j] / total of a hypothetical AME state.
 
     `total` is the profile's total dimension D > 0, so each s_j has the
     sign of its integer numerator; `s` is built, as Fractions, on first use.
     """
 
-    numerators: tuple[int, ...]
-    total: int
+    def __init__(self, numerators: tuple[int, ...], total: int) -> None:
+        self.__dict__.update(numerators=numerators, total=total)
 
     @cached_property
     def s(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.total) for v in self.numerators)
 
-    def first_negative(self) -> Optional[int]:
+    def first_negative(self) -> int | None:
         for j, v in enumerate(self.numerators):
             if v < 0:
                 return j
@@ -419,15 +410,14 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
     """Machine-checkable reason for a non-existence verdict."""
 
-    kind: str  # "scott-witness" | "corollary7" | "shadow-negative(j)"
-    witness: Optional[ScottWitness] = None
-    shadow_index: Optional[int] = None
-    shadow_value: Optional[Fraction] = None
-    threshold: Optional[int] = None
+    def __init__(self, kind: str,  # "scott-witness" | "corollary7" | "shadow-negative(j)"
+                 witness: ScottWitness | None = None, shadow_index: int | None = None,
+                 shadow_value: Fraction | None = None, threshold: int | None = None) -> None:
+        self.__dict__.update(kind=kind, witness=witness, shadow_index=shadow_index,
+                             shadow_value=shadow_value, threshold=threshold)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -441,13 +431,13 @@ class Certificate:
         return doc
 
 
-@dataclass(frozen=True)
-class AmeVerdict:
+class AmeVerdict(FrozenRecord):
     """Outcome of the non-existence tests; never claims existence."""
 
-    profile: DimensionProfile
-    status: str  # "infeasible" | "nonexistent" | "unknown"
-    certificate: Optional[Certificate] = None
+    # status: "infeasible" | "nonexistent" | "unknown"
+    def __init__(self, profile: DimensionProfile, status: str,
+                 certificate: Certificate | None = None) -> None:
+        self.__dict__.update(profile=profile, status=status, certificate=certificate)
 
     def to_json_dict(self) -> dict:
         doc: dict = {
@@ -459,7 +449,7 @@ class AmeVerdict:
         return doc
 
 
-def _corollary7_threshold(profile: DimensionProfile) -> Optional[int]:
+def _corollary7_threshold(profile: DimensionProfile) -> int | None:
     """`scott_pair_threshold` of a d1 x d2^(2n) profile with n at or above it, else None.
 
     The d1 x d2^(2n) shape needs odd N; homogeneous odd counts as d1 = d2.

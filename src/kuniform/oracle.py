@@ -65,10 +65,9 @@ larger subset.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import comb, log2, prod
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .enumerators import ShadowEnumerator, WeightEnumerator
 from .errors import (
@@ -80,7 +79,7 @@ from .errors import (
     read_json,
     required,
 )
-from .exact import GaussianRational, clear_denominators, rat_from_str, rat_to_str
+from .exact import FrozenRecord, GaussianRational, clear_denominators, rat_from_str, rat_to_str
 from .hetero import DimensionProfile, check_shadow_size, hetero_shadow
 
 WORK_CAP = 1 << 22
@@ -88,23 +87,20 @@ WORK_CAP = 1 << 22
 AmplitudeMap = Mapping[tuple[int, ...], GaussianRational]
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(FrozenRecord):
     """Sparse, unnormalized amplitude map over a computational basis."""
 
-    profile: DimensionProfile
-    amplitudes: tuple[tuple[tuple[int, ...], GaussianRational], ...]
-
-    def __post_init__(self) -> None:
-        n = self.profile.n_parties
+    def __init__(self, profile: DimensionProfile,
+                 amplitudes: tuple[tuple[tuple[int, ...], GaussianRational], ...]) -> None:
+        n = profile.n_parties
         entries = []
         seen = set()
-        for ket, amp in self.amplitudes:
+        for ket, amp in amplitudes:
             ket = exact_ints(ket, "ket", 0)
             if len(ket) != n:
                 raise ValueError(f"ket {ket} has wrong arity for {n} parties")
-            if any(x >= d for x, d in zip(ket, self.profile.dims)):
-                raise ValueError(f"ket {ket} out of range for dims {self.profile.dims}")
+            if any(x >= d for x, d in zip(ket, profile.dims)):
+                raise ValueError(f"ket {ket} out of range for dims {profile.dims}")
             # the purity sums take the entries as distinct basis vectors
             if ket in seen:
                 raise ValueError(f"ket {ket} appears more than once")
@@ -114,13 +110,13 @@ class PureState:
         if not entries:
             raise ValueError("a state needs at least one nonzero amplitude")
         entries.sort(key=lambda e: e[0])
-        object.__setattr__(self, "amplitudes", tuple(entries))
+        self.__dict__.update(profile=profile, amplitudes=tuple(entries))
 
     @classmethod
     def from_amplitudes(
         cls,
-        dims: Union[DimensionProfile, Sequence[int]],
-        amps: Union[AmplitudeMap, Iterable[tuple[Sequence[int], GaussianRational]]],
+        dims: DimensionProfile | Sequence[int],
+        amps: AmplitudeMap | Iterable[tuple[Sequence[int], GaussianRational]],
     ) -> "PureState":
         profile = dims if isinstance(dims, DimensionProfile) else DimensionProfile(dims)
         items = amps.items() if isinstance(amps, Mapping) else amps
@@ -209,7 +205,7 @@ def _check_work(what: str, steps: int) -> None:
 
 
 def _subset_classes(
-    profile: DimensionProfile, cap: int, size: Optional[int] = None
+    profile: DimensionProfile, cap: int, size: int | None = None
 ) -> Iterator[tuple[int, int, int]]:
     """(|S|, min(cap, D_S), number of subsets) triples that count every subset S.
 

@@ -19,10 +19,8 @@ sign boundary from each N to the next, in O(1) big-integer steps per N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .bounds import BoundVerdict, _verdict, _walk_hits
+from .exact import FrozenRecord
 from .hetero import DimensionProfile, hetero_shadow, scott_pair_threshold
 
 TABLE_IDS = ("I", "II", "III", "IV")
@@ -100,13 +98,11 @@ def compress_to_ranges(records: list[BoundVerdict]) -> tuple[tuple[int, int, int
     return tuple(tuple(c) for c in cells)
 
 
-@dataclass(frozen=True)
-class CellDiff:
+class CellDiff(FrozenRecord):
     """One disagreement between a computed cell and the pinned fixture."""
 
-    where: str
-    expected: object
-    computed: object
+    def __init__(self, where: str, expected: object, computed: object) -> None:
+        self.__dict__.update(where=where, expected=expected, computed=computed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,12 +112,10 @@ class CellDiff:
         }
 
 
-@dataclass(frozen=True)
-class TableDiff:
-    table_id: str
-    computed: tuple
-    diffs: tuple[CellDiff, ...]
-    records: Optional[tuple] = None  # per-N verdicts for the range tables
+class TableDiff(FrozenRecord):
+    def __init__(self, table_id: str, computed: tuple, diffs: tuple[CellDiff, ...],
+                 records: tuple | None = None) -> None:  # per-N verdicts of the range tables
+        self.__dict__.update(table_id=table_id, computed=computed, diffs=diffs, records=records)
 
     @property
     def match(self) -> bool:

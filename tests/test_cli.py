@@ -1,7 +1,9 @@
 import io
 import itertools
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -580,6 +582,49 @@ def test_importing_the_cli_builds_no_parser():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_importing_the_package_adds_no_stdlib_module(tmp_path):
+    # dataclasses, typing and pathlib once took about 28 ms of every start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys\n"
+        "import argparse, datetime, fractions, json, re, os, math, itertools\n"
+        "import functools, collections, operator, __future__\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import kuniform, kuniform.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.partition('.')[0] != 'kuniform'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "recurrence"], ["bound", "--d", "3", "--n", "14"]]
+)
+def test_package_data_is_found_outside_the_checkout(tmp_path, capsys, argv):
+    # these two commands read the two JSON files of kuniform/data
+    package = Path(__file__).resolve().parents[1] / "src" / "kuniform"
+    shutil.copytree(package, tmp_path / "lib" / "kuniform", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "run").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "kuniform.cli", *argv],
+        cwd=tmp_path / "run",
+        env={**os.environ, "PYTHONPATH": str(tmp_path / "lib")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(proc.stdout)["status"] == "ok"
+    stamp = re.compile(r'"timestamp": "[^"]*"')
+    assert stamp.sub("", proc.stdout) == stamp.sub("", out)
 
 
 def test_environment_variables_are_ignored(tmp_path, capsys, monkeypatch):
