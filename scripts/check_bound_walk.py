@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check the boundary walk against the per-N scan at every party count.
 
-`tables.compute_bound_records`, the source of `bound --n-range` and of
+`bounds.compute_bound_records`, the source of `bound --n-range` and of
 Tables I-III, walks the alpha sign boundary from N to N+1;
 `bounds.k_upper_bound` scans each N on its own.  This compares the two
 record for record (`to_json_dict`, so the witness too) for every
@@ -20,9 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from kuniform.bounds import k_upper_bound  # noqa: E402
+from kuniform.bounds import compute_bound_records, k_upper_bound  # noqa: E402
 from kuniform.errors import MAX_PARTIES  # noqa: E402
-from kuniform.tables import compute_bound_records  # noqa: E402
 
 LOCAL_DIMS = range(2, 7)
 N_MIN = 2

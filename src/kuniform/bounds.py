@@ -15,14 +15,13 @@ two independent computations of it live here:
   three-term integer recurrence in i, O(1) big-integer steps per index.
   It is the one source of the paper's closed form in this package:
   `alpha_closed_form` reads one index of it, `alpha_vector` all of them,
-  and `k_upper_bound` scans the signs on integers, stops at the first
-  firing index and builds one `Fraction`, the witness, so one bound costs
-  O(N) steps and caches nothing.  A range of N (`_walk_hits`, behind
-  `tables.compute_bound_records`) scans its first N and then walks the
-  sign boundary: a certified first-order relation in N (`_step_n`)
-  moves the two sums around the first firing index to N + 1, and the
-  same i-recurrence, run forwards or backwards, re-locates it, so each
-  further N costs O(1) steps;
+  and the bounds read its signs on integers.  `compute_bound_records`
+  scans the first N of a range up to its first firing index, building
+  one `Fraction`, the witness, so one bound costs O(N) steps and caches
+  nothing; it then walks the sign boundary (`_walk_hits`): a certified
+  first-order relation in N (`_step_n`) moves the two sums around the
+  first firing index to N + 1, and the same i-recurrence, run forwards
+  or backwards, re-locates it, so each further N costs O(1) steps;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
   change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
   inversion in O(N^2) integer operations, done once per (N, d) and cached
@@ -33,8 +32,10 @@ two independent computations of it live here:
   (`enumerators._c_numerators`, over denominator 1 for the unit prefix),
   so it builds no Fraction and fills neither cache.
 
-`k_upper_bound` combines the sign test with the trivial Schmidt bound,
-the classical even/odd party-count threshold (provenance "scott"), a
+`compute_bound_records` is the one source of `bound` and of Tables
+I-III, and the one place a verdict is composed; `k_upper_bound` is its
+one-N case.  A verdict combines the sign test with the trivial Schmidt
+bound, the classical even/odd party-count threshold (provenance "scott"), a
 static table of known AME non-existence results, and, for qubits only,
 the classical piecewise formula `rains_bound`.  The alpha test matches
 that formula at almost every N but lands one above it for N = 5 (mod 6)
@@ -371,6 +372,22 @@ def _verdict(n_parties: int, local_dim: int, hit: tuple[int, int] | None) -> Bou
     return BoundVerdict(n_parties, local_dim, k_max, provenance, witness)
 
 
+def compute_bound_records(local_dim: int, n_min: int, n_max: int) -> list[BoundVerdict]:
+    """The bound verdict of each N = n_min .. n_max, in order (see `k_upper_bound`).
+
+    The one place a homogeneous verdict is composed: the first firing
+    alpha index of each N, from `_walk_hits`, joined with the other tests
+    by `_verdict`.  The first N is scanned; every later N costs O(1)
+    big-integer steps.  N is checked before d, and both before any work;
+    an empty range gives no records.
+    """
+    exact_int(n_min, "n_parties", 2)
+    exact_int(n_max, "n_parties", 2)
+    exact_int(local_dim, "local_dim", 2)
+    hits = _walk_hits(local_dim, n_min, n_max)
+    return [_verdict(n, local_dim, hit) for n, hit in zip(range(n_min, n_max + 1), hits)]
+
+
 def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     """Best available upper bound on k for N parties of dimension d.
 
@@ -381,11 +398,9 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     (smallest index), rains, non-existence table, scott, trivial.  The
     alpha signs are read off the integer sums of `_alpha_sums`, which stop
     at the first firing index; only its witness becomes a `Fraction`.
+    It is the one-N range of `compute_bound_records`, a single `_scan`.
     """
-    exact_int(n_parties, "n_parties", 2)
-    exact_int(local_dim, "local_dim", 2)
-    i, _, s = _scan(n_parties, local_dim)
-    return _verdict(n_parties, local_dim, _hit(i, s))
+    return compute_bound_records(local_dim, n_parties, n_parties)[0]
 
 
 # the first N of a walk's steps: from N = 6 on the top pair (h-1, h) has an
@@ -427,12 +442,7 @@ def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, in
     S_(i-1) = 0, then P(i) fails, and S_i has the sign (-1)^(i-1) of
     S_(i-2), so i does not fire either.
     """
-    exact_int(local_dim, "local_dim", 2)
     d = local_dim
-    if n_min > n_max:
-        return
-    exact_int(n_min, "n_parties", 2)
-    exact_int(n_max, "n_parties", 2)
     base = max(n_min, _WALK_FROM)
     for n in range(n_min, min(base, n_max) + 1):
         i, u, v = _scan(n, d)
@@ -482,7 +492,7 @@ def range_formula_d3(n_parties: int) -> int:
     for the last time at N = 821; and the gap keeps growing: it is first 4
     at N = 896, 6 at 1666, 8 at 2436, 10 at 3220 and 12 at 3990.
     """
-    if n_parties < 10:
+    if exact_int(n_parties, "n_parties", 2) < 10:
         raise NotApplicableError(f"range formula needs N >= 10, got {n_parties}")
     if n_parties in _D3_EXCEPTIONS:
         raise NotApplicableError(f"N={n_parties} is an exception of the d=3 formula")

@@ -169,7 +169,7 @@ def _run_bound(args) -> tuple[str, dict, str | None]:
     else:
         lo, hi = _parse_n_range(args.n_range)
     check_party_count(hi)  # lo <= hi, so this bounds both ends
-    records = tables.compute_bound_records(d, lo, hi)
+    records = bounds.compute_bound_records(d, lo, hi)
     payload = {"d": d, "records": [r.to_json_dict() for r in records]}
     return STATUS_OK, payload, tables.bound_csv(records) if args.format == "csv" else None
 

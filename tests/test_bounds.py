@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kuniform import bounds
+from kuniform import bounds, tables
 from kuniform.bounds import (
     PROVENANCE_AME_TABLE,
     PROVENANCE_SCOTT,
@@ -14,6 +14,7 @@ from kuniform.bounds import (
     RecurrenceSpec,
     alpha_closed_form,
     alpha_oracle,
+    compute_bound_records,
     cross_validate_alpha,
     k_upper_bound,
     known_ame_nonexistence,
@@ -29,7 +30,7 @@ from kuniform.bounds import (
 )
 from kuniform.errors import MAX_PARTIES, NotApplicableError
 from kuniform.exact import binom, falling_binom
-from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES, compute_bound_records
+from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
 
 
 def test_alpha_base_cases():
@@ -271,6 +272,8 @@ def test_range_formula_d3():
         range_formula_d3(23)
     with pytest.raises(NotApplicableError):
         range_formula_d3(9)
+    with pytest.raises(NotApplicableError):
+        range_formula_d3(2)
 
 
 def test_range_formula_d3_never_undercuts_computed():
@@ -436,10 +439,36 @@ def test_poly_eval():
         (lambda: k_upper_bound(7.0, 3), "n_parties"),
         (lambda: alpha_closed_form(6, 2.5, 2), "local_dim"),
         (lambda: alpha_closed_form(6, 2, 1.0), "index"),
+        (lambda: compute_bound_records(3, 10, 3.0), "n_parties"),
+        (lambda: compute_bound_records(3, 2.5, 10), "n_parties"),
+        (lambda: compute_bound_records(3, "5", "2"), "n_parties"),
+        (lambda: compute_bound_records(3, True, 0), "n_parties"),
+        (lambda: compute_bound_records(2.0, 5, 6), "local_dim"),
+        (lambda: compute_bound_records(2.0, 2.5, 6), "n_parties"),
+        (lambda: range_formula_d3(10.5), "n_parties"),
+        (lambda: range_formula_d3(24.0), "n_parties"),
+        (lambda: range_formula_d3(True), "n_parties"),
     ],
-    ids=["rains-float-n", "k-bound-float-n", "alpha-float-d", "alpha-float-index"],
+    ids=[
+        "rains-float-n", "k-bound-float-n", "alpha-float-d", "alpha-float-index",
+        "records-float-n-max", "records-float-n-min", "records-str-range",
+        "records-bool-n-min", "records-float-d", "records-n-before-d",
+        "d3-formula-float-n", "d3-formula-integral-float-n", "d3-formula-bool-n",
+    ],
 )
-def test_int_arguments_pass_the_rule(call, name):
-    # rains_bound(7.5) once returned 3.0 and the others raised TypeError
+def test_int_arguments_pass_the_rule(call, name, monkeypatch):
+    # rains_bound(7.5) once returned 3.0, range_formula_d3(10.5) 5.0, and
+    # compute_bound_records(3, True, 0) [], while others raised TypeError;
+    # each refusal comes before any sum is taken
+    sums = []
+    real = bounds._alpha_sums
+    monkeypatch.setattr(bounds, "_alpha_sums", lambda n, d: sums.append((n, d)) or real(n, d))
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+    assert sums == []
+
+
+def test_tables_read_the_bounds_records():
+    # Tables I-III and `bound` share one composition of the verdict
+    assert tables.compute_bound_records is bounds.compute_bound_records
+    assert compute_bound_records(3, 10, 3) == []

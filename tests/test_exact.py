@@ -260,7 +260,7 @@ def repeated_values(draw):
 
 @given(repeated_values())
 def test_elem_sym_prefix_of_repeated_values_is_every_prefix_of_the_product(values):
-    # the most frequent value enters in closed form, the others one by one
+    # repeated values, every k_max: each result is a prefix of the product
     poly = [Fraction(1)]
     for v in values:
         poly = [
