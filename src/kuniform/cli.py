@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Five subcommands cover the library surface, each with the flags it reads:
+usage: kuniform <subcommand> --flag value ...
 
   bound   upper bounds on k for homogeneous systems (single N or a range)
-            --format json|csv
+            --d D  (--n N | --n-range A:B)  [--format json|csv]
   table   recompute a pinned reference table and diff it cell by cell
-            --format json|csv
+            --paper I|II|III|IV  [--format json|csv]
   ame     AME non-existence verdict for a dimension profile
+            --dims "<dim>x<count>,..." or "[<dim>,...]"
   state   brute-force checks on an explicit state file
+            --file F  (--check-uniform K | --enumerate)
   verify  internal cross-validation suites at desk scale
+            --suite alpha|recurrence|shadow-oracle
+
+Flags are spelled in full, as `--flag value` or `--flag=value`; a
+repeated flag keeps its last value, and a value is taken as it is, even
+one that starts with "-".  `-h` or `--help` prints this summary.
 
 Every run prints a single JSON envelope {command, status, timestamp,
 payload} (or plain CSV rows with --format csv where a tabular layout is
@@ -19,15 +26,23 @@ non-existence certificate or table mismatch is a successful computation),
 reader that closes stdout early (`kuniform ... | head`) ends the run
 with exit 1 and nothing on stderr.
 
-`main` may be called any number of times in one process: the argument
-parser is built at the first call and reused after it, and importing
-the module builds none.
+The summary above is the help text (its second to fourth paragraphs) and
+`_SPEC` is the parser: one entry per subcommand with the flags it takes,
+the flags it requires, its one-of groups and the function that runs it,
+read by `_parse` in one pass over argv.  Every usage error raises
+`_UsageError`, and `main` returns 2 with one `kuniform: ...` line on
+stderr and nothing on stdout.  `main` never raises `SystemExit`, so an
+in-process caller sees the exit status `python -m kuniform.cli` exits
+with.
 
 A run reads only its command-line arguments.  Usage errors are an
-integer not written in ASCII digits with an optional "-" (`1_0`, `+3`,
-` 3`), a negative --check-uniform, a --d or a party count of `bound`
-below 2 (each checked once, by `errors.read_int`) and a flag given to a
-subcommand that does not take it.
+empty command line, an unknown subcommand, a flag the subcommand does
+not take, a missing required flag, a one-of group given none or both of
+its flags, a value outside its choices, a flag with no value, an integer
+not written in ASCII digits with an optional "-" (`1_0`, `+3`, ` 3`), a
+negative --check-uniform, a --d or a party count of `bound` below 2
+(each integer checked once, by `errors.read_int`) and an unreadable
+`ame --dims` profile.
 Rationals are printed as exact "p/q" strings, never floats.  Party counts
 above errors.MAX_PARTIES (in `bound --n`, `bound --n-range`, the
 `ame --dims` profile and a state file) are refused with a capacity error
@@ -35,23 +50,21 @@ before any work, and so is a profile whose dimensions take more than
 errors.MAX_DIM_BITS bits, and a state whose brute force would take more
 than oracle.WORK_CAP = 2^22 steps, K (N + min(K, D_S)) per subset S read
 with K nonzero kets: the one size rule of `state` (see `oracle`).
-Below those caps no `bound` or `ame` request
-needs a search limit: one bound is an O(N) sign scan, each further N of
-a range O(1) steps along the sign boundary, and
-`bound --d 5 --n-range 2:4096` runs in about 0.4 s with a 29 MB peak
-resident set (2-core VM); the subset search behind `ame` evaluates at
-most floor(N/2)+3 draws, in under 0.3 s on the widest profiles.
+Below those caps no `bound` or `ame` request needs a search limit: one
+bound is an O(N) sign scan, each further N of a range O(1) steps along
+the sign boundary, and a whole `bound --d 5 --n-range 2:4096` process
+runs in 0.3-0.4 s with a 28 MB peak resident set (2-core VM, Python
+3.11.7); the subset search behind `ame` evaluates at most floor(N/2)+3
+draws, in under 0.3 s on the widest profiles.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import time
 from collections.abc import Sequence
-from datetime import datetime, timezone
-from functools import lru_cache
 
 from . import bounds, oracle, tables
 from .enumerators import shadow_transform
@@ -95,58 +108,6 @@ def _usage_int(text: str, what: str, least: int) -> int:
         raise _UsageError(str(exc)) from None
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built at the first `main` call.
-
-    `parse_args` leaves the parser as it was and returns a fresh
-    namespace, and every choice and default here is a module constant,
-    so later calls reuse it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="kuniform",
-        description="Exact bounds on k-uniform states and AME non-existence certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bound = sub.add_parser("bound", help="upper bounds on k")
-    p_bound.set_defaults(run=_run_bound)
-    p_bound.add_argument("--d", required=True, help="local dimension")
-    group = p_bound.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", help="single party count")
-    group.add_argument("--n-range", help="inclusive party-count range A:B")
-
-    p_table = sub.add_parser("table", help="reproduce a reference table")
-    p_table.set_defaults(run=_run_table)
-    p_table.add_argument(
-        "--paper", required=True, choices=tables.TABLE_IDS, help="table identifier"
-    )
-    for p in (p_bound, p_table):
-        p.add_argument(
-            "--format", choices=FORMATS, default="json", help="output format (default json)"
-        )
-
-    p_ame = sub.add_parser("ame", help="AME non-existence verdict")
-    p_ame.set_defaults(run=_run_ame)
-    p_ame.add_argument(
-        "--dims", required=True, help='profile string "<dim>x<count>,...", e.g. "3x1,2x10"'
-    )
-
-    p_state = sub.add_parser("state", help="explicit-state checks")
-    p_state.set_defaults(run=_run_state)
-    p_state.add_argument("--file", required=True, help="state JSON file")
-    state_group = p_state.add_mutually_exclusive_group(required=True)
-    state_group.add_argument("--check-uniform", metavar="K")
-    state_group.add_argument("--enumerate", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="cross-validation suites")
-    p_verify.set_defaults(run=_run_verify)
-    p_verify.add_argument(
-        "--suite", required=True, choices=_VERIFY_SUITES
-    )
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------
@@ -162,27 +123,28 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _run_bound(args) -> tuple[str, dict, str | None]:
-    d = _usage_int(args.d, "--d", 2)
-    if args.n is not None:
-        lo = hi = _usage_int(args.n, "--n", 2)
+def _run_bound(args: dict) -> tuple[str, dict, str | None]:
+    d = _usage_int(args["--d"], "--d", 2)
+    if "--n" in args:
+        lo = hi = _usage_int(args["--n"], "--n", 2)
     else:
-        lo, hi = _parse_n_range(args.n_range)
+        lo, hi = _parse_n_range(args["--n-range"])
     check_party_count(hi)  # lo <= hi, so this bounds both ends
     records = bounds.compute_bound_records(d, lo, hi)
     payload = {"d": d, "records": [r.to_json_dict() for r in records]}
-    return STATUS_OK, payload, tables.bound_csv(records) if args.format == "csv" else None
+    return STATUS_OK, payload, tables.bound_csv(records) if args.get("--format") == "csv" else None
 
 
-def _run_table(args) -> tuple[str, dict, str | None]:
-    diff = tables.diff_table(args.paper)
+def _run_table(args: dict) -> tuple[str, dict, str | None]:
+    diff = tables.diff_table(args["--paper"])
     status = STATUS_OK if diff.match else STATUS_VIOLATION
-    return status, diff.to_json_dict(), tables.table_csv(diff) if args.format == "csv" else None
+    csv_text = tables.table_csv(diff) if args.get("--format") == "csv" else None
+    return status, diff.to_json_dict(), csv_text
 
 
-def _run_ame(args) -> tuple[str, dict, str | None]:
+def _run_ame(args: dict) -> tuple[str, dict, str | None]:
     try:
-        profile = DimensionProfile.parse(args.dims)
+        profile = DimensionProfile.parse(args["--dims"])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     verdict = ame_verdict(profile)
@@ -191,15 +153,16 @@ def _run_ame(args) -> tuple[str, dict, str | None]:
     return status, payload, None
 
 
-def _run_state(args) -> tuple[str, dict, str | None]:
-    k = args.check_uniform
+def _run_state(args: dict) -> tuple[str, dict, str | None]:
+    path = args["--file"]
+    k = args.get("--check-uniform")
     if k is not None:
         # above N//2 depends on the file, so only the sign is a usage error
         k = _usage_int(k, "--check-uniform", 0)
     try:
-        state = oracle.PureState.load(args.file)
+        state = oracle.PureState.load(path)
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read state file {args.file}: {exc}") from exc
+        raise ValueError(f"cannot read state file {path}: {exc}") from exc
     if k is not None:
         answer = oracle.is_k_uniform(state, k)
         payload = {
@@ -218,16 +181,90 @@ def _run_state(args) -> tuple[str, dict, str | None]:
     return STATUS_OK, payload, None
 
 
-def _run_verify(args) -> tuple[str, dict, str | None]:
-    checks, failures = _VERIFY_SUITES[args.suite]()
-    payload = {"suite": args.suite, "checks": checks, "failures": failures}
+def _run_verify(args: dict) -> tuple[str, dict, str | None]:
+    suite = args["--suite"]
+    checks, failures = _VERIFY_SUITES[suite]()
+    payload = {"suite": suite, "checks": checks, "failures": failures}
     status = STATUS_OK if not failures else STATUS_ERROR
     return status, payload, None
 
 
 # ---------------------------------------------------------------------------
-# envelope and dispatch
+# the command line: one spec entry per subcommand, one pass over argv
 # ---------------------------------------------------------------------------
+
+# subcommand -> (flags, required flags, one-of groups, runner); a flag's
+# entry is its tuple of choices, `str` for any text or `bool` for a switch
+_SPEC = {
+    "bound": (
+        {"--d": str, "--n": str, "--n-range": str, "--format": FORMATS},
+        ("--d",),
+        (("--n", "--n-range"),),
+        _run_bound,
+    ),
+    "table": ({"--paper": tables.TABLE_IDS, "--format": FORMATS}, ("--paper",), (), _run_table),
+    "ame": ({"--dims": str}, ("--dims",), (), _run_ame),
+    "state": (
+        {"--file": str, "--check-uniform": str, "--enumerate": bool},
+        ("--file",),
+        (("--check-uniform", "--enumerate"),),
+        _run_state,
+    ),
+    "verify": ({"--suite": tuple(_VERIFY_SUITES)}, ("--suite",), (), _run_verify),
+}
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict] | None:
+    """The subcommand and its {flag: value}, or None for a help request.
+
+    A switch's value is True; a flag not given has no key.
+    """
+    if not argv:
+        raise _UsageError(f"expected a subcommand: {', '.join(_SPEC)}")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        return None
+    if command not in _SPEC:
+        raise _UsageError(f"unknown subcommand {command!r}, expected one of {', '.join(_SPEC)}")
+    flags, required, groups, _ = _SPEC[command]
+    args = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        kind = flags.get(flag)
+        if kind is None:
+            raise _UsageError(f"{command} takes no argument {flag!r}")
+        if kind is bool:
+            if eq:
+                raise _UsageError(f"{flag} takes no value, got {token!r}")
+            args[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"{flag} expects a value")
+        if kind is not str and value not in kind:
+            raise _UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        args[flag] = value
+    for flag in required:
+        if flag not in args:
+            raise _UsageError(f"{command} requires {flag}")
+    for group in groups:
+        if sum(flag in args for flag in group) != 1:
+            raise _UsageError(f"{command} takes exactly one of {', '.join(group)}")
+    return command, args
+
+
+def _timestamp() -> str:
+    """UTC now in ISO 8601, always with six fractional digits."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    t = time.gmtime(seconds)
+    return (
+        f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}T"
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}.{micros:06d}+00:00"
+    )
 
 
 def _emit(command: str, status: str, payload: dict, csv_text: str | None = None) -> None:
@@ -237,7 +274,7 @@ def _emit(command: str, status: str, payload: dict, csv_text: str | None = None)
     envelope = {
         "command": command,
         "status": status,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _timestamp(),
         "payload": payload,
     }
     print(json.dumps(envelope, sort_keys=True))
@@ -245,7 +282,7 @@ def _emit(command: str, status: str, payload: dict, csv_text: str | None = None)
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        code = _main(argv)
+        code = _main(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`kuniform ... | head`); the Python
@@ -257,23 +294,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
-def _main(argv: Sequence[str] | None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+def _main(argv: Sequence[str]) -> int:
     try:
-        status, payload, csv_text = args.run(args)
+        parsed = _parse(argv)
+        if parsed is None:  # the docstring's usage, summary and spellings
+            print("\n\n".join((__doc__ or "").split("\n\n")[1:4]))
+            return EXIT_OK
+        command, args = parsed
+        status, payload, csv_text = _SPEC[command][3](args)
     except _UsageError as exc:
         print(f"kuniform: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NotApplicableError as exc:
-        _emit(args.command, STATUS_NOT_APPLICABLE, {"error": str(exc)})
+        _emit(command, STATUS_NOT_APPLICABLE, {"error": str(exc)})
         return EXIT_NOT_APPLICABLE
     except (CapacityError, ValueError) as exc:
-        _emit(args.command, STATUS_ERROR, {"error": str(exc)})
+        _emit(command, STATUS_ERROR, {"error": str(exc)})
         return EXIT_ERROR
 
-    _emit(args.command, status, payload, csv_text)
+    _emit(command, status, payload, csv_text)
     if status == STATUS_ERROR:
         return EXIT_ERROR
     return EXIT_OK

@@ -3,10 +3,12 @@ import itertools
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuniform import bounds, oracle, tables
-from kuniform.cli import _build_parser, main
+from kuniform.cli import _SPEC, main
 from kuniform.exact import GaussianRational
 from kuniform.hetero import DimensionProfile
 from kuniform.oracle import PureState, ghz_state, product_zero_state
@@ -106,9 +108,71 @@ def test_bound_usage_errors(capsys):
         (["--d", "3", "--n-range", "0:4"], "--n-range A must be >= 2, got 0"),
     ]:
         assert main(["bound", *argv]) == 2
-        assert capsys.readouterr().err == f"kuniform: {line}\n"
-    with pytest.raises(SystemExit):
-        main(["bound", "--d", "3"])  # argparse: missing --n/--n-range
+        assert capsys.readouterr() == ("", f"kuniform: {line}\n")
+    # neither of the one-of group once ended in argparse's SystemExit
+    assert main(["bound", "--d", "3"]) == 2
+    assert capsys.readouterr() == ("", "kuniform: bound takes exactly one of --n, --n-range\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ([], "expected a subcommand: bound, table, ame, state, verify"),
+        (["bounds", "--d", "3"],
+         "unknown subcommand 'bounds', expected one of bound, table, ame, state, verify"),
+        (["table", "--paper", "I", "--n", "3"], "table takes no argument '--n'"),
+        (["bound", "--d", "3", "8"], "bound takes no argument '8'"),
+        (["table", "--pap", "I"], "table takes no argument '--pap'"),
+        (["table", "--format", "csv"], "table requires --paper"),
+        (["state", "--file", "ghz3.json"],
+         "state takes exactly one of --check-uniform, --enumerate"),
+        (["state", "--file", "ghz3.json", "--check-uniform", "1", "--enumerate"],
+         "state takes exactly one of --check-uniform, --enumerate"),
+        (["table", "--paper", "V"], "--paper must be one of I, II, III, IV, got 'V'"),
+        (["bound", "--d", "3", "--n", "5", "--format", "xml"],
+         "--format must be one of json, csv, got 'xml'"),
+        (["verify", "--suite=all"],
+         "--suite must be one of alpha, recurrence, shadow-oracle, got 'all'"),
+        (["bound", "--n", "5", "--d"], "--d expects a value"),
+        (["state", "--file", "ghz3.json", "--enumerate=yes"],
+         "--enumerate takes no value, got '--enumerate=yes'"),
+        (["bound", "--d", "-3", "--n", "5"], "--d must be >= 2, got -3"),
+        (["bound", "--d", "3", "--n", "--n-range"], "--n must be an integer, got '--n-range'"),
+    ],
+    ids=["empty", "unknown-subcommand", "other-subcommands-flag", "positional",
+         "abbreviation", "missing-required", "one-of-none", "one-of-both",
+         "choice", "format-choice", "choice-after-equals", "no-value", "switch-value",
+         "negative-value", "flag-shaped-value"],
+)
+def test_every_usage_error_is_one_stderr_line(capsys, argv, line):
+    # argparse once raised SystemExit(2) for each of these, with a usage block
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"kuniform: {line}\n")
+
+
+def test_flags_take_their_value_after_equals_and_keep_the_last(capsys):
+    _, spaced = run_cli(capsys, "bound", "--d", "3", "--n-range", "2:30", "--format", "csv")
+    _, joined = run_cli(capsys, "bound", "--d=3", "--n-range=2:30", "--format=csv")
+    _, repeated = run_cli(capsys, "bound", "--d", "9", "--n-range", "2:30", "--d=3", "--format=csv")
+    assert spaced == joined == repeated
+    assert spaced.splitlines()[-1].startswith("30,")
+    code, doc = run_json(capsys, "ame", "--dims=3x1,2x8")
+    assert code == 0 and doc["payload"]["profile"] == [3] + [2] * 8
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["bound", "--help"], ["ame", "--dims", "2x4", "-h"]]
+)
+def test_help_lists_every_subcommand_flag_and_choice(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: kuniform ")
+    for command, (flags, _, _, _) in _SPEC.items():
+        assert f"\n  {command} " in out
+        for flag, kind in flags.items():
+            assert flag in out
+            if isinstance(kind, tuple):
+                assert "|".join(kind) in out
 
 
 @pytest.mark.parametrize("table_id", ["I", "II", "III", "IV"])
@@ -199,11 +263,10 @@ def test_ame_profile_allows_whitespace_around_terms(capsys):
         assert code == 0 and doc["payload"]["profile"] == [3, 2, 2], text
 
 
-def test_ame_takes_no_budget_flag():
+def test_ame_takes_no_budget_flag(capsys):
     # the subset search evaluates at most floor(N/2)+3 draws, so it needs no cap
-    with pytest.raises(SystemExit) as exc:
-        main(["ame", "--dims", "3x1,2x8", "--budget", "1"])
-    assert exc.value.code == 2
+    assert main(["ame", "--dims", "3x1,2x8", "--budget", "1"]) == 2
+    assert capsys.readouterr() == ("", "kuniform: ame takes no argument '--budget'\n")
 
 
 def test_ame_on_a_wide_four_class_profile_ends_at_once(capsys):
@@ -532,20 +595,55 @@ def test_envelopes_are_deterministic_modulo_timestamp(capsys):
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
 
+def test_envelope_timestamp_is_utc_iso_8601(capsys):
+    # built from time.time_ns, since importing datetime took about 2.5 ms
+    before = datetime.now(timezone.utc)
+    _, doc = run_json(capsys, "bound", "--d", "3", "--n", "8")
+    after = datetime.now(timezone.utc)
+    stamp = doc["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp)
+    read = datetime.fromisoformat(stamp)
+    assert read.utcoffset() == timedelta(0)
+    assert before - timedelta(seconds=2) <= read <= after + timedelta(seconds=2)
+
+
+def _readme_commands():
+    """The `kuniform ...` lines of the README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("kuniform ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    # the README's examples must stay commands the parser takes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ghz3.json").write_text(json.dumps(ghz_state(3, 2).to_json_dict()))
+    commands = _readme_commands()
+    assert len(commands) >= 8 and {argv[0] for argv in commands} == set(_SPEC)
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if "csv" in argv:
+            header, *rows = out.splitlines()
+            assert rows and all(row.count(",") == header.count(",") for row in rows), argv
+        else:
+            doc = json.loads(out)
+            assert set(doc) == {"command", "status", "timestamp", "payload"}, argv
+            assert doc["command"] == argv[0] and doc["status"] in ("ok", "violation-found"), argv
+
+
 def _run_captured(capsys, argv):
     """Exit code, stdout with the timestamp blanked, and stderr of one call."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's own usage errors and --help
-        code = exc.code
+    code = main(argv)
     captured = capsys.readouterr()
     out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', captured.out)
     return code, out, captured.err
 
 
-def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
-    # the parser was once built again by every call, most of a small
-    # call's time; reused, it must answer as a freshly built one does
+def test_every_call_of_a_process_answers_alike(tmp_path, capsys):
+    # argparse's parser was once built at the first call and kept; nothing
+    # a call reads may depend on the calls before it
     path = tmp_path / "ghz4.json"
     path.write_text(json.dumps(ghz_state(4, 2).to_json_dict()))
     sequence = [
@@ -557,40 +655,42 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
         ["state", "--file", str(path), "--enumerate"],
         ["verify", "--suite", "recurrence"],
     ]
-    _build_parser.cache_clear()
-    reused = [_run_captured(capsys, argv) for argv in sequence]
-    assert _build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in sequence:
-        _build_parser.cache_clear()
-        fresh.append(_run_captured(capsys, argv))
-    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0, 0, 0]
-    assert reused == fresh
+    first = [_run_captured(capsys, argv) for argv in sequence]
+    second = [_run_captured(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0, 0]
+    assert first == second
+    for code, out, err in first:
+        if code == 2:
+            assert out == "" and err.startswith("kuniform: ") and err.count("\n") == 1
+        else:
+            assert out and err == ""
 
 
-def test_importing_the_cli_builds_no_parser():
+def test_importing_the_cli_imports_no_argparse():
+    # argparse and its gettext took about 4 ms of every start-up
     probe = (
-        "import sys; sys.path.insert(0, 'src'); import kuniform.cli as c; "
-        "print(c._build_parser.cache_info().misses)"
+        "import sys; sys.path.insert(0, 'src'); import kuniform.cli; "
+        "print(sorted({'argparse', 'datetime', 'gettext'} & set(sys.modules)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         cwd=Path(__file__).resolve().parents[1],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_importing_the_package_adds_no_stdlib_module(tmp_path):
-    # dataclasses, typing and pathlib once took about 28 ms of every start-up
+    # dataclasses, typing and pathlib once took about 28 ms of every start-up,
+    # and argparse and datetime about 6 ms
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys\n"
-        "import argparse, datetime, fractions, json, re, os, math, itertools\n"
-        "import functools, collections, operator, __future__\n"
+        "import fractions, json, re, os, math, itertools\n"
+        "import functools, collections, operator, time, __future__\n"
         "before = set(sys.modules)\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import kuniform, kuniform.cli\n"
@@ -641,15 +741,15 @@ def test_environment_variables_are_ignored(tmp_path, capsys, monkeypatch):
 
 def test_flags_and_variables_reach_only_their_subcommand(capsys):
     # a flag a subcommand did not read was once accepted and ignored
-    for argv in (
-        ["ame", "--dims", "3x1,2x8", "--format", "csv"],
-        ["bound", "--d", "3", "--n", "5", "--cap-dim", "1"],
-        ["verify", "--suite", "recurrence", "--cap-dim", "1"],
-        ["state", "--file", "ghz3.json", "--enumerate", "--cap-dim", "4096"],
+    for argv, flag in (
+        (["ame", "--dims", "3x1,2x8", "--format", "csv"], "--format"),
+        (["bound", "--d", "3", "--n", "5", "--cap-dim", "1"], "--cap-dim"),
+        (["verify", "--suite", "recurrence", "--cap-dim", "1"], "--cap-dim"),
+        (["state", "--file", "ghz3.json", "--enumerate", "--cap-dim", "4096"], "--cap-dim"),
+        (["ame", "--dims=3x1,2x8", "--format=csv"], "--format"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"kuniform: {argv[0]} takes no argument {flag!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -678,11 +778,7 @@ def _run_contract(argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "stdout", out)
         mp.setattr(sys, "stderr", err)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse itself rejects flag-shaped text
-            assert exc.code == 2
-            return 2, None
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 2:
         assert out.getvalue() == ""
