@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Check the boundary walk against the per-N scan at every party count.
+"""Check the boundary walk against a parity-test scan at every party count.
 
-`bounds.compute_bound_records`, the source of `bound --n-range` and of
-Tables I-III, walks the alpha sign boundary from N to N+1;
-`bounds.k_upper_bound` scans each N on its own.  This compares the two
-record for record (`to_json_dict`, so the witness too) for every
-d = 2..6 and N = 2..4096, and exits 1 naming the first mismatch.  The
-per-N scans take most of its time, about 40 s on a 2-core VM.
+`bounds.compute_bound_records`, the source of `bound --n-range`, of
+`bound --n` and of Tables I-III, locates each N's first firing alpha
+index by the sign of a pair of sums, which is right only because of the
+monotonicity fact F1 proved in `bounds._walk_hits`.  This recomputes the
+index without it: for each N on its own, it reads the sums S_i of
+`bounds._alpha_sums` in order and stops at the first i with
+(-1)^i S_i > 0, the definition of a firing index, and composes the
+verdict by `bounds._verdict`.  The two are compared record for record
+(`to_json_dict`, so the witness too) for every d = 2..6 and
+N = 2..4096, and the script exits 1 naming the first mismatch.  The
+per-N scans take most of its time, about 35 s on a 2-core VM.
 
     python3 scripts/check_bound_walk.py
 """
@@ -20,11 +25,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from kuniform.bounds import compute_bound_records, k_upper_bound  # noqa: E402
+from kuniform.bounds import _alpha_sums, _verdict, compute_bound_records  # noqa: E402
 from kuniform.errors import MAX_PARTIES  # noqa: E402
 
 LOCAL_DIMS = range(2, 7)
 N_MIN = 2
+
+
+def scanned(n: int, d: int) -> dict:
+    """The verdict for N = n from the first i with (-1)^i S_i > 0, or from none."""
+    sums = enumerate(_alpha_sums(n, d), 1)
+    hit = next(((i, s) for i, s in sums if (s < 0 if i & 1 else s > 0)), None)
+    return _verdict(n, d, hit).to_json_dict()
 
 
 def main() -> int:
@@ -32,7 +44,7 @@ def main() -> int:
         start = time.monotonic()
         walked = compute_bound_records(d, N_MIN, MAX_PARTIES)
         for n, record in zip(range(N_MIN, MAX_PARTIES + 1), walked, strict=True):
-            want = k_upper_bound(n, d).to_json_dict()
+            want = scanned(n, d)
             if record.to_json_dict() != want:
                 print(f"mismatch at d={d} N={n}: walk {record.to_json_dict()}, scan {want}")
                 return 1

@@ -11,17 +11,19 @@ contradicted and k <= i - 1.
 alpha_i(N) = -N (d-1) S_i / i for an integer hypergeometric sum S_i, and
 two independent computations of it live here:
 
-- the recurrence: `_alpha_sums` yields S_1, S_2, ... by a certified
-  three-term integer recurrence in i, O(1) big-integer steps per index.
+- the recurrence: `_alpha_sums` yields the seeds S_1, S_2 and then
+  S_3, S_4, ... by a certified three-term integer recurrence in i
+  (`_sums_from`, the one forward step), O(1) big-integer steps per index.
   It is the one source of the paper's closed form in this package:
   `alpha_closed_form` reads one index of it, `alpha_vector` all of them,
   and the bounds read its signs on integers.  `compute_bound_records`
-  scans the first N of a range up to its first firing index, building
-  one `Fraction`, the witness, so one bound costs O(N) steps and caches
-  nothing; it then walks the sign boundary (`_walk_hits`): a certified
-  first-order relation in N (`_step_n`) moves the two sums around the
-  first firing index to N + 1, and the same i-recurrence, run forwards
-  or backwards, re-locates it, so each further N costs O(1) steps;
+  locates each N's first firing index by one climb (`_walk_hits`) on the
+  signs of a pair of consecutive sums: the first N of a range climbs from
+  the seeds, building one `Fraction`, the witness, so one bound costs
+  O(N) steps and caches nothing; every later N starts from the pair
+  carried from N - 1 by a certified first-order relation in N
+  (`_step_n`), and the same i-recurrence, run forwards or backwards,
+  re-locates the index, so each further N costs O(1) steps;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
   change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
   inversion in O(N^2) integer operations, done once per (N, d) and cached
@@ -64,7 +66,7 @@ from itertools import islice
 from math import comb
 
 from .enumerators import WeightEnumerator, _c_numerators, a_to_c
-from .errors import NotApplicableError, exact_int
+from .errors import NotApplicableError, check_party_count, exact_int
 from .exact import FrozenRecord, rat_to_str
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -140,22 +142,25 @@ def _alpha_sums(n_parties: int, local_dim: int) -> Iterator[int]:
     ships P, checks the telescoping identity exactly on a grid larger than
     its degree in each variable, and checks the small steps directly.
     """
-    n, d = n_parties, local_dim
-    half = n // 2
-    s_prev, s = 1, 2 + (1 - d) * (n - 3)
-    yield from (s_prev, s)[:half]
+    s1, s2 = _seeds(n_parties, local_dim)
+    yield from (s1, s2)[: n_parties // 2]
+    yield from _sums_from(n_parties, local_dim, 1, s1, s2)
+
+
+def _seeds(n: int, d: int) -> tuple[int, int]:
+    """(S_1, S_2), the two values the recurrence of `_alpha_sums` starts from."""
+    return 1, 2 + (1 - d) * (n - 3)
+
+
+def _sums_from(n: int, d: int, i: int, s0: int, s1: int) -> Iterator[int]:
+    """Yield S_(i+2), ..., S_(N//2) from S_i and S_(i+1), for i >= 1, by
+    forward steps of the i-recurrence of `_alpha_sums`; nothing when
+    i + 2 > N//2."""
     f, c, g = _recurrence(n, d)
-    for i in range(1, half - 1):
+    for i in range(i, n // 2 - 1):
         m = n - 2 * i
-        s_prev, s = s, (i * (f * i + c) * s + g * m * (m - 1) * s_prev) // (i * (i + 1))
-        yield s
-
-
-def _step_up(n: int, d: int, i: int, s0: int, s1: int) -> int:
-    """S_(i+2) from S_i and S_(i+1), one forward step of the i-recurrence."""
-    f, c, g = _recurrence(n, d)
-    m = n - 2 * i
-    return (i * (f * i + c) * s1 + g * m * (m - 1) * s0) // (i * (i + 1))
+        s0, s1 = s1, (i * (f * i + c) * s1 + g * m * (m - 1) * s0) // (i * (i + 1))
+        yield s1
 
 
 def _step_down(n: int, d: int, i: int, s1: int, s2: int) -> int:
@@ -325,29 +330,6 @@ class BoundVerdict(FrozenRecord):
         return doc
 
 
-def _scan(n_parties: int, local_dim: int) -> tuple[int, int, int]:
-    """(i, S_(i-1), S_i) at the first firing index i, or at i = N//2 if none fires.
-
-    Reads the sums of `_alpha_sums` in order and stops at the first i with
-    (-1)^i S_i > 0, the test of `_hit` read off the sign of S_i and the
-    parity of i; S_0 is taken as 0.
-    """
-    s_prev = s = 0
-    for i, s_next in enumerate(_alpha_sums(n_parties, local_dim), 1):
-        s_prev, s = s, s_next
-        if s < 0 if i & 1 else s > 0:
-            break
-    return i, s_prev, s
-
-
-def _hit(i: int, s: int) -> tuple[int, int] | None:
-    """(i, S_i) when index i fires, else None.
-
-    Index i fires when (-1)^i alpha_i < 0, that is when (-1)^i S_i > 0.
-    """
-    return (i, s) if (s < 0 if i & 1 else s > 0) else None
-
-
 def _verdict(n_parties: int, local_dim: int, hit: tuple[int, int] | None) -> BoundVerdict:
     """Combine the first firing alpha index `hit` = (i, S_i), or None, with the other tests.
 
@@ -377,13 +359,15 @@ def compute_bound_records(local_dim: int, n_min: int, n_max: int) -> list[BoundV
 
     The one place a homogeneous verdict is composed: the first firing
     alpha index of each N, from `_walk_hits`, joined with the other tests
-    by `_verdict`.  The first N is scanned; every later N costs O(1)
-    big-integer steps.  N is checked before d, and both before any work;
-    an empty range gives no records.
+    by `_verdict`.  The first N climbs from the seeds in O(N) big-integer
+    steps; every later N costs O(1) steps.  N is checked before d, both
+    before any work, and then n_max against `errors.MAX_PARTIES`
+    (CapacityError) before any sum; an empty range gives no records.
     """
     exact_int(n_min, "n_parties", 2)
     exact_int(n_max, "n_parties", 2)
     exact_int(local_dim, "local_dim", 2)
+    check_party_count(n_max)
     hits = _walk_hits(local_dim, n_min, n_max)
     return [_verdict(n, local_dim, hit) for n, hit in zip(range(n_min, n_max + 1), hits)]
 
@@ -396,9 +380,10 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     classical party-count threshold, and the known AME non-existence
     facts.  Ties report the first test in the fixed order: alpha-sign
     (smallest index), rains, non-existence table, scott, trivial.  The
-    alpha signs are read off the integer sums of `_alpha_sums`, which stop
+    alpha signs are read off the integer sums S_1, S_2, ..., which stop
     at the first firing index; only its witness becomes a `Fraction`.
-    It is the one-N range of `compute_bound_records`, a single `_scan`.
+    It is the one-N range of `compute_bound_records`, a single climb from
+    the seeds, so N above `errors.MAX_PARTIES` raises CapacityError.
     """
     return compute_bound_records(local_dim, n_parties, n_parties)[0]
 
@@ -411,20 +396,22 @@ _WALK_FROM = 6
 def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, int] | None]:
     """The first firing alpha index (i, S_i), or None, for N = n_min .. n_max in turn.
 
-    N = n_min, and every N below `_WALK_FROM`, is answered by `_scan`.  From
-    there the walk carries the pair (S_(i-1), S_i) at the answer's index i
-    (or the top index h = N//2 when nothing fires) from N to N+1: if i = h
-    it first takes S_(h-2) by one backward step and carries (h-2, h-1);
-    one forward step gives S_(i+1)(N), and `_step_n` moves the pair to
-    N+1, using only indices up to N//2 - 1.  It then re-locates the first
-    firing index at N+1 by forward steps (up to h) or backward steps, each
-    stopping on the sign test below, so each N costs O(1) big-integer
-    steps on average instead of `_scan`'s O(N).
+    Each N locates the index from a pair (S_(i-1), S_i) by one climb.
+    N = n_min, and every N up to `_WALK_FROM`, starts fresh from the seeds:
+    i = 2 with (S_1, S_2), or i = 1 with (0, S_1) when N < 4.  Every later
+    N starts from the pair carried from N-1 at its answer's index i (or
+    the top index h = N//2 when nothing fired): if i = h it first takes
+    S_(h-2) by one backward step and carries (h-2, h-1); one forward step
+    gives S_(i+1)(N-1), and `_step_n` moves the pair to N, using only
+    indices up to (N-1)//2 - 1.  The climb then steps down while P(i-1)
+    holds, or up (`_sums_from`, to h at most) until P(i) does, so a fresh
+    N costs O(N) big-integer steps and a carried one O(1) on average.
 
-    The sign test rests on one fact.  Let P(i) be S_(i-1) S_i > 0 for
-    2 <= i <= h, and let P(1) be false.  Then P is monotone in i, the first firing
-    index i* is the first i with P(i), so P(i*) and not P(i*-1) certify
-    it, and nothing fires when P(h) is false.
+    The climb rests on one fact.  Let P(i) be that S_(i-1) and S_i are
+    nonzero and of one sign, for 2 <= i <= h, and let P(1) be false.  Then
+    P is monotone in i, the first firing index i* is the first i with
+    P(i), so P(i*) and not P(i*-1) certify it, and nothing fires when P(h)
+    is false.
 
     Proof.  Wherever S_(i+2) exists (i >= 1, N - 2i >= 4), both
     coefficients of the i-recurrence in `_alpha_sums` are positive:
@@ -443,28 +430,28 @@ def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, in
     S_(i-2), so i does not fire either.
     """
     d = local_dim
-    base = max(n_min, _WALK_FROM)
-    for n in range(n_min, min(base, n_max) + 1):
-        i, u, v = _scan(n, d)
-        yield _hit(i, v)
-    for n in range(base + 1, n_max + 1):
-        m = n - 1  # (u, v) = (S_(i-1), S_i) at N = m
-        if i == m // 2:  # the top pair: carry (h-2, h-1), so _step_n reads i <= h - 1
-            i, u, v = i - 1, _step_down(m, d, i - 2, u, v), u
-        w = _step_up(m, d, i - 1, u, v)
-        u, v = _step_n(m, d, i - 1, u, v), _step_n(m, d, i, v, w)
-        if u * v > 0:  # P(i): step down while P(i - 1)
+    for n in range(n_min, n_max + 1):
+        if n == n_min or n <= _WALK_FROM:
+            s1, s2 = _seeds(n, d)
+            i, u, v = (2, s1, s2) if n >= 4 else (1, 0, s1)
+        else:  # carry (u, v) = (S_(i-1), S_i) from N = m
+            m = n - 1
+            if i == m // 2:  # the top pair: carry (h-2, h-1), so _step_n reads i <= h - 1
+                i, u, v = i - 1, _step_down(m, d, i - 2, u, v), u
+            w = next(_sums_from(m, d, i - 1, u, v))
+            u, v = _step_n(m, d, i - 1, u, v), _step_n(m, d, i, v, w)
+        if fires := u > 0 < v or u < 0 > v:  # P(i): step down while P(i - 1)
             while i > 2:
                 w = _step_down(n, d, i - 2, u, v)
-                if w * u <= 0:
+                if not (w > 0 < u or w < 0 > u):
                     break
                 i, u, v = i - 1, w, u
-        else:  # step up to the first P, or to the top
-            while i < n // 2:
-                i, u, v = i + 1, v, _step_up(n, d, i - 1, u, v)
-                if u * v > 0:
+        elif i < n // 2:  # climb to the first P, or to the top
+            for w in _sums_from(n, d, i - 1, u, v):
+                i, u, v = i + 1, v, w
+                if fires := u > 0 < v or u < 0 > v:
                     break
-        yield _hit(i, v)
+        yield (i, v) if fires else None
 
 
 # ---------------------------------------------------------------------------

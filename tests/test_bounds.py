@@ -28,7 +28,7 @@ from kuniform.bounds import (
     taylor_shift,
     verify_recurrence,
 )
-from kuniform.errors import MAX_PARTIES, NotApplicableError
+from kuniform.errors import MAX_PARTIES, CapacityError, NotApplicableError
 from kuniform.exact import binom, falling_binom
 from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
 
@@ -220,14 +220,24 @@ def test_k_upper_bound_never_exceeds_trivial(n, d):
 
 
 def _scanned(d, lo, hi):
-    return [k_upper_bound(n, d).to_json_dict() for n in range(lo, hi + 1)]
+    # the verdicts from a scan of each N's sums for the first i with
+    # (-1)^i S_i > 0: a parity test on one sum, so the walk's pair test
+    # and the fact F1 it rests on are checked, not reused
+    records = []
+    for n in range(lo, hi + 1):
+        sums = enumerate(bounds._alpha_sums(n, d), 1)
+        hit = next(((i, s) for i, s in sums if (s < 0 if i & 1 else s > 0)), None)
+        records.append(bounds._verdict(n, d, hit).to_json_dict())
+    return records
 
 
 @settings(max_examples=40)
 @given(st.integers(2, 9), st.integers(2, 700), st.integers(0, 40))
-@example(5, 300, 0)  # one N: the scan alone
-@example(2, 2, 10)  # N = 2..12 straddles the walk's first step at N = 6
+@example(5, 300, 0)  # one N: a fresh climb alone
+@example(2, 2, 10)  # N = 2..12 straddles the walk's first carry at N = 7
 @example(6, 5, 3)  # N = 5..8 at a d where no alpha index fires
+@example(10**6, 2, 10)  # sums of about N log2(d) bits
+@example(10**20, 2, 10)
 def test_walk_equals_the_per_n_scan(d, lo, width):
     hi = min(lo + width, 700)
     walked = [r.to_json_dict() for r in compute_bound_records(d, lo, hi)]
@@ -235,9 +245,11 @@ def test_walk_equals_the_per_n_scan(d, lo, width):
 
 
 def test_walk_steps_stay_where_their_proofs_hold(monkeypatch):
-    # the relation in N is proven for 1 <= i <= N//2 - 1, and the
-    # i-recurrence for 1 <= i with S_(i+2) present; the top pair (h-1, h)
+    # the relation in N is proven for 1 <= i <= N//2 - 1, the backward
+    # i-step for 1 <= i <= N//2 - 2, and `_sums_from` starts from a pair
+    # (S_i, S_(i+1)) that exists, 1 <= i <= N//2 - 1; the top pair (h-1, h)
     # must be carried as (h-2, h-1), not stepped past the top
+    want = {d: _scanned(d, 2, 300) for d in range(2, 8)}
     steps = []
 
     def within(name, low, top):
@@ -251,11 +263,11 @@ def test_walk_steps_stay_where_their_proofs_hold(monkeypatch):
         monkeypatch.setattr(bounds, name, checked)
 
     within("_step_n", 1, 1)
-    within("_step_up", 1, 2)
+    within("_sums_from", 1, 1)
     within("_step_down", 1, 2)
     for d in range(2, 8):
-        assert compute_bound_records(d, 2, 300) == [k_upper_bound(n, d) for n in range(2, 301)]
-    assert {"_step_n", "_step_up", "_step_down"} <= set(steps)
+        assert [r.to_json_dict() for r in compute_bound_records(d, 2, 300)] == want[d]
+    assert {"_step_n", "_sums_from", "_step_down"} <= set(steps)
 
 
 @pytest.mark.parametrize("d", [3, 5, 6])
@@ -432,6 +444,26 @@ def test_poly_eval():
     assert poly_eval((7,), 100) == 7
 
 
+@pytest.fixture
+def sum_calls(monkeypatch):
+    """The (function, N) of each call that takes alpha sums: every sum, in the
+    walk or in `_alpha_sums`, starts from `_seeds` or `_sums_from`."""
+    calls = []
+
+    def spy(name):
+        real = getattr(bounds, name)
+
+        def called(n, *rest):
+            calls.append((name, n))
+            return real(n, *rest)
+
+        return called
+
+    for name in ("_seeds", "_sums_from"):
+        monkeypatch.setattr(bounds, name, spy(name))
+    return calls
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -456,16 +488,31 @@ def test_poly_eval():
         "d3-formula-float-n", "d3-formula-integral-float-n", "d3-formula-bool-n",
     ],
 )
-def test_int_arguments_pass_the_rule(call, name, monkeypatch):
+def test_int_arguments_pass_the_rule(call, name, sum_calls):
     # rains_bound(7.5) once returned 3.0, range_formula_d3(10.5) 5.0, and
     # compute_bound_records(3, True, 0) [], while others raised TypeError;
     # each refusal comes before any sum is taken
-    sums = []
-    real = bounds._alpha_sums
-    monkeypatch.setattr(bounds, "_alpha_sums", lambda n, d: sums.append((n, d)) or real(n, d))
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
-    assert sums == []
+    assert sum_calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: compute_bound_records(3, 2, MAX_PARTIES + 1),
+        lambda: compute_bound_records(5, MAX_PARTIES + 1, MAX_PARTIES + 1),
+        lambda: k_upper_bound(MAX_PARTIES + 1, 6),
+    ],
+    ids=["records-range", "records-one-n", "k-bound"],
+)
+def test_party_counts_above_the_cap_are_refused_before_any_sum(call, sum_calls):
+    with pytest.raises(CapacityError, match=f"party count {MAX_PARTIES + 1} exceeds the cap"):
+        call()
+    assert sum_calls == []
+    # the spy sees the sums of an admitted request
+    k_upper_bound(MAX_PARTIES, 6)
+    assert ("_seeds", MAX_PARTIES) in sum_calls and ("_sums_from", MAX_PARTIES) in sum_calls
 
 
 def test_tables_read_the_bounds_records():
