@@ -10,8 +10,8 @@ index without it: for each N on its own, it reads the sums S_i of
 (-1)^i S_i > 0, the definition of a firing index, and composes the
 verdict by `bounds._verdict`.  The two are compared record for record
 (`to_json_dict`, so the witness too) for every d = 2..6 and
-N = 2..4096, and the script exits 1 naming the first mismatch.  The
-per-N scans take most of its time, about 35 s on a 2-core VM.
+N = 2..4096, and the script exits 1 naming the first mismatch.  It
+takes 23-31 s on a 2-core VM, nearly all of it in the per-N scans.
 
     python3 scripts/check_bound_walk.py
 """

@@ -22,8 +22,8 @@ two independent computations of it live here:
   the seeds, building one `Fraction`, the witness, so one bound costs
   O(N) steps and caches nothing; every later N starts from the pair
   carried from N - 1 by a certified first-order relation in N
-  (`_step_n`), and the same i-recurrence, run forwards or backwards,
-  re-locates the index, so each further N costs O(1) steps;
+  (`_step_n`), and the same forward climb re-locates the index, so each
+  further N costs O(1) steps;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
   change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
   inversion in O(N^2) integer operations, done once per (N, d) and cached
@@ -161,17 +161,6 @@ def _sums_from(n: int, d: int, i: int, s0: int, s1: int) -> Iterator[int]:
         m = n - 2 * i
         s0, s1 = s1, (i * (f * i + c) * s1 + g * m * (m - 1) * s0) // (i * (i + 1))
         yield s1
-
-
-def _step_down(n: int, d: int, i: int, s1: int, s2: int) -> int:
-    """S_i from S_(i+1) and S_(i+2), the same recurrence run backwards.
-
-    Its divisor g (N-2i)(N-2i-1) is nonzero for i <= N//2 - 1, and S_i is
-    an integer, so the division is exact.
-    """
-    f, c, g = _recurrence(n, d)
-    m = n - 2 * i
-    return (i * (i + 1) * s2 - i * (f * i + c) * s1) // (g * m * (m - 1))
 
 
 def _step_n(n: int, d: int, i: int, s0: int, s1: int) -> int:
@@ -388,24 +377,20 @@ def k_upper_bound(n_parties: int, local_dim: int) -> BoundVerdict:
     return compute_bound_records(local_dim, n_parties, n_parties)[0]
 
 
-# the first N of a walk's steps: from N = 6 on the top pair (h-1, h) has an
-# index h - 2 >= 1 below it, so every step stays inside the recurrences' range
-_WALK_FROM = 6
-
-
 def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, int] | None]:
     """The first firing alpha index (i, S_i), or None, for N = n_min .. n_max in turn.
 
-    Each N locates the index from a pair (S_(i-1), S_i) by one climb.
-    N = n_min, and every N up to `_WALK_FROM`, starts fresh from the seeds:
-    i = 2 with (S_1, S_2), or i = 1 with (0, S_1) when N < 4.  Every later
-    N starts from the pair carried from N-1 at its answer's index i (or
-    the top index h = N//2 when nothing fired): if i = h it first takes
-    S_(h-2) by one backward step and carries (h-2, h-1); one forward step
-    gives S_(i+1)(N-1), and `_step_n` moves the pair to N, using only
-    indices up to (N-1)//2 - 1.  The climb then steps down while P(i-1)
-    holds, or up (`_sums_from`, to h at most) until P(i) does, so a fresh
-    N costs O(N) big-integer steps and a carried one O(1) on average.
+    Each N locates the index by one climb (`_sums_from`, to h = N//2 at
+    most) from a pair (S_(i-1), S_i) until P(i) holds, below.  The climb
+    ends holding S_(i-2), S_(i-1), S_i with P(i-1) false, and when i >= 3
+    the next N starts from the pair below the answer: two `_step_n` calls,
+    at i - 2 and i - 1 <= N//2 - 1, move (S_(i-2), S_(i-1)) to N + 1.  If
+    that pair does not fire, the climb goes on from it; if it does, or
+    there is no such pair (the first N of the range, or a climb that ended
+    at i <= 2), the climb starts from the seeds: i = 2 with (S_1, S_2), or
+    i = 1 with (0, S_1) when N < 4.  So every answer rests on an observed
+    P(i) and an observed not-P(i-1) (P(1) is false), a fresh N costs O(N)
+    big-integer steps and a carried one O(1) on average.
 
     The climb rests on one fact.  Let P(i) be that S_(i-1) and S_i are
     nonzero and of one sign, for 2 <= i <= h, and let P(1) be false.  Then
@@ -420,35 +405,31 @@ def _walk_hits(local_dim: int, n_min: int, n_max: int) -> Iterator[tuple[int, in
     f < 0 and 2i <= N - 4 give L >= f (N-4)/2 + c = N (d+1)^2/2 + d^2 - 8d + 1,
     which is positive for N >= 6.  So S_(i+1) is a positive combination of
     S_i and S_(i-1) for 2 <= i <= h - 1.  Hence P(i) implies P(i+1); and a
-    zero S_j forces S_(j+1) to take the sign of S_(j-1), which is nonzero,
-    since two consecutive zeros would, run backwards through the nonzero
-    divisor of `_step_down`, make S_1 = 1 zero.  Now let no index below i
-    fire.  S_1 = 1 does not fire, and every S_j with j < i is 0 or has the
-    sign (-1)^(j+1).  If S_(i-1) is nonzero, it has the sign (-1)^i, so
-    P(i) holds exactly when S_i has that sign, that is when i fires.  If
+    zero S_j forces S_(j+1) to take the sign of S_(j-1), which is nonzero:
+    two consecutive zeros would make the sum before them zero too, as its
+    coefficient g (N-2i)(N-2i-1) in the i-recurrence is nonzero, and so
+    every earlier sum, S_1 = 1 included.  Now let no index below i fire.
+    S_1 = 1 does not fire, and every S_j with j < i is 0 or has the sign
+    (-1)^(j+1).  If S_(i-1) is nonzero, it has the sign (-1)^i, so P(i)
+    holds exactly when S_i has that sign, that is when i fires.  If
     S_(i-1) = 0, then P(i) fails, and S_i has the sign (-1)^(i-1) of
     S_(i-2), so i does not fire either.
     """
-    d = local_dim
+    d, i = local_dim, 0
     for n in range(n_min, n_max + 1):
-        if n == n_min or n <= _WALK_FROM:
+        fires = True
+        if i > 2:  # carry (S_(i-2), S_(i-1)) from N - 1, where P(i-1) failed
+            m = n - 1
+            i, u, v = i - 1, _step_n(m, d, i - 2, t, u), _step_n(m, d, i - 1, u, v)
+            fires = u > 0 < v or u < 0 > v
+        if fires:  # no carried pair, or one whose P(i-1) is unknown
             s1, s2 = _seeds(n, d)
             i, u, v = (2, s1, s2) if n >= 4 else (1, 0, s1)
-        else:  # carry (u, v) = (S_(i-1), S_i) from N = m
-            m = n - 1
-            if i == m // 2:  # the top pair: carry (h-2, h-1), so _step_n reads i <= h - 1
-                i, u, v = i - 1, _step_down(m, d, i - 2, u, v), u
-            w = next(_sums_from(m, d, i - 1, u, v))
-            u, v = _step_n(m, d, i - 1, u, v), _step_n(m, d, i, v, w)
-        if fires := u > 0 < v or u < 0 > v:  # P(i): step down while P(i - 1)
-            while i > 2:
-                w = _step_down(n, d, i - 2, u, v)
-                if not (w > 0 < u or w < 0 > u):
-                    break
-                i, u, v = i - 1, w, u
-        elif i < n // 2:  # climb to the first P, or to the top
+            fires = u > 0 < v or u < 0 > v
+        if not fires and i < n // 2:  # climb to the first P, or to the top
             for w in _sums_from(n, d, i - 1, u, v):
-                i, u, v = i + 1, v, w
+                t, u = u, v
+                i, v = i + 1, w
                 if fires := u > 0 < v or u < 0 > v:
                     break
         yield (i, v) if fires else None

@@ -53,7 +53,7 @@ with K nonzero kets: the one size rule of `state` (see `oracle`).
 Below those caps no `bound` or `ame` request needs a search limit: one
 bound climbs the alpha sign test from its seeds in O(N) steps, each
 further N of a range takes O(1) steps along the sign boundary, and a whole
-`bound --d 5 --n-range 2:4096` process runs in 0.24-0.28 s with a 28 MB
+`bound --d 5 --n-range 2:4096` process runs in 0.15-0.22 s with a 28 MB
 peak resident set (2-core VM, Python 3.11.7); the subset search behind
 `ame` evaluates at most floor(N/2)+3 draws, in under 0.3 s on the widest
 profiles.

@@ -258,9 +258,8 @@ def test_n_relation_at_i_1_as_an_identity_in_n_and_d():
 
 def test_relation_in_n_and_the_steps_on_the_closed_sums():
     # every i = 1 .. N//2 - 1 for N <= 60, including the N below the
-    # certificate's range, against sums that share no package code:
-    # `_sums_from` from each start index, and `_step_down` wherever
-    # S_(i+2) exists
+    # certificate's range, against sums that share no package code, with
+    # `_sums_from` run from each start index
     sums = {
         (n, d): [None] + [_closed_sum(n, d, i) for i in range(1, n // 2 + 1)]
         for d in range(2, 9)
@@ -274,8 +273,6 @@ def test_relation_in_n_and_the_steps_on_the_closed_sums():
                 assert up * s_next[i] == here * s[i] - i * s[i + 1], (n, d, i)
                 assert bounds._step_n(n, d, i, s[i], s[i + 1]) == s_next[i], (n, d, i)
                 assert list(bounds._sums_from(n, d, i, s[i], s[i + 1])) == s[i + 2:], (n, d, i)
-            for i in range(1, n // 2 - 1):
-                assert bounds._step_down(n, d, i, s[i + 1], s[i + 2]) == s[i], (n, d, i)
 
 
 def _term_ratio_alpha(n, d, i):

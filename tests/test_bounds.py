@@ -55,7 +55,8 @@ def test_alpha_range_errors():
 
 
 @given(st.integers(2, 36), st.sampled_from([2, 3, 4, 5]))
-def test_alpha_closed_form_matches_triangular_solve(n, d):
+def test_alpha_closed_form_matches_series_inversion_oracle(n, d):
+    # `alpha_oracle` inverts the unit-prefix series (`enumerators._c_numerators`)
     for i in range(n // 2 + 1):
         assert alpha_closed_form(n, d, i) == alpha_oracle(n, d, i)
 
@@ -245,10 +246,8 @@ def test_walk_equals_the_per_n_scan(d, lo, width):
 
 
 def test_walk_steps_stay_where_their_proofs_hold(monkeypatch):
-    # the relation in N is proven for 1 <= i <= N//2 - 1, the backward
-    # i-step for 1 <= i <= N//2 - 2, and `_sums_from` starts from a pair
-    # (S_i, S_(i+1)) that exists, 1 <= i <= N//2 - 1; the top pair (h-1, h)
-    # must be carried as (h-2, h-1), not stepped past the top
+    # the relation in N is proven for 1 <= i <= N//2 - 1, and `_sums_from`
+    # starts from a pair (S_i, S_(i+1)) that exists, 1 <= i <= N//2 - 1
     want = {d: _scanned(d, 2, 300) for d in range(2, 8)}
     steps = []
 
@@ -264,10 +263,38 @@ def test_walk_steps_stay_where_their_proofs_hold(monkeypatch):
 
     within("_step_n", 1, 1)
     within("_sums_from", 1, 1)
-    within("_step_down", 1, 2)
     for d in range(2, 8):
         assert [r.to_json_dict() for r in compute_bound_records(d, 2, 300)] == want[d]
-    assert {"_step_n", "_sums_from", "_step_down"} <= set(steps)
+    assert {"_step_n", "_sums_from"} <= set(steps)
+
+
+def test_walk_climbs_from_the_seeds_when_a_carried_pair_fires(monkeypatch):
+    # no real input carries a firing pair, since the index never moves
+    # down from N to N + 1; a carried (1, 1) fires at once, and the walk
+    # must not trust it, as P(i - 1) below it was never observed
+    want = {d: _scanned(d, 2, 300) for d in range(2, 8)}
+    monkeypatch.setattr(bounds, "_step_n", lambda n, d, i, a, b: 1)
+    for d in range(2, 8):
+        assert [r.to_json_dict() for r in compute_bound_records(d, 2, 300)] == want[d]
+
+
+def test_walk_climbs_from_the_seeds_only_where_no_pair_is_carried(monkeypatch):
+    # the O(1) steps per N hold only while each N carries the pair below
+    # the last answer: no N up to 5 ends above i = 2, so N = 2..6 have no
+    # such pair, and neither has the first N of a range
+    seeds = bounds._seeds
+    fresh = []
+
+    def spied(n, d):
+        fresh.append(n)
+        return seeds(n, d)
+
+    monkeypatch.setattr(bounds, "_seeds", spied)
+    for d in range(2, 7):
+        for lo, hi, want in ((2, MAX_PARTIES, [2, 3, 4, 5, 6]), (1000, 1200, [1000])):
+            fresh.clear()
+            compute_bound_records(d, lo, hi)
+            assert fresh == want, (d, lo)
 
 
 @pytest.mark.parametrize("d", [3, 5, 6])
