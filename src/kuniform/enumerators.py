@@ -58,7 +58,13 @@ from .exact import FrozenRecord, binom, clear_denominators, rat_to_str, substitu
 
 
 def _exact_coeff(value) -> Fraction:
-    """`value` as a Fraction when it is an int or a Fraction; float and bool raise."""
+    """`value` as a Fraction when it is an int or a Fraction; float and bool raise.
+
+    A Fraction itself is returned as it is; an int or a Fraction subclass
+    is converted.
+    """
+    if type(value) is Fraction:
+        return value
     if type(value) is int or isinstance(value, Fraction):
         return Fraction(value)
     raise ValueError(f"coefficients must be int or Fraction, got {value!r}")

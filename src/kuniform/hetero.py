@@ -34,7 +34,10 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
     numerators of the s_j over the total dimension D: the sign test and
     the cross-check against the oracle read those integers, and a
     Fraction is built only for a certificate's s_j or on a read of
-    `HeteroShadow.s`.
+    `HeteroShadow.s`.  On the family d1 x d2^(2n) those numerators are
+    affine in d1, base + d1 slope: `pair_family_shadow` gives the two
+    vectors of one (d2, n), from two substitutions that serve every d1
+    (Table IV's route; the proof is in its docstring).
 
 `ame_verdict` runs the cheap tests first (Schmidt feasibility, the subset
 search, then the shadow) and reports the first certificate found; it
@@ -54,7 +57,7 @@ class, and the search walks class counts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -322,16 +325,19 @@ class HeteroShadow(FrozenRecord):
         return None
 
 
+def _check_shadow_parties(n_parties: int) -> None:
+    if n_parties > MAX_SHADOW_PARTIES:
+        raise CapacityError(
+            f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties, got {n_parties}"
+        )
+
+
 def check_shadow_size(profile: DimensionProfile) -> None:
     """Raise CapacityError above `MAX_SHADOW_PARTIES` parties or `MAX_SHADOW_BITS` bits of D.
 
     Both shadow routes apply this input rule first, so they refuse the same profiles.
     """
-    if profile.n_parties > MAX_SHADOW_PARTIES:
-        raise CapacityError(
-            f"the shadow test takes at most {MAX_SHADOW_PARTIES} parties,"
-            f" got {profile.n_parties}"
-        )
+    _check_shadow_parties(profile.n_parties)
     total = profile.total_dim
     if total.bit_length() > MAX_SHADOW_BITS:
         raise CapacityError(
@@ -340,23 +346,39 @@ def check_shadow_size(profile: DimensionProfile) -> None:
         )
 
 
+def check_pair_shadow_size(d1: int, d2: int, n: int) -> None:
+    """`check_shadow_size` of d1 x d2^(2n), n >= 1, the party count first.
+
+    The profile is built only once its 2n + 1 parties pass, so a huge n
+    allocates nothing; its constructor then applies the profile size rules.
+    """
+    _check_shadow_parties(2 * n + 1)
+    check_shadow_size(DimensionProfile((d1,) + (d2,) * (2 * n)))
+
+
+def _binomial_head(v: int, c: int, m: int) -> list[int]:
+    """Coefficients of x^0 .. x^(m-1) in (x + v)^c = sum_k C(c, k) v^(c-k) x^k."""
+    top = min(c, m - 1)
+    head = [0] * m
+    power, choose = v ** (c - top), comb(c, top)
+    for k in range(top, -1, -1):
+        head[k] = choose * power
+        power *= v
+        choose = choose * k // (c - k + 1)  # C(c, k-1) = C(c, k) k / (c-k+1)
+    return head
+
+
 def _product_head(classes, m: int) -> list[int]:
     """Coefficients of x^0 .. x^(m-1) in prod_i (x + d_i), from a profile's classes.
 
     The most frequent dimension v, with multiplicity c, enters in closed
-    form, (x + v)^c = sum_k C(c, k) v^(c-k) x^k; every other party takes
-    one step of multiplying by x + d_i, truncated at x^(m-1) and at the
-    degree reached so far.
+    form (`_binomial_head`); every other party takes one step of
+    multiplying by x + d_i, truncated at x^(m-1) and at the degree
+    reached so far.
     """
     common, parties = max(classes, key=lambda cls: len(cls[1]))
     count = len(parties)
-    top = min(count, m - 1)
-    head = [0] * m
-    power, choose = common ** (count - top), comb(count, top)
-    for k in range(top, -1, -1):
-        head[k] = choose * power
-        power *= common
-        choose = choose * k // (count - k + 1)  # C(c, k-1) = C(c, k) k / (c-k+1)
+    head = _binomial_head(common, count, m)
     degree = count
     for d, idxs in classes:
         if d == common:
@@ -369,6 +391,26 @@ def _product_head(classes, m: int) -> list[int]:
     return head
 
 
+def _shadow_numerators(head: Sequence[int], n: int) -> tuple[int, ...]:
+    """The numerators D s_j of an odd N-party shadow from a_k = D A'_k, k < m = (N+1)/2.
+
+    The shadow is the polynomial A'(x + y, y - x), and one call of the
+    kernel `exact.substitute` expands the substitution, pivoting on
+    L = x + y (y - x = L (-1 + 2 y/L)).
+
+    It runs on half the coefficients.  Write W(x, y) = sum_k a_k
+    x^(N-k) y^k; a_k = a_(N-k), so W = H(x, y) + H(y, x) with H the terms
+    k < m.  Then S(x, y) = W(x + y, y - x) = T(x, y) + T(-x, y) with
+    T(x, y) = H(x + y, y - x), since H(y - x, x + y) = T(-x, y).  The
+    coefficient of x^(N-j) y^j in T(-x, y) is (-1)^(N-j) t_j, so
+    s_j = 2 t_j when N - j is even and s_j = 0 when it is odd: one
+    substitution of degree m - 1 in its first pass gives every s_j.
+    The map from the a_k to the numerators is linear.
+    """
+    half = substitute(head, (1, 1), (-1, 2), n)
+    return tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half))
+
+
 def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     """Exact shadow coefficients from the elementary symmetric averages.
 
@@ -376,33 +418,49 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     states only at odd party counts).  Any s_j < 0 certifies that no AME
     state exists on the profile.
 
-    The shadow is the polynomial A'(x + y, y - x).  Scaled by the total
-    dimension D its coefficients are integers: D A'_k = e_(N-k)(d_1..d_N)
-    for k <= floor(N/2), the coefficient of x^k in prod_i (x + d_i)
-    (`_product_head`), and one call of the kernel `exact.substitute`
-    expands the substitution, pivoting on
-    L = x + y (y - x = L (-1 + 2 y/L)).  The result holds those integers
-    over D; `HeteroShadow.s` divides each once, on first use.  Raises
+    Scaled by the total dimension D the coefficients are integers:
+    D A'_k = e_(N-k)(d_1..d_N) for k <= floor(N/2), the coefficient of
+    x^k in prod_i (x + d_i) (`_product_head`), and `_shadow_numerators`
+    substitutes them.  The result holds those integers over D;
+    `HeteroShadow.s` divides each once, on first use.  Raises
     CapacityError by `check_shadow_size`, before any work.
-
-    The substitution runs on half the coefficients.  Write
-    W(x, y) = sum_k a_k x^(N-k) y^k with a_k = D A'_k; a_k = a_(N-k), so
-    W = H(x, y) + H(y, x) with H the terms k < m = (N+1)/2.  Then
-    S(x, y) = W(x + y, y - x) = T(x, y) + T(-x, y) with
-    T(x, y) = H(x + y, y - x), since H(y - x, x + y) = T(-x, y).  The
-    coefficient of x^(N-j) y^j in T(-x, y) is (-1)^(N-j) t_j, so
-    s_j = 2 t_j when N - j is even and s_j = 0 when it is odd: one
-    substitution of degree m - 1 in its first pass gives every s_j.
     """
     check_shadow_size(profile)
-    n, total = profile.n_parties, profile.total_dim
+    n = profile.n_parties
     if n % 2 == 0:
         raise NotApplicableError("the shadow certificate needs an odd party count")
-    # a_k = D A'_k for k < m; y - x = L (-1 + 2 y/L) for the pivot L = x + y
-    half = substitute(_product_head(profile.classes, (n + 1) // 2), (1, 1), (-1, 2), n)
     return HeteroShadow(
-        tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half)), total
+        _shadow_numerators(_product_head(profile.classes, (n + 1) // 2), n), profile.total_dim
     )
+
+
+def pair_family_shadow(d2: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(base, slope) with `hetero_shadow` numerators base_j + d1 slope_j on d1 x d2^(2n).
+
+    One pair of substitutions serves every d1 of the family.  Proof: the
+    product behind the numerators is linear in d1,
+
+        prod_i (x + d_i) = x (x + d2)^(2n) + d1 (x + d2)^(2n),
+
+    so its head a_k, k <= n, is U_k + d1 V_k with the slope
+    V_k = C(2n, k) d2^(2n-k) and the base U_k = V_(k-1), U_0 = 0.
+    `exact.substitute` is linear in its coefficients and so is the parity
+    step s_j = 2 t_j (`_shadow_numerators`), so the numerators are the
+    images of U and V, combined with the same weights 1 and d1.
+
+    d2 >= 2 and n >= 1 are exact ints (`errors.exact_int`).  The caps of
+    `check_shadow_size` apply, before any work, to the family's smallest
+    member 2 x d2^(2n): a family none of whose profiles `hetero_shadow`
+    takes is refused.  The trade-off: one d1 alone pays two substitutions
+    per n instead of one, so only Table IV's sweep over many d1 of one d2
+    (`tables.shadow_certified_set`) calls this.
+    """
+    exact_int(d2, "d2", 2)
+    exact_int(n, "n", 1)
+    check_pair_shadow_size(2, d2, n)
+    slope = _binomial_head(d2, 2 * n, n + 1)
+    base = [0] + slope[:-1]
+    return _shadow_numerators(base, 2 * n + 1), _shadow_numerators(slope, 2 * n + 1)
 
 
 # ---------------------------------------------------------------------------

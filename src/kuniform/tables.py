@@ -15,13 +15,21 @@ differs; an empty diff is the reproduction statement the command-line
 The per-N bounds of Tables I-III come from `bounds.compute_bound_records`,
 the one source of `bound` too; `tables.compute_bound_records` is that
 same function, imported by name.
+
+Table IV's shadow sets come from the family route: the shadow numerators
+of d1 x d2^(2n) are base + d1 slope (`hetero.pair_family_shadow`), so
+`shadow_certified_set` takes every d1 of one d2 at once and spends two
+substitutions per (d2, n), whatever the number of d1.  `_diff_hetero_table`
+groups the table's rows by d2 for it: 64 substitutions for the 302
+profiles the table's shadow sets cover.
 """
 
 from __future__ import annotations
 
 from .bounds import BoundVerdict, compute_bound_records
+from .errors import exact_int, exact_ints
 from .exact import FrozenRecord
-from .hetero import DimensionProfile, hetero_shadow, scott_pair_threshold
+from .hetero import check_pair_shadow_size, pair_family_shadow, scott_pair_threshold
 
 TABLE_IDS = ("I", "II", "III", "IV")
 
@@ -123,14 +131,33 @@ class TableDiff(FrozenRecord):
         return doc
 
 
-def shadow_certified_set(d1: int, d2: int, n_below: int) -> tuple[int, ...]:
-    """All n < n_below whose shadow coefficients go negative on d1 x d2^(2n)."""
-    certified = []
+def shadow_certified_set(
+    d1s: tuple[int, ...], d2: int, n_below: int
+) -> tuple[tuple[int, ...], ...]:
+    """For each d1 of `d1s`, all n < n_below whose shadow goes negative on d1 x d2^(2n).
+
+    The numerators of every d1 are read off one (base, slope) pair per n
+    (`hetero.pair_family_shadow`).  `d1s` is a nonempty list or tuple of
+    exact ints >= 2, d2 an exact int >= 2 and n_below one >= 1 (the input
+    rules `errors.exact_ints` and `errors.exact_int`).  Before any
+    substitution the shadow caps apply to the largest profile asked for,
+    max(d1s) x d2^(2 (n_below - 1)): CapacityError as `hetero_shadow`
+    raises it there.
+    """
+    d1s = exact_ints(d1s, "d1s", 2)
+    if not d1s:
+        raise ValueError("d1s needs at least one dimension")
+    exact_int(d2, "d2", 2)
+    exact_int(n_below, "n_below", 1)
+    if n_below > 1:
+        check_pair_shadow_size(max(d1s), d2, n_below - 1)
+    certified: list[list[int]] = [[] for _ in d1s]
     for n in range(1, n_below):
-        profile = DimensionProfile((d1,) + (d2,) * (2 * n))
-        if hetero_shadow(profile).first_negative() is not None:
-            certified.append(n)
-    return tuple(certified)
+        base, slope = pair_family_shadow(d2, n)
+        for found, d1 in zip(certified, d1s):
+            if any(b + d1 * v < 0 for b, v in zip(base, slope)):
+                found.append(n)
+    return tuple(map(tuple, certified))
 
 
 def _diff_range_table(table_id: str) -> TableDiff:
@@ -158,25 +185,32 @@ def _diff_range_table(table_id: str) -> TableDiff:
 
 
 def _diff_hetero_table() -> TableDiff:
+    rows = [
+        (d1, d2, threshold, shadow_ns)
+        for d1_lo, d1_hi, d2, threshold, shadow_ns in HETERO_TABLE
+        for d1 in range(d1_lo, d1_hi + 1)
+    ]
+    thresholds = {(d1, d2): scott_pair_threshold(d1, d2) for d1, d2, _, _ in rows}
+    by_d2: dict[int, list[int]] = {}
+    for d1, d2, _, _ in rows:
+        by_d2.setdefault(d2, []).append(d1)
+    # one sweep per d2 up to its largest threshold; each d1 keeps the n below its own
+    certified = {}
+    for d2, d1s in by_d2.items():
+        n_below = max(thresholds[d1, d2] for d1 in d1s)
+        for d1, ns in zip(d1s, shadow_certified_set(d1s, d2, n_below)):
+            certified[d1, d2] = tuple(n for n in ns if n < thresholds[d1, d2])
     computed_rows = []
     diffs: list[CellDiff] = []
-    for d1_lo, d1_hi, d2, threshold, shadow_ns in HETERO_TABLE:
-        for d1 in range(d1_lo, d1_hi + 1):
-            got_threshold = scott_pair_threshold(d1, d2)
-            got_shadow = shadow_certified_set(d1, d2, got_threshold)
-            computed_rows.append((d1, d2, got_threshold, got_shadow))
-            if got_threshold != threshold:
-                diffs.append(
-                    CellDiff(f"d1={d1} d2={d2} threshold", threshold, got_threshold)
-                )
-            if got_shadow != shadow_ns:
-                diffs.append(
-                    CellDiff(
-                        f"d1={d1} d2={d2} shadow set",
-                        list(shadow_ns),
-                        list(got_shadow),
-                    )
-                )
+    for d1, d2, threshold, shadow_ns in rows:
+        got_threshold, got_shadow = thresholds[d1, d2], certified[d1, d2]
+        computed_rows.append((d1, d2, got_threshold, got_shadow))
+        if got_threshold != threshold:
+            diffs.append(CellDiff(f"d1={d1} d2={d2} threshold", threshold, got_threshold))
+        if got_shadow != shadow_ns:
+            diffs.append(
+                CellDiff(f"d1={d1} d2={d2} shadow set", list(shadow_ns), list(got_shadow))
+            )
     return TableDiff("IV", tuple(computed_rows), tuple(diffs))
 
 

@@ -225,6 +225,21 @@ def test_one_record_rule(make, match):
         make()
 
 
+def test_coefficients_are_stored_as_exact_fractions():
+    # a Fraction is kept as it is; an int or a Fraction subclass becomes a Fraction
+    class Half(Fraction):
+        pass
+
+    third = Fraction(1, 3)
+    rec = WeightEnumerator(2, 2, (1, third, Half(1, 2)))
+    assert rec.coeffs == (1, third, Fraction(1, 2))
+    assert [type(c) for c in rec.coeffs] == [Fraction] * 3
+    assert rec.coeffs[1] is third
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            WeightEnumerator(2, 2, (1, bad, 0))
+
+
 def test_coefficient_length_validation():
     with pytest.raises(ValueError):
         WeightEnumerator(3, 2, (1, 0, 0))

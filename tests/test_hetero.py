@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from kuniform.hetero import (
     DimensionProfile,
     ame_verdict,
     hetero_shadow,
+    pair_family_shadow,
     scott_check,
     scott_pair_threshold,
     scott_search,
@@ -512,6 +514,104 @@ def test_ame_verdict_above_the_shadow_cap():
 def test_hetero_shadow_requires_odd_party_count():
     with pytest.raises(NotApplicableError):
         hetero_shadow(DimensionProfile((2, 2, 2, 2)))
+
+
+def _family_numerators(d1, d2, n):
+    base, slope = pair_family_shadow(d2, n)
+    return tuple(b + d1 * v for b, v in zip(base, slope))
+
+
+def test_pair_family_shadow_equals_hetero_shadow_on_table_iv():
+    checked = 0
+    for d1_lo, d1_hi, d2, threshold, _ in tables.HETERO_TABLE:
+        for n in range(1, threshold):
+            for d1 in range(d1_lo, d1_hi + 1):
+                expected = hetero_shadow(pair_profile(d1, d2, n)).numerators
+                assert _family_numerators(d1, d2, n) == expected, (d1, d2, n)
+                checked += 1
+    assert checked == 302
+
+
+def test_pair_family_shadow_equals_hetero_shadow_on_a_seeded_sweep():
+    # d2 = 2..6, d1 = d2 and a draw from 2..d2^2, n up to the threshold + 2
+    rng = random.Random(3217)
+    for d2 in range(2, 7):
+        others = [d1 for d1 in range(2, d2 * d2 + 1) if d1 != d2]
+        for d1 in [d2] + rng.sample(others, min(6, len(others))):
+            for n in range(1, scott_pair_threshold(d1, d2) + 3):
+                expected = hetero_shadow(pair_profile(d1, d2, n)).numerators
+                assert _family_numerators(d1, d2, n) == expected, (d1, d2, n)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [((1, 3), "^d2 must be >= 2"), ((2.0, 3), "^d2 must be an integer"),
+     ((2, 0), "^n must be >= 1"), ((2, True), "^n must be an integer")],
+)
+def test_pair_family_shadow_takes_exact_ints(args, match):
+    with pytest.raises(ValueError, match=match):
+        pair_family_shadow(*args)
+
+
+def test_pair_family_shadow_caps_its_smallest_member_before_any_work(monkeypatch):
+    # a family is refused when hetero_shadow refuses 2 x d2^(2n), its smallest member
+    calls = []
+    monkeypatch.setattr(hetero, "substitute", lambda *args: calls.append(args) or [0])
+    pair_family_shadow(2, MAX_SHADOW_PARTIES // 2)
+    assert len(calls) == 2
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties"):
+        pair_family_shadow(2, MAX_SHADOW_PARTIES // 2 + 1)
+    # the widest d2 with 2 d2^2 < 2^MAX_SHADOW_BITS, and one past it
+    widest = math.isqrt((1 << (MAX_SHADOW_BITS - 1)) - 1)
+    pair_family_shadow(widest, 1)
+    assert len(calls) == 4
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_BITS} bits"):
+        pair_family_shadow(widest + 1, 1)
+    assert len(calls) == 4
+
+
+def test_shadow_certified_set_serves_every_d1_of_one_d2():
+    # each d1 in the order given, duplicates too, as Table IV's rows read
+    assert tables.shadow_certified_set((4, 3, 4), 2, 5) == ((4,), (4,), (4,))
+    assert tables.shadow_certified_set([9, 2], 3, 10) == ((6, 8), (6, 8, 9))
+    assert tables.shadow_certified_set((2,), 3, 1) == ((),)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [(((1,), 3, 5), r"^d1s\[0\] must be >= 2"), (((2, True), 3, 5), r"^d1s\[1\] must be an integer"),
+     ((3, 3, 5), "^d1s must be an array"), (((), 3, 5), "^d1s needs at least one"),
+     (((2,), 1, 5), "^d2 must be >= 2"), (((2,), 3, 0), "^n_below must be >= 1"),
+     (((2,), 3, -4), "^n_below must be >= 1"), (((2,), 3, 5.5), "^n_below must be an integer"),
+     (((2,), 3, True), "^n_below must be an integer")],
+)
+def test_shadow_certified_set_takes_exact_ints(args, match):
+    # n_below=5.5 once raised a bare TypeError, and True and -4 were taken
+    with pytest.raises(ValueError, match=match):
+        tables.shadow_certified_set(*args)
+
+
+def test_shadow_certified_set_caps_its_largest_profile_before_any_work(monkeypatch):
+    # ((3,), 2, 600) once ran 27 s before a CapacityError at N = 1003
+    calls = []
+    monkeypatch.setattr(tables, "pair_family_shadow", lambda d2, n: calls.append(n) or ((), ()))
+    start = time.monotonic()
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties, got 1199"):
+        tables.shadow_certified_set((3,), 2, 600)
+    assert time.monotonic() - start < 1.0
+    edge = MAX_SHADOW_PARTIES // 2 + 1  # n = edge - 1 has N = MAX_SHADOW_PARTIES
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties"):
+        tables.shadow_certified_set((3,), 2, edge + 1)
+    assert calls == []
+    assert tables.shadow_certified_set((3,), 2, edge) == ((),)
+    assert calls == list(range(1, edge))
+    # the bit cap reads max(d1s) x d2^2: 2 x 2^8190 has 8192 bits, 4 x 2^8190 one more
+    calls.clear()
+    wide = 1 << (MAX_SHADOW_BITS // 2 - 1)
+    assert tables.shadow_certified_set((2,), wide, 2) == ((),)
+    with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_BITS} bits, got 8193"):
+        tables.shadow_certified_set((2, 4), wide, 2)
+    assert calls == [1]
 
 
 @st.composite
