@@ -322,9 +322,13 @@ def validate_state_constraints(
     """Check every constraint a pure-state enumerator must satisfy.
 
     With k supplied, additionally checks the k-uniformity prefix
-    a_1 = ... = a_k = 0.  Violations are report entries, never exceptions.
+    a_1 = ... = a_k = 0.  Violations are report entries, never exceptions;
+    a k that is no exact int in 0..N raises ValueError before any
+    substitution.
     """
     n = enum.n_parties
+    if k is not None and exact_int(k, "k", 0) > n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
     shadow = shadow_transform(enum)
     uniform: bool | None = None
     if k is not None:

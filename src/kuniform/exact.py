@@ -16,8 +16,10 @@ integers.  Only the uncalled `enumerators.basis_matrix_entry` calls
 `substitute` is the one substitution kernel: it expands
 L^N p(r(y/L)) for a linear form L, an integer polynomial p and a
 polynomial r with small integer coefficients.  Each of its two passes is
-Horner's rule on one packed integer, a few shift-adds per step with no
-product of two long integers, and the digits are read back once.  Every
+Horner's rule on one packed integer, with no product of two long
+integers: a step makes one integer of the accumulator's size per shift,
+per small multiple and per addition, none for a zero coefficient of p,
+and the digits are read back once.  Every
 change of variables in `enumerators` and the heterogeneous shadow in
 `hetero` is a call to it, with denominators cleared before
 (`clear_denominators`, which the oracle's integer sums share) and
@@ -89,8 +91,15 @@ def _compose(coeffs: Sequence[int], ratio: Sequence[int]) -> list[int]:
     """Coefficients e_j of p(r(t)) = sum_k coeffs[k] r(t)^k, r(t) = sum_i ratio[i] t^i.
 
     Horner's rule runs on one integer, the value at t = 2^w: a step is
-    acc r(2^w) + c, a shift and at most one small multiple per nonzero
-    ratio[i].  Width: the coefficients of r^k sum to at most s^k in
+    acc r(2^w) + c.  Each nonzero ratio[i] = odd 2^z gives the term
+    odd (acc << (w i + z)); a step opens on one term and adds or
+    subtracts the others.  The integers of the accumulator's size a step
+    makes are one per shift (none at shift 0), one per multiple
+    (odd != +-1), one per term besides the opening one, and one to add c
+    (none when c = 0).  A -1 term opens a step only when every term is
+    one, so it costs one subtraction and no negation, and any other
+    opening term saves an addition: at shift 0 with odd = 1 it is acc
+    itself.  Width: the coefficients of r^k sum to at most s^k in
     absolute value, s = sum_i |ratio[i]|, so |e_j| <= B = sum_k
     |coeffs[k]| s^k; w = 8 (B.bit_length() // 8 + 1) gives B < 2^(w-1),
     so each e_j + 2^(w-1) is one base-2^w digit in [0, 2^w), and after
@@ -102,27 +111,37 @@ def _compose(coeffs: Sequence[int], ratio: Sequence[int]) -> list[int]:
         bound = bound * s + abs(c)
     nbytes = bound.bit_length() // 8 + 1
     w = 8 * nbytes
-    steps = []  # ratio[i] = odd 2^zeros: the power of two joins the shift
+    # ratio[i] = odd 2^zeros: the power of two joins the shift.  A step
+    # opens on the term popped off the end of `rest`; the -1 terms go in
+    # at the front, so that term is a -1 only when every term is one.
+    rest = []
     for i, r in enumerate(ratio):
         if r:
             zeros = (r & -r).bit_length() - 1
-            steps.append((w * i + zeros, r >> zeros))
-    acc = 0
-    for c in reversed(coeffs):
-        new = c
-        for shift, odd in steps:
+            odd = r >> zeros
             if odd == -1:
-                new -= acc << shift
+                rest.insert(0, (w * i + zeros, odd))
             else:
-                new += acc << shift if odd == 1 else odd * (acc << shift)
-        acc = new
+                rest.append((w * i + zeros, odd))
+    # r = 0 opens each step on 0 acc, which leaves p(r(t)) = coeffs[0]
+    lead, first = rest.pop() if rest else (0, 0)
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        new = acc << lead if lead else acc
+        if first != 1:
+            new = -new if first == -1 else first * new
+        for shift, odd in rest:
+            term = acc << shift if shift else acc
+            if odd == -1:
+                new -= term
+            else:
+                new += term if odd == 1 else odd * term
+        acc = new + c if c else new
     size = (len(coeffs) - 1) * (len(ratio) - 1) + 1
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
     raw, half = (acc + bias).to_bytes(nbytes * size, "little"), 1 << (w - 1)
-    return [
-        int.from_bytes(raw[i : i + nbytes], "little") - half
-        for i in range(0, len(raw), nbytes)
-    ]
+    from_bytes = int.from_bytes  # looked up once, not once per coefficient
+    return [from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
 
 
 def clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -140,7 +159,13 @@ def substitute(
     `_compose`), with degree >= deg(p) deg(r).  Two passes of `_compose`:
     p(r(t)) = sum_j e_j t^j, then sum_j e_j L^(degree-j) y^j =
     y^degree q(line[1] + line[0] x/y) with q(u) = sum_m e_(degree-m) u^m.
+    An all-zero ratio or line is valid; `line` must have two entries and
+    `coeffs` and `ratio` at least one each, else ValueError before any work.
     """
+    if len(line) != 2:
+        raise ValueError(f"line must have two entries, got {len(line)}")
+    if not coeffs or not ratio:
+        raise ValueError("coeffs and ratio must have at least one entry each")
     if (len(coeffs) - 1) * (len(ratio) - 1) > degree:
         raise ValueError(f"degree {degree} is below deg(p) deg(r)")
     inner = _compose(coeffs, ratio)

@@ -76,14 +76,14 @@ from .errors import (
 )
 from .exact import FrozenRecord, rat_to_str, substitute
 
-# The shadow's cost grows about as N^3 in big-integer work: 0.23-0.41 s
-# at N = 1001, 1.8-2.1 s at N = 2001 and 34 s at N = 4095 on 3x1,2x(N-1)
-# (2-core VM, Python 3.11), so it stops at a party count well above
-# Table IV (N <= 37).
+# The shadow's cost grows about as N^3 in big-integer work: 0.12-0.27 s
+# at N = 1001, 0.99-1.6 s at N = 2001 and 12.5-15 s at N = 4095 on
+# 3x1,2x(N-1) (2-core VM, Python 3.11), so it stops at a party count well
+# above Table IV (N <= 37).
 MAX_SHADOW_PARTIES = 1001
-# It also grows with the bit length of the total dimension D: 0.23-0.41 s
-# on 3x1,2x1000 (1002 bits), 0.68-1.2 s on 257x1,256x1000 (8009 bits) and
-# 2.0-4.1 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark
+# It also grows with the bit length of the total dimension D: 0.12-0.27 s
+# on 3x1,2x1000 (1002 bits), 0.37-0.87 s on 257x1,256x1000 (8009 bits) and
+# 0.95-1.9 s on 1000000x1001 (19 952 bits).  Table IV and the benchmark
 # profiles stay below 600 bits.
 MAX_SHADOW_BITS = 8192
 

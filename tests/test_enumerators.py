@@ -51,6 +51,11 @@ def _seeded_coeffs(rng, size):
     )
 
 
+def _seeded_int_enumerator(n, d, seed):
+    rng = random.Random(seed)
+    return WeightEnumerator(n, d, tuple(rng.randint(-10**6, 10**6) for _ in range(n + 1)))
+
+
 BELL = WeightEnumerator(2, 2, (1, 0, 3))
 GHZ3 = WeightEnumerator(3, 2, (1, 0, 3, 4))
 PRODUCT2 = WeightEnumerator(2, 2, (1, 2, 1))
@@ -64,6 +69,7 @@ def test_macwilliams_worked_examples():
     )
 
 
+@example(_seeded_int_enumerator(201, 5, 201))
 @given(weight_enumerators())
 def test_macwilliams_is_an_involution(enum):
     twice = macwilliams_transform(macwilliams_transform(enum))
@@ -105,8 +111,10 @@ def test_c_to_a_worked_examples():
         assert c_to_a(inv).coeffs == expected
 
 
+@example(InvariantBasisCoeffs(201, 5, _seeded_coeffs(random.Random(2015), 101)))
 @given(invariant_coeffs())
 def test_a_to_c_inverts_c_to_a(inv):
+    # the series inversion shares no code with the kernel behind c_to_a
     assert a_to_c(c_to_a(inv)).coeffs == inv.coeffs
 
 
@@ -185,6 +193,19 @@ def test_validate_state_constraints_examples():
     assert ghz_report.uniform_prefix_zero is False
     assert ghz_report.failed_checks() == ("uniform_prefix_zero",)
     assert validate_state_constraints(GHZ3, k=1).ok
+
+
+@pytest.mark.parametrize("k", [4, 1.5, -2, True, "1"])
+def test_validate_state_constraints_refuses_a_bad_k(monkeypatch, k):
+    # k = 4 > N once raised IndexError after both transforms, 1.5 a
+    # TypeError; -2 gave a vacuous prefix check and True passed as 1
+    calls = _record_calls(monkeypatch, ("substitute",))
+    with pytest.raises(ValueError, match="k must"):
+        validate_state_constraints(GHZ3, k=k)
+    assert calls == []
+    # 0 and N bound the range
+    assert validate_state_constraints(GHZ3, k=0).ok
+    assert validate_state_constraints(GHZ3, k=3).failed_checks() == ("uniform_prefix_zero",)
 
 
 def test_constraint_report_fields_are_independent():

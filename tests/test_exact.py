@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,11 +205,51 @@ def test_substitute_edge_cases():
         assert substitute(coeffs, (1, 2), (0, 1, -3), 6) == _expand(
             coeffs, (1, 2), (0, 1, -3), 6
         )
+    # an all-zero ratio leaves p(0) = coeffs[0]: a step has no term to open with
+    assert substitute([1, 2], (1, 1), (0, 0), 1) == [1, 1]
+    assert substitute([4, 0, -3], (2, 5), (0, 0, 0), 4) == [64, 640, 2400, 4000, 2500]
+    # an all-zero line leaves e_degree y^degree
+    assert substitute([1, 2], (0, 0), (1, 1), 1) == [0, 2]
+    assert substitute([3, -1, 5], (0, 0), (2, -1), 3) == _expand([3, -1, 5], (0, 0), (2, -1), 3)
+    # each way a step can open: (-1,) on a negation at shift 0 (a -1 opens
+    # only when every term is one); (-1, 0, 3), (9, 25) and the shadow
+    # ratios (1 - d, 2d) on an odd multiple, with no +1 term.  The second
+    # pass runs on the reversed line: (0, -1) opens on -1 at shift 0,
+    # (-1, 0) on -1 at shift w, (-1, 3) on 3 at shift 0, (-1, 1) on acc
+    # itself, (2, 3) on +1 at shift w + 1
+    coeffs = [5, -3, 0, 7, 2]
+    for ratio in [(-1,), (-1, 0, 3), (9, 25)] + [(1 - d, 2 * d) for d in (3, 5, 9)]:
+        degree = (len(coeffs) - 1) * (len(ratio) - 1) + 1
+        for line in [(0, -1), (-1, 0), (-1, 3), (-1, 1), (2, 3)]:
+            assert substitute(coeffs, line, ratio, degree) == _expand(
+                coeffs, line, ratio, degree
+            ), (ratio, line)
+    # hetero_shadow's shape: half the coefficients, so the second pass ends
+    # in a tail of (N - 1)/2 zero coefficients
+    rng = random.Random(4161)
+    for n in (41, 61):
+        half = [rng.randrange(10**30) for _ in range((n + 1) // 2)]
+        assert substitute(half, (1, 1), (-1, 2), n) == _expand_forms(
+            half + [0] * (n + 1 - len(half)), (1, 1), (-1, 1)
+        )
 
 
 def test_substitute_needs_room_for_the_degree():
     with pytest.raises(ValueError):
         substitute([1, 2, 3], (1, 1), (0, 1, -1), 3)
+
+
+@pytest.mark.parametrize(
+    "coeffs, line, ratio",
+    [([1, 2], (1, 1), ()), ([], (1, 1), (1, 1)), ([1, 2], (1,), (1, 1)),
+     ([1, 2], (1, 1, 1), (1, 1))],
+    ids=["empty-ratio", "empty-coeffs", "short-line", "long-line"],
+)
+def test_substitute_refuses_a_malformed_input(coeffs, line, ratio):
+    # an empty ratio once raised OverflowError from the readback, and a line
+    # of three entries gave a list of the wrong length
+    with pytest.raises(ValueError, match="line must have two|at least one entry"):
+        substitute(coeffs, line, ratio, 1)
 
 
 @pytest.mark.parametrize(

@@ -337,9 +337,12 @@ def test_state_refuses_a_repeated_ket():
 
 
 def test_ame_shadow_oracle_equals_formula_route():
-    for dims in ((3, 2, 2), (2, 3, 3), (4, 2, 2, 2, 2), (3, 3, 3, 3, 3)):
-        prof = DimensionProfile(dims)
-        assert ame_shadow_oracle(prof) == hetero_shadow(prof).s
+    # the last four are the sizes of the benchmark's large shadow runs
+    specs = ("3x1,2x2", "2x1,3x2", "4x1,2x4", "3x5",
+             "10x2,9x167", "3x1,4x190", "9x5,8x104", "23x201")
+    for spec in specs:
+        prof = DimensionProfile.parse(spec)
+        assert ame_shadow_oracle(prof) == hetero_shadow(prof).s, spec
 
 
 @pytest.mark.parametrize(
