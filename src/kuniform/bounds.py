@@ -25,8 +25,8 @@ two independent computations of it live here:
   (`_step_n`), and the same forward climb re-locates the index, so each
   further N costs O(1) steps;
 - the oracle: `alpha_oracle` recomputes the same number from one basis
-  change `enumerators.a_to_c` of the unit-prefix enumerator, a Lagrange
-  inversion in O(N^2) integer operations, done once per (N, d) and cached
+  change `enumerators.a_to_c` of the unit-prefix enumerator, a series
+  inversion in O(N^2) additions, done once per (N, d) and cached
   (`alpha_oracle_vector`).  It shares no code with the recurrence, so
   `cross_validate_alpha` (the `verify --suite alpha` command) checks the
   engine that `bound` and `table` run against an independent route.  It
@@ -232,15 +232,17 @@ def cross_validate_alpha(
     alpha_0 .. alpha_(N//2) as integers c_i, and the check is c_0 = 1 and
     i c_i = -N (d-1) S_i against the sums S_i of `_alpha_sums`, so neither
     route builds a Fraction.  Returns the number of values compared and
-    one message per mismatch; a route giving too few or too many values
-    raises ValueError.  The default range, N = 2..60 and d = 2..5, gives
-    3836 checks.
+    one message per mismatch; a route giving too few or too many values,
+    or an N < 1 or d < 2 (`exact_int`, before any work), raises ValueError.
+    The default range, N = 2..60 and d = 2..5, gives 3836 checks.
     """
+    n_values = [exact_int(n, "n_parties", 1) for n in n_values]
+    local_dims = [exact_int(d, "local_dim", 2) for d in local_dims]
     checks = 0
     failures: list[str] = []
     for n in n_values:
         for d in local_dims:
-            c = _c_numerators([1] + [0] * (n // 2), n, d)
+            c = _c_numerators([1], n, d)
             sums = zip(_alpha_sums(n, d), c[1:], strict=True)
             agree = [c[0] == 1]
             agree += [i * c_i == -n * (d - 1) * s for i, (s, c_i) in enumerate(sums, 1)]
@@ -559,9 +561,12 @@ def verify_recurrence(spec: RecurrenceSpec, n_max: int) -> tuple[int, list[str]]
     p(positive_from + t) has no negative coefficient and a positive
     constant term.  Returns the number of recurrence identities checked
     and one message per failure, naming the offending n or polynomial; a
-    failure signals a transcription error in the static data.
+    failure signals a transcription error in the static data.  An n_max
+    that is no exact int >= 0 raises ValueError.
     """
-    p = {n: recurrence_sum(spec.offset, n) for n in range(1, n_max + 3)}
+    exact_int(n_max, "n_max", 0)
+    top = max([n_max + 2] + [n0 for n0, _ in spec.initial_terms])
+    p = {n: recurrence_sum(spec.offset, n) for n in range(1, top + 1)}
     failures: list[str] = []
     for n0, expected in spec.initial_terms:
         if p[n0] != expected:

@@ -26,12 +26,13 @@ two independent routes:
   * c -> b expands c -> a, substitutes the shadow forms and compresses;
     b -> c is Rains' lemma, an integer sum per c_i.
 
-Each closed form runs on cleared numerators in O(N^2) integer operations
-and divides once per c_i at the end; the integer part of a -> c,
-`_c_numerators`, is also what `bounds.cross_validate_alpha` compares with
-the alpha recurrence, with no Fraction built.  `basis_matrix_entry` gives the
-entries of the unitriangular matrix of the c -> a map directly, as a
-reference for tests.
+Each closed form runs on cleared numerators and divides once per c_i at
+the end: a -> c multiplies them by one binomial row and inverts in
+O(N^2) additions, b -> c sums them in O(N^2) additions.  The integer
+part of a -> c, `_c_numerators`, is also what `bounds.cross_validate_alpha`
+compares with the alpha recurrence, with no Fraction built.
+`basis_matrix_entry` gives the entries of the unitriangular matrix of the
+c -> a map directly, as a reference for tests.
 
 The four coefficient records (`WeightEnumerator`, `ShadowEnumerator`,
 `InvariantBasisCoeffs`, `ShadowCompressed`) are `exact.FrozenRecord`s
@@ -204,37 +205,40 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
 
 
 def _c_numerators(ints: Sequence[int], n: int, d: int) -> list[int]:
-    """c_0 .. c_h times D, from the numerators a_0 D .. a_h D (h = floor(N/2)).
+    """c_0 .. c_h times D, from the numerators a_0 D, a_1 D, ... (h = floor(N/2)).
 
-    With e = d - 1, A(1, y) / (1 + e y)^N = sum_i c_i z^i for
-    z = y (1 - y) / (1 + e y)^2, and z = y + O(y^2), so c_0 .. c_h are the
-    coefficients of that series expanded in powers of z, read off
-    mod y^(h+1).  Each step takes c_i = F(0) and replaces F by
-    (F - c_i) / z: drop the constant term and shift (divide by y), then
-    multiply by (1 + e y)^2 / (1 - y) = d^2 / (1 - y) - (d^2 - 1) - e^2 y,
-    that is d^2 times the prefix sums minus a two-term correction.  Every
-    multiplier is an integer series, so the whole solve runs on integers
-    in O(N^2) operations; the map is linear, so the c_i come out scaled by
-    the same D as the a_j.
+    Numerators past the end of `ints` read as 0.  In the chart x = 1 - e t,
+    y = t (e = d - 1) the basis forms are x + e y = 1 and
+    y (x - y) = t (1 - d t) = z, so A(1 - e t, t) = sum_i c_i z^i exactly.
+    It equals F(t / (1 - e t)) for F(y) = A(1, y) (1 + e y)^(-N), read
+    mod y^(h+1).  Horner's rule in y = t / (1 - e t), run on
+    W_k = f_k e^(h-k), makes each division by 1 - e t a prefix sum; the
+    t-coefficients f_k are integers, so W_k // e^(h-k) is exact.  Peeling
+    c_i (drop the constant term, divide by z) is one prefix sum on
+    s_k = f_k d^(h-k), whose head is then c_i d^(h-i), an exact division.
+    The solve thus costs O(N^2) additions; the map is linear, so the c_i
+    come out scaled by the same D as the a_j.
     """
     half = n // 2
     e = d - 1
     # (1 + e y)^(-N) = sum_k C(N+k-1, k) (-e)^k y^k by term ratio, stored
     # highest power first so that a slice lines up with ints in a product.
-    inverse = [1]
+    inverse, e_pow, d_pow = [1], [1], [1]
     for k in range(1, half + 1):
         inverse.append(inverse[-1] * (n + k - 1) * -e // k)
+        e_pow.append(e_pow[-1] * e)
+        d_pow.append(d_pow[-1] * d)
     inverse.reverse()
-    series = [sum(map(mul, ints, inverse[half - k :])) for k in range(half + 1)]
-    c = [series[0]]
-    dd, lin, quad = d * d, d * d - 1, e * e
-    for _ in range(half):
-        s = series[1:]
-        series = [
-            dd * p - lin * v - quad * w
-            for p, v, w in zip(accumulate(s), s, [0] + s)
-        ]
-        c.append(series[0])
+    w = [sum(map(mul, ints, inverse))]
+    for j in range(1, half + 1):
+        w = [e_pow[j] * sum(map(mul, ints, inverse[j:])), *accumulate(w)]
+    e_pow.reverse()
+    d_pow.reverse()
+    s = [v // p * q for v, p, q in zip(w, e_pow, d_pow)]
+    c = [s.pop(0) // d_pow[0]]
+    for p in d_pow[1:]:
+        s = list(accumulate(s))
+        c.append(s.pop(0) // p)
     return c
 
 

@@ -134,10 +134,34 @@ def test_alpha_cross_validation_refuses_a_route_of_the_wrong_length(monkeypatch,
         cross_validate_alpha(n_values=(10,), local_dims=(3,))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_values": (0,)},
+        {"n_values": (-3,)},
+        {"n_values": (4.0,)},
+        {"n_values": (True,)},
+        {"n_values": (5, 0)},
+        {"local_dims": (1,)},
+        {"local_dims": (0,)},
+        {"local_dims": (2.0,)},
+        {"local_dims": (3, True)},
+    ],
+    ids=["n0", "n-3", "n4.0", "nTrue", "n5,0", "d1", "d0", "d2.0", "d3,True"],
+)
+def test_alpha_cross_validation_refuses_a_bad_n_or_d(monkeypatch, kwargs):
+    # every N and d is checked before the first solve
+    solves = []
+    monkeypatch.setattr(bounds, "_c_numerators", lambda *args: solves.append(args))
+    with pytest.raises(ValueError):
+        cross_validate_alpha(**kwargs)
+    assert solves == []
+
+
 def test_alpha_public_routes_agree():
     # the suite compares integers, so the two routes' public Fraction
     # vectors are compared here
-    for n in (2, 3, 17, 60, 61, 128):
+    for n in (2, 3, 17, 60, 61, 128, 1001):
         for d in (2, 3, 4, 5, 7):
             assert bounds.alpha_vector(n, d) == bounds.alpha_oracle_vector(n, d), (n, d)
 
@@ -348,6 +372,35 @@ def test_verify_recurrence_passes_on_shipped_specs():
     for spec in recurrence_specs():
         checks, failures = verify_recurrence(spec, n_max=12)
         assert checks == 12 and failures == [], (spec.offset, failures)
+
+
+def test_recurrence_checks_at_small_n_max():
+    # the shipped initial terms reach n = 4, past n_max + 2 for n_max < 2
+    for n_max in (0, 1, 2, 3):
+        assert bounds.cross_validate_recurrences(n_max) == (14 * n_max, [])
+    # n_max = 0 checks no identity but still the initial terms and positivity
+    spec = next(s for s in recurrence_specs() if s.offset == -2)
+    *rest, (n0, value) = spec.initial_terms
+    corrupted = RecurrenceSpec(
+        offset=spec.offset,
+        lead=spec.lead,
+        mid=spec.mid,
+        low=bounds._expand(1, (spec.low, (-1,))),
+        initial_terms=(*rest, (n0, value + 1)),
+        positive_from=spec.positive_from,
+    )
+    assert verify_recurrence(corrupted, n_max=0) == (0, [
+        f"initial term p_{n0}={value} != {value + 1}",
+        f"low not proven positive from n={spec.positive_from}",
+    ])
+
+
+@pytest.mark.parametrize("n_max", [-1, True, 1.5, "3"])
+def test_recurrence_checks_refuse_a_bad_n_max(n_max):
+    with pytest.raises(ValueError):
+        bounds.cross_validate_recurrences(n_max)
+    with pytest.raises(ValueError):
+        verify_recurrence(recurrence_specs()[0], n_max)
 
 
 def test_verify_recurrence_catches_corruption():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import example, given
@@ -372,6 +374,57 @@ def test_a_to_c_equals_the_fraction_solve():
         coeffs = _seeded_coeffs(rng, n + 1)
         enum = WeightEnumerator(n, d, coeffs)
         assert a_to_c(enum).coeffs == _a_to_c_reference(n, d, coeffs), (n, d)
+
+
+def _c_numerators_reference(ints, n, d):
+    """The y-domain peel: each step multiplies by (1 + e y)^2 / (1 - y)."""
+    half = n // 2
+    e = d - 1
+    inverse = [1]
+    for k in range(1, half + 1):
+        inverse.append(inverse[-1] * (n + k - 1) * -e // k)
+    inverse.reverse()
+    series = [sum(map(mul, ints, inverse[half - k :])) for k in range(half + 1)]
+    c = [series[0]]
+    dd, lin, quad = d * d, d * d - 1, e * e
+    for _ in range(half):
+        s = series[1:]
+        series = [
+            dd * p - lin * v - quad * w
+            for p, v, w in zip(accumulate(s), s, [0] + s)
+        ]
+        c.append(series[0])
+    return c
+
+
+def _numerator_shapes(rng, n):
+    """Dense signed numerators, the unit prefix, the short [1], a single
+    nonzero at index floor(N/2), and every other entry zero."""
+    half = n // 2
+    dense = [rng.randint(-10**6, 10**6) for _ in range(half + 1)]
+    return [
+        dense,
+        [1] + [0] * half,
+        [1],
+        [0] * half + [rng.choice((-1, 1)) * rng.randint(1, 10**6)],
+        [v if k % 2 == 0 else 0 for k, v in enumerate(dense)],
+    ]
+
+
+def test_c_numerators_equal_the_y_domain_peel():
+    rng = random.Random(20261020)
+    for n in range(1, 121):
+        for d in range(2, 10):
+            for ints in _numerator_shapes(rng, n):
+                got = enumerators._c_numerators(ints, n, d)
+                assert got == _c_numerators_reference(ints, n, d), (n, d, ints)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_c_numerators_equal_the_y_domain_peel_at_n_1001(d):
+    rng = random.Random(1001 * d)
+    dense = [rng.randint(-10**6, 10**6) for _ in range(501)]
+    assert enumerators._c_numerators(dense, 1001, d) == _c_numerators_reference(dense, 1001, d)
 
 
 def _record_calls(monkeypatch, names):
