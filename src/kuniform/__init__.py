@@ -5,53 +5,93 @@ enumerators, the invariant-basis sign test behind the homogeneous bound
 tables, the generalized subset inequality and shadow certificates for
 heterogeneous AME non-existence, and a brute-force oracle on explicit
 states that cross-validates the algebra.
+
+The names below load on first use (PEP 562): `import kuniform` imports no
+submodule, and `kuniform.ame_verdict` imports `kuniform.hetero` the first
+time it is read.  `_EXPORTS` is the one list of them; `__all__` and
+`dir(kuniform)` come from it, and a name is in `vars(kuniform)` only once
+it has been read.
 """
 
-from .bounds import (
-    BoundVerdict,
-    alpha_closed_form,
-    alpha_oracle,
-    alpha_oracle_vector,
-    alpha_vector,
-    k_upper_bound,
-    rains_bound,
-    range_formula_d3,
-    recurrence_specs,
-    verify_recurrence,
-)
-from .enumerators import (
-    InvariantBasisCoeffs,
-    ShadowCompressed,
-    ShadowEnumerator,
-    WeightEnumerator,
-    a_to_c,
-    b_to_c,
-    c_to_a,
-    c_to_b,
-    macwilliams_transform,
-    shadow_transform,
-    validate_state_constraints,
-)
-from .errors import CapacityError, NotApplicableError
-from .exact import GaussianRational, binom, falling_binom
-from .hetero import (
-    AmeVerdict,
-    DimensionProfile,
-    HeteroShadow,
-    ScottWitness,
-    ame_verdict,
-    hetero_shadow,
-    scott_check,
-    scott_pair_threshold,
-    scott_search,
-)
-from .oracle import (
-    PureState,
-    ame_shadow_oracle,
-    direct_enumerator,
-    direct_shadow,
-    is_k_uniform,
-    purity,
-)
+import sys
+
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BoundVerdict",
+            "alpha_closed_form",
+            "alpha_oracle",
+            "alpha_oracle_vector",
+            "alpha_vector",
+            "k_upper_bound",
+            "rains_bound",
+            "range_formula_d3",
+            "recurrence_specs",
+            "verify_recurrence",
+        ),
+        "bounds",
+    ),
+    **dict.fromkeys(
+        (
+            "InvariantBasisCoeffs",
+            "ShadowCompressed",
+            "ShadowEnumerator",
+            "WeightEnumerator",
+            "a_to_c",
+            "b_to_c",
+            "c_to_a",
+            "c_to_b",
+            "macwilliams_transform",
+            "shadow_transform",
+            "validate_state_constraints",
+        ),
+        "enumerators",
+    ),
+    **dict.fromkeys(("CapacityError", "NotApplicableError"), "errors"),
+    **dict.fromkeys(("GaussianRational", "binom", "falling_binom"), "exact"),
+    **dict.fromkeys(
+        (
+            "AmeVerdict",
+            "DimensionProfile",
+            "HeteroShadow",
+            "ScottWitness",
+            "ame_verdict",
+            "hetero_shadow",
+            "scott_check",
+            "scott_pair_threshold",
+            "scott_search",
+        ),
+        "hetero",
+    ),
+    **dict.fromkeys(
+        (
+            "PureState",
+            "ame_shadow_oracle",
+            "direct_enumerator",
+            "direct_shadow",
+            "is_k_uniform",
+            "purity",
+        ),
+        "oracle",
+    ),
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        # `from kuniform import bounds` then imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    value = globals()[name] = getattr(sys.modules[qualified], name)  # later reads skip this
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

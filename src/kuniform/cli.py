@@ -35,6 +35,14 @@ stderr and nothing on stdout.  `main` never raises `SystemExit`, so an
 in-process caller sees the exit status `python -m kuniform.cli` exits
 with.
 
+Modules load on first use.  At import this module loads only
+`kuniform.errors`; each runner reads the modules it runs through `_lib`,
+and a choice named by a "module.NAME" string in `_SPEC` (the --paper
+tables) is read only when its flag is given.  So `--help` and most usage
+errors load no other module, `bound` loads `bounds` with `enumerators`
+and `exact` (and `tables` only for --format csv), `ame` loads `hetero`,
+and only `state` and `verify --suite shadow-oracle` load `oracle`.
+
 A run reads only its command-line arguments.  Usage errors are an
 empty command line, an unknown subcommand, a flag the subcommand does
 not take, a missing required flag, a one-of group given none or both of
@@ -67,14 +75,11 @@ import sys
 import time
 from collections.abc import Sequence
 
-from . import bounds, oracle, tables
-from .enumerators import shadow_transform
 from .errors import (
     CapacityError,
     NotApplicableError,
     read_int,
 )
-from .hetero import DimensionProfile, ame_verdict
 
 FORMATS = ("json", "csv")
 
@@ -88,12 +93,38 @@ STATUS_VIOLATION = "violation-found"
 STATUS_NOT_APPLICABLE = "not-applicable"
 STATUS_ERROR = "error"
 
-# each suite returns (checks, failures)
+# suite -> "module.function" of the function that runs it and returns
+# (checks, failures)
 _VERIFY_SUITES = {
-    "alpha": bounds.cross_validate_alpha,
-    "recurrence": bounds.cross_validate_recurrences,
-    "shadow-oracle": oracle.cross_validate_ame_shadow,
+    "alpha": "bounds.cross_validate_alpha",
+    "recurrence": "bounds.cross_validate_recurrences",
+    "shadow-oracle": "oracle.cross_validate_ame_shadow",
 }
+
+
+class _Modules:
+    """The package's modules as attributes, each imported at its first read.
+
+    Later reads find a plain attribute and run no import statement.
+    """
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        qualified = f"{__package__}.{name}"
+        __import__(qualified)
+        module = sys.modules[qualified]
+        setattr(self, name, module)
+        return module
+
+
+_lib = _Modules()
+
+
+def _resolve(path: str):
+    """The object "module.name" names in this package."""
+    module, _, name = path.partition(".")
+    return getattr(getattr(_lib, module), name)
 
 
 class _UsageError(Exception):
@@ -129,12 +160,14 @@ def _run_bound(args: dict) -> tuple[str, dict, str | None]:
         lo = hi = _usage_int(args["--n"], "--n", 2)
     else:
         lo, hi = _parse_n_range(args["--n-range"])
-    records = bounds.compute_bound_records(d, lo, hi)
+    records = _lib.bounds.compute_bound_records(d, lo, hi)
     payload = {"d": d, "records": [r.to_json_dict() for r in records]}
-    return STATUS_OK, payload, tables.bound_csv(records) if args.get("--format") == "csv" else None
+    csv_text = _lib.tables.bound_csv(records) if args.get("--format") == "csv" else None
+    return STATUS_OK, payload, csv_text
 
 
 def _run_table(args: dict) -> tuple[str, dict, str | None]:
+    tables = _lib.tables
     diff = tables.diff_table(args["--paper"])
     status = STATUS_OK if diff.match else STATUS_VIOLATION
     csv_text = tables.table_csv(diff) if args.get("--format") == "csv" else None
@@ -142,11 +175,12 @@ def _run_table(args: dict) -> tuple[str, dict, str | None]:
 
 
 def _run_ame(args: dict) -> tuple[str, dict, str | None]:
+    hetero = _lib.hetero
     try:
-        profile = DimensionProfile.parse(args["--dims"])
+        profile = hetero.DimensionProfile.parse(args["--dims"])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    verdict = ame_verdict(profile)
+    verdict = hetero.ame_verdict(profile)
     payload = verdict.to_json_dict()
     status = STATUS_OK if verdict.status == "unknown" else STATUS_VIOLATION
     return status, payload, None
@@ -158,6 +192,7 @@ def _run_state(args: dict) -> tuple[str, dict, str | None]:
     if k is not None:
         # above N//2 depends on the file, so only the sign is a usage error
         k = _usage_int(k, "--check-uniform", 0)
+    oracle = _lib.oracle
     try:
         state = oracle.PureState.load(path)
     except (OSError, ValueError) as exc:
@@ -175,14 +210,14 @@ def _run_state(args: dict) -> tuple[str, dict, str | None]:
         "dims": list(state.profile.dims),
         "a": a.to_json_dict(),
         "s": s_direct.to_json_dict(),
-        "s_matches_transform": shadow_transform(a).coeffs == s_direct.coeffs,
+        "s_matches_transform": _lib.enumerators.shadow_transform(a).coeffs == s_direct.coeffs,
     }
     return STATUS_OK, payload, None
 
 
 def _run_verify(args: dict) -> tuple[str, dict, str | None]:
     suite = args["--suite"]
-    checks, failures = _VERIFY_SUITES[suite]()
+    checks, failures = _resolve(_VERIFY_SUITES[suite])()
     payload = {"suite": suite, "checks": checks, "failures": failures}
     status = STATUS_OK if not failures else STATUS_ERROR
     return status, payload, None
@@ -193,7 +228,9 @@ def _run_verify(args: dict) -> tuple[str, dict, str | None]:
 # ---------------------------------------------------------------------------
 
 # subcommand -> (flags, required flags, one-of groups, runner); a flag's
-# entry is its tuple of choices, `str` for any text or `bool` for a switch
+# entry is its tuple of choices, a "module.NAME" string naming the tuple
+# (read, and its module imported, only when the flag is given), `str` for
+# any text or `bool` for a switch
 _SPEC = {
     "bound": (
         {"--d": str, "--n": str, "--n-range": str, "--format": FORMATS},
@@ -201,7 +238,7 @@ _SPEC = {
         (("--n", "--n-range"),),
         _run_bound,
     ),
-    "table": ({"--paper": tables.TABLE_IDS, "--format": FORMATS}, ("--paper",), (), _run_table),
+    "table": ({"--paper": "tables.TABLE_IDS", "--format": FORMATS}, ("--paper",), (), _run_table),
     "ame": ({"--dims": str}, ("--dims",), (), _run_ame),
     "state": (
         {"--file": str, "--check-uniform": str, "--enumerate": bool},
@@ -244,6 +281,8 @@ def _parse(argv: Sequence[str]) -> tuple[str, dict] | None:
             value = next(tokens, None)
             if value is None:
                 raise _UsageError(f"{flag} expects a value")
+        if isinstance(kind, str):
+            kind = _resolve(kind)
         if kind is not str and value not in kind:
             raise _UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
         args[flag] = value

@@ -1,3 +1,4 @@
+import doctest
 import io
 import itertools
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kuniform.cli
 from kuniform import bounds, oracle, tables
 from kuniform.cli import _SPEC, main
 from kuniform.exact import GaussianRational
@@ -129,6 +131,8 @@ def test_bound_usage_errors(capsys):
         (["state", "--file", "ghz3.json", "--check-uniform", "1", "--enumerate"],
          "state takes exactly one of --check-uniform, --enumerate"),
         (["table", "--paper", "V"], "--paper must be one of I, II, III, IV, got 'V'"),
+        (["table", "--paper", "V", "--format", "xml"],
+         "--paper must be one of I, II, III, IV, got 'V'"),
         (["bound", "--d", "3", "--n", "5", "--format", "xml"],
          "--format must be one of json, csv, got 'xml'"),
         (["verify", "--suite=all"],
@@ -141,8 +145,8 @@ def test_bound_usage_errors(capsys):
     ],
     ids=["empty", "unknown-subcommand", "other-subcommands-flag", "positional",
          "abbreviation", "missing-required", "one-of-none", "one-of-both",
-         "choice", "format-choice", "choice-after-equals", "no-value", "switch-value",
-         "negative-value", "flag-shaped-value"],
+         "choice", "first-of-two-choices", "format-choice", "choice-after-equals", "no-value",
+         "switch-value", "negative-value", "flag-shaped-value"],
 )
 def test_every_usage_error_is_one_stderr_line(capsys, argv, line):
     # argparse once raised SystemExit(2) for each of these, with a usage block
@@ -173,6 +177,19 @@ def test_help_lists_every_subcommand_flag_and_choice(capsys, argv):
             assert flag in out
             if isinstance(kind, tuple):
                 assert "|".join(kind) in out
+
+
+def test_help_lists_the_choices_a_spec_string_names(capsys):
+    # --paper's choices are a "module.NAME" string, read when the flag is given
+    named = {
+        flag: kind
+        for flags, _, _, _ in _SPEC.values()
+        for flag, kind in flags.items()
+        if isinstance(kind, str)
+    }
+    assert named == {"--paper": "tables.TABLE_IDS"}
+    assert main(["--help"]) == 0
+    assert f"--paper {'|'.join(tables.TABLE_IDS)}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("table_id", ["I", "II", "III", "IV"])
@@ -702,6 +719,66 @@ def test_importing_the_package_adds_no_stdlib_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_FRONT = ("cli", "errors")
+_BOUND = (*_FRONT, "bounds", "enumerators", "exact")
+_TABLE = (*_BOUND, "hetero", "tables")
+_ORACLE = (*_FRONT, "enumerators", "exact", "hetero", "oracle")
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["--help"], 0, _FRONT),
+        (["bound", "--d", "3"], 2, _FRONT),
+        (["table", "--pap", "I"], 2, _FRONT),
+        (["bound", "--d", "3", "--n", "14"], 0, _BOUND),
+        (["bound", "--d", "3", "--n-range", "2:30", "--format", "csv"], 0, _TABLE),
+        (["table", "--paper", "III"], 0, _TABLE),
+        (["table", "--paper", "IV"], 0, _TABLE),
+        (["ame", "--dims", "3x1,2x8"], 0, (*_FRONT, "exact", "hetero")),
+        (["state", "--file", "STATE", "--enumerate"], 0, _ORACLE),
+        (["state", "--file", "STATE", "--check-uniform", "1"], 0, _ORACLE),
+        (["verify", "--suite", "alpha"], 0, _BOUND),
+        (["verify", "--suite", "recurrence"], 0, _BOUND),
+        (["verify", "--suite", "shadow-oracle"], 0, _ORACLE),
+    ],
+    ids=["help", "usage-error", "usage-error-table", "bound", "bound-csv", "table-III",
+         "table-IV", "ame", "state-enumerate", "state-check-uniform", "verify-alpha",
+         "verify-recurrence", "verify-shadow-oracle"],
+)
+def test_a_run_loads_only_the_modules_its_subcommand_uses(tmp_path, argv, code, modules):
+    # every module was once imported by every run: hetero, oracle and tables
+    # compiled for a bare `bound` or `--help` wherever no bytecode is cached
+    path = tmp_path / "ghz4.json"
+    path.write_text(json.dumps(ghz_state(4, 2).to_json_dict()))
+    argv = [str(path) if a == "STATE" else a for a in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from kuniform import cli\n"
+        "out = contextlib.redirect_stdout(io.StringIO())\n"
+        "with out, contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'kuniform'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = sorted(["kuniform", *(f"kuniform.{m}" for m in modules)])
+    assert proc.stdout == f"{code} {want}\n"
+
+
+def test_the_cli_module_passes_introspection():
+    # the lazy module namespace answers a protocol lookup, such as doctest's
+    # `inspect.unwrap` on every module global, with AttributeError and not
+    # with an attempt to import kuniform.__wrapped__
+    finder = doctest.DocTestFinder()
+    assert finder.find(kuniform.cli) is not None
+    assert not hasattr(kuniform.cli._lib, "__wrapped__")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kuniform import enumerators, exact
+from kuniform import bounds, enumerators, exact
 from kuniform.enumerators import (
     InvariantBasisCoeffs,
     ShadowCompressed,
@@ -425,6 +425,35 @@ def test_c_numerators_equal_the_y_domain_peel_at_n_1001(d):
     rng = random.Random(1001 * d)
     dense = [rng.randint(-10**6, 10**6) for _ in range(501)]
     assert enumerators._c_numerators(dense, 1001, d) == _c_numerators_reference(dense, 1001, d)
+
+
+def test_a_to_c_with_trailing_zero_numerators_equals_the_peel():
+    # a_to_c hands the solve the numerators up to the last nonzero one; the
+    # answer is the solve of all h + 1 of them
+    rng = random.Random(20261021)
+    for n in range(1, 61):
+        half = n // 2
+        for d in (2, 3, 5, 9):
+            for last in sorted({-1, 0, half // 2, half}):  # -1: every a_j is 0
+                head = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 50))
+                        for _ in range(last + 1)]
+                tail = [Fraction(rng.randint(-9, 9)) for _ in range(n - half)]  # not read
+                coeffs = head + [Fraction(0)] * (half - last) + tail
+                ints, den = exact.clear_denominators(coeffs[: half + 1])
+                want = tuple(Fraction(v, den) for v in _c_numerators_reference(ints, n, d))
+                assert a_to_c(WeightEnumerator(n, d, coeffs)).coeffs == want, (n, d, last)
+
+
+def test_the_unit_prefix_reaches_the_solve_as_one_numerator(monkeypatch):
+    # the h zeros after a_0 = 1 were once multiplied row by row, about h^2/2
+    # products of zero at every alpha_oracle_vector call
+    seen = []
+    real = enumerators._c_numerators
+    monkeypatch.setattr(
+        enumerators, "_c_numerators", lambda ints, n, d: seen.append(list(ints)) or real(ints, n, d)
+    )
+    assert bounds.alpha_oracle_vector(200, 5) == bounds.alpha_vector(200, 5)
+    assert seen == [[1]]
 
 
 def _record_calls(monkeypatch, names):
