@@ -19,7 +19,7 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
     certified in closed form by that subset: there the search's first
     draw is its witness, which `ame_verdict` labels "corollary7".
 
-  * the shadow inequality: for odd N the hypothetical AME purity profile
+  * the shadow inequality: at every N the hypothetical AME purity profile
     makes every shadow coefficient a finite combination of the elementary
     symmetric polynomials A'_k of the reciprocal dimensions,
 
@@ -27,8 +27,11 @@ Two exact certificates are computed for a profile (d_1, ..., d_N):
 
     with A'_k = A'_(N-k) above the midpoint; these are the coefficients
     of A'(x + y, y - x).  That symmetry makes s_j = 0 whenever N - j is
-    odd, and the substitution expands only half of A' (the proof is in
-    `hetero_shadow`).  Any s_j < 0 certifies non-existence
+    odd, and the substitution expands only half of A', the middle term of
+    an even N weighted once and every other term twice (the proof is in
+    `_shadow_numerators`).  At even N only a homogeneous profile is
+    Schmidt-feasible (the proof is in `hetero_shadow`), so there the test
+    reaches dxN alone.  Any s_j < 0 certifies non-existence
     (`hetero_shadow`, up to `MAX_SHADOW_PARTIES` parties and a total
     dimension of `MAX_SHADOW_BITS` bits).  It returns the integer
     numerators of the s_j over the total dimension D: the sign test and
@@ -392,31 +395,44 @@ def _product_head(classes, m: int) -> list[int]:
 
 
 def _shadow_numerators(head: Sequence[int], n: int) -> tuple[int, ...]:
-    """The numerators D s_j of an odd N-party shadow from a_k = D A'_k, k < m = (N+1)/2.
+    """The numerators D s_j of an N-party shadow from a_k = D A'_k, k <= m = floor(N/2).
 
     The shadow is the polynomial A'(x + y, y - x), and one call of the
     kernel `exact.substitute` expands the substitution, pivoting on
     L = x + y (y - x = L (-1 + 2 y/L)).
 
-    It runs on half the coefficients.  Write W(x, y) = sum_k a_k
-    x^(N-k) y^k; a_k = a_(N-k), so W = H(x, y) + H(y, x) with H the terms
-    k < m.  Then S(x, y) = W(x + y, y - x) = T(x, y) + T(-x, y) with
-    T(x, y) = H(x + y, y - x), since H(y - x, x + y) = T(-x, y).  The
-    coefficient of x^(N-j) y^j in T(-x, y) is (-1)^(N-j) t_j, so
-    s_j = 2 t_j when N - j is even and s_j = 0 when it is odd: one
-    substitution of degree m - 1 in its first pass gives every s_j.
-    The map from the a_k to the numerators is linear.
+    It runs on half the coefficients, at either parity of N.  Write
+    W(x, y) = sum_k a_k x^(N-k) y^k, with a_k = a_(N-k), and
+    H(x, y) = sum_(k<=m) w_k a_k x^(N-k) y^k, where w_k counts the members
+    of the mirror pair {k, N - k} that a_k stands for: w_k = 2 when
+    k < N - k, and w_m = 1 for the middle term k = N/2 of an even N.
+    H(x, y) + H(y, x) = sum_(k<=m) w_k a_k (x^(N-k) y^k + x^k y^(N-k)).
+    For k < N - k that term is twice W's terms at k and at N - k, since
+    a_k = a_(N-k); at k = N/2 the two monomials coincide and w_m = 1
+    gives 2 a_m x^m y^m.  So H(x, y) + H(y, x) = 2W.  With
+    T(x, y) = H(x + y, y - x), H(y - x, x + y) = T(-x, y), so
+    2S(x, y) = 2W(x + y, y - x) = T(x, y) + T(-x, y).  The coefficient of
+    x^(N-j) y^j in T(-x, y) is (-1)^(N-j) t_j, so s_j = t_j when N - j is
+    even and s_j = 0 when it is odd: one substitution of degree m in its
+    first pass gives every s_j.  The map from the a_k to the numerators
+    is linear.
     """
-    half = substitute(head, (1, 1), (-1, 2), n)
-    return tuple(2 * t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half))
+    weighted = [2 * a if 2 * k < n else a for k, a in enumerate(head)]
+    half = substitute(weighted, (1, 1), (-1, 2), n)
+    return tuple(t if (n - j) % 2 == 0 else 0 for j, t in enumerate(half))
 
 
 def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     """Exact shadow coefficients from the elementary symmetric averages.
 
-    Only defined for odd N (profiles with unequal dimensions admit AME
-    states only at odd party counts).  Any s_j < 0 certifies that no AME
-    state exists on the profile.
+    Defined at every N.  Any s_j < 0 certifies that no AME state exists
+    on the profile.  At even N only a homogeneous profile reaches it from
+    `ame_verdict`: put the d_i in descending order; the top N/2 are then
+    pairwise >= the bottom N/2 (d_(i) >= d_(N/2+i)), so their product is
+    at least the bottom product, and Schmidt feasibility (top product <=
+    bottom product) forces equality in every pair.  So
+    d_(1) = d_(N/2+1) and d_(N/2) = d_(N), and the order between them
+    makes every d_i one dimension.
 
     Scaled by the total dimension D the coefficients are integers:
     D A'_k = e_(N-k)(d_1..d_N) for k <= floor(N/2), the coefficient of
@@ -427,10 +443,8 @@ def hetero_shadow(profile: DimensionProfile) -> HeteroShadow:
     """
     check_shadow_size(profile)
     n = profile.n_parties
-    if n % 2 == 0:
-        raise NotApplicableError("the shadow certificate needs an odd party count")
     return HeteroShadow(
-        _shadow_numerators(_product_head(profile.classes, (n + 1) // 2), n), profile.total_dim
+        _shadow_numerators(_product_head(profile.classes, n // 2 + 1), n), profile.total_dim
     )
 
 
@@ -444,9 +458,10 @@ def pair_family_shadow(d2: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...
 
     so its head a_k, k <= n, is U_k + d1 V_k with the slope
     V_k = C(2n, k) d2^(2n-k) and the base U_k = V_(k-1), U_0 = 0.
-    `exact.substitute` is linear in its coefficients and so is the parity
-    step s_j = 2 t_j (`_shadow_numerators`), so the numerators are the
-    images of U and V, combined with the same weights 1 and d1.
+    `exact.substitute` is linear in its coefficients and so are the
+    weights and the parity step of `_shadow_numerators`, so the
+    numerators are the images of U and V, combined with the same weights
+    1 and d1.
 
     d2 >= 2 and n >= 1 are exact ints (`errors.exact_int`).  The caps of
     `check_shadow_size` apply, before any work, to the family's smallest
@@ -548,18 +563,17 @@ def ame_verdict(profile: DimensionProfile) -> AmeVerdict:
             profile, "nonexistent", Certificate(kind, witness=witness, threshold=threshold)
         )
 
-    if profile.n_parties % 2 == 1:
-        shadow = hetero_shadow(profile)
-        j = shadow.first_negative()
-        if j is not None:
-            return AmeVerdict(
-                profile,
-                "nonexistent",
-                Certificate(
-                    f"shadow-negative({j})",
-                    shadow_index=j,
-                    shadow_value=Fraction(shadow.numerators[j], shadow.total),
-                ),
-            )
+    shadow = hetero_shadow(profile)
+    j = shadow.first_negative()
+    if j is not None:
+        return AmeVerdict(
+            profile,
+            "nonexistent",
+            Certificate(
+                f"shadow-negative({j})",
+                shadow_index=j,
+                shadow_value=Fraction(shadow.numerators[j], shadow.total),
+            ),
+        )
 
     return AmeVerdict(profile, "unknown")

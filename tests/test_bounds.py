@@ -54,6 +54,24 @@ def test_alpha_range_errors():
         alpha_oracle(10, 3, -1)
 
 
+@pytest.mark.parametrize(
+    "vector", [bounds.alpha_vector, bounds.alpha_oracle_vector], ids=["recurrence", "oracle"]
+)
+@pytest.mark.parametrize(
+    "good, bad",
+    [((5, 3), (5.0, 3)), ((1, 2), (True, 2)), ((5, 3), (5, 3.0))],
+    ids=["float-n", "bool-n", "float-d"],
+)
+def test_alpha_caches_keep_the_input_rule(vector, good, bad):
+    # 5.0 and True hash and compare equal to 5 and 1, so an untyped cache
+    # once returned the int's entry, and an uncached 5.0 reached a TypeError
+    vector.cache_clear()
+    for _ in range(2):  # before, then after the good arguments are cached
+        with pytest.raises(ValueError, match="must be an integer"):
+            vector(*bad)
+        vector(*good)
+
+
 @given(st.integers(2, 36), st.sampled_from([2, 3, 4, 5]))
 def test_alpha_closed_form_matches_series_inversion_oracle(n, d):
     # `alpha_oracle` inverts the unit-prefix series (`enumerators._c_numerators`)

@@ -236,10 +236,19 @@ def test_ame_scott_certificate(capsys):
 
 
 def test_ame_unknown(capsys):
-    code, doc = run_json(capsys, "ame", "--dims", "2x4")
+    # an AME(4, 3) state exists, so no test may rule it out
+    code, doc = run_json(capsys, "ame", "--dims", "3x4")
     assert code == 0
     assert doc["status"] == "ok"
     assert doc["payload"]["status"] == "unknown"
+
+
+def test_ame_even_shadow_certificate(capsys):
+    # the shadow runs at even N too: no AME(4, 2) state exists
+    code, doc = run_json(capsys, "ame", "--dims", "2x4")
+    assert code == 0
+    assert doc["status"] == "violation-found"
+    assert doc["payload"]["certificate"] == {"j": 0, "kind": "shadow-negative(0)", "s_j": "-1/2"}
 
 
 def test_ame_bad_profile(capsys):
@@ -785,7 +794,8 @@ def test_the_cli_module_passes_introspection():
     "argv", [["verify", "--suite", "recurrence"], ["bound", "--d", "3", "--n", "14"]]
 )
 def test_package_data_is_found_outside_the_checkout(tmp_path, capsys, argv):
-    # these two commands read the two JSON files of kuniform/data
+    # `verify --suite recurrence` reads the JSON file of kuniform/data, and
+    # `bound --d 3 --n 14` the AME non-existence list beside the code
     package = Path(__file__).resolve().parents[1] / "src" / "kuniform"
     shutil.copytree(package, tmp_path / "lib" / "kuniform", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "run").mkdir()

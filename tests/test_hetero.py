@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kuniform import hetero, tables
-from kuniform.bounds import scott_gap_condition
+from kuniform import bounds, hetero, oracle, tables
+from kuniform.bounds import (
+    alpha_vector,
+    k_upper_bound,
+    known_ame_nonexistence,
+    scott_gap_condition,
+)
+from kuniform.enumerators import InvariantBasisCoeffs, c_to_b
 from kuniform.errors import MAX_DIM_BITS, MAX_PARTIES, CapacityError, NotApplicableError
 from kuniform.exact import GaussianRational, binom, elem_sym_prefix, substitute
 from kuniform.hetero import (
@@ -511,9 +517,53 @@ def test_ame_verdict_above_the_shadow_cap():
         ame_verdict(DimensionProfile.parse(f"33x{MAX_SHADOW_PARTIES + 2}"))
 
 
-def test_hetero_shadow_requires_odd_party_count():
-    with pytest.raises(NotApplicableError):
-        hetero_shadow(DimensionProfile((2, 2, 2, 2)))
+def _homogeneous_profiles(extra=0):
+    """dxN for d = 2..8 and N = 2 .. 2d(d+1) + extra, below and just past the Scott gap."""
+    return [
+        DimensionProfile((d,) * n) for d in range(2, 9) for n in range(2, 2 * d * (d + 1) + extra + 1)
+    ]
+
+
+def test_three_shadow_routes_agree_at_every_parity():
+    # the kernel, the subset sum and the compressed shadow of the alpha vector
+    # (the invariant coordinates of the AME enumerator, since a_1 = ... = a_h = 0)
+    profiles = _homogeneous_profiles()
+    assert len(profiles) == 469
+    for profile in profiles:
+        n, d = profile.n_parties, profile.dims[0]
+        numerators = hetero_shadow(profile).numerators
+        assert numerators == tuple(oracle._ame_shadow_numerators(profile)), (d, n)
+        assert not any(numerators[1 - n % 2 :: 2]), (d, n)
+        kept = numerators[n % 2 :: 2]
+        compressed = c_to_b(InvariantBasisCoeffs(n, d, alpha_vector(n, d))).coeffs
+        assert [v == 0 for v in kept] == [b == 0 for b in compressed], (d, n)
+        j = next(j for j, b in enumerate(compressed) if b)
+        ratio = kept[j] / compressed[j]
+        assert ratio > 0 and all(v == ratio * b for v, b in zip(kept, compressed)), (d, n)
+
+
+def test_ame_agrees_with_bound_on_homogeneous_profiles():
+    profiles = _homogeneous_profiles(extra=4)
+    assert len(profiles) == 497
+    for profile in profiles:
+        n, d = profile.n_parties, profile.dims[0]
+        ruled_out = k_upper_bound(n, d).k_max < n // 2
+        assert (ame_verdict(profile).status == "nonexistent") == ruled_out, (d, n)
+
+
+def test_the_ame_nonexistence_list_is_the_shadow_below_the_scott_gap():
+    def shadow_negative(d, n):
+        return hetero_shadow(DimensionProfile((d,) * n)).first_negative() is not None
+
+    for d in range(3, 9):
+        below = [n for n in range(2, 2 * d * (d + 1)) if not scott_gap_condition(n, d)]
+        derived = {n for n in below if shadow_negative(d, n)}
+        assert bounds._AME_NONEXISTENCE.get(d, frozenset()) == derived, d
+    assert set(bounds._AME_NONEXISTENCE) == {3, 4, 5}
+    # the qubit predicate, at every N the package takes
+    for n in range(2, MAX_PARTIES + 1):
+        expected = scott_gap_condition(n, 2) or shadow_negative(2, n)
+        assert known_ame_nonexistence(n, 2) == expected, n
 
 
 def _family_numerators(d1, d2, n):
@@ -665,7 +715,12 @@ def test_ame_verdict_examples():
     # the shadow route proves nothing on this profile
     assert hetero_shadow(DimensionProfile.parse("2x1,4x34")).first_negative() is None
 
-    assert ame_verdict(DimensionProfile.parse("2x4")).status == "unknown"
+    # an AME(4, 3) state exists; no AME(4, 2) state does, by the shadow at even N
+    assert ame_verdict(DimensionProfile.parse("3x4")).status == "unknown"
+    v = ame_verdict(DimensionProfile.parse("2x4"))
+    assert v.status == "nonexistent"
+    assert v.certificate.kind == "shadow-negative(0)"
+    assert v.certificate.shadow_value == Fraction(-1, 2)
     assert ame_verdict(DimensionProfile.parse("5x1,2x8")).status == "infeasible"
 
 
