@@ -6,11 +6,12 @@ tables, the generalized subset inequality and shadow certificates for
 heterogeneous AME non-existence, and a brute-force oracle on explicit
 states that cross-validates the algebra.
 
-The names below load on first use (PEP 562): `import kuniform` imports no
-submodule, and `kuniform.ame_verdict` imports `kuniform.hetero` the first
-time it is read.  `_EXPORTS` is the one list of them; `__all__` and
-`dir(kuniform)` come from it, and a name is in `vars(kuniform)` only once
-it has been read.
+The package is the one lazy namespace (PEP 562): `import kuniform`
+imports no submodule, `kuniform.hetero` imports that module the first
+time it is read, and `kuniform.ame_verdict` imports `kuniform.hetero` and
+binds the name.  `_EXPORTS` is the one list of the names; `__all__` and
+`dir(kuniform)` come from it, and a name or a submodule is in
+`vars(kuniform)` only once it has been read.
 """
 
 import sys
@@ -77,19 +78,23 @@ _EXPORTS = {
     ),
 }
 
+# every submodule: the ones that define a name, and two that define none
+_MODULES = frozenset((*_EXPORTS.values(), "cli", "tables"))
+
 __all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        # `from kuniform import bounds` then imports the submodule
+    module = _EXPORTS.get(name, name)
+    if module not in _MODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     qualified = f"{__name__}.{module}"
-    __import__(qualified)
-    value = globals()[name] = getattr(sys.modules[qualified], name)  # later reads skip this
+    __import__(qualified)  # binds the submodule here, so its later reads skip this
+    value = sys.modules[qualified]
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value
 
 

@@ -24,15 +24,15 @@ two independent computations of it live here:
   carried from N - 1 by a certified first-order relation in N
   (`_step_n`), and the same forward climb re-locates the index, so each
   further N costs O(1) steps;
-- the oracle: `alpha_oracle` recomputes the same number from one basis
-  change `enumerators.a_to_c` of the unit-prefix enumerator, a series
-  inversion in O(N^2) additions, done once per (N, d) and cached
-  (`alpha_oracle_vector`).  It shares no code with the recurrence, so
-  `cross_validate_alpha` (the `verify --suite alpha` command) checks the
-  engine that `bound` and `table` run against an independent route.  It
-  compares integers: the sums S_i with the inversion's numerators
-  (`enumerators._c_numerators`, over denominator 1 for the unit prefix),
-  so it builds no Fraction and fills neither cache.
+- the oracle: `alpha_oracle` recomputes the same number from the series
+  inversion of the unit-prefix enumerator (`enumerators._c_numerators`,
+  the integer solve behind `a_to_c`, over denominator 1), in O(N^2)
+  additions, done once per (N, d) and cached (`alpha_oracle_vector`).
+  It shares no code with the recurrence, so `cross_validate_alpha` (the
+  `verify --suite alpha` command) checks the engine that `bound` and
+  `table` run against an independent route.  It compares integers: the
+  sums S_i with the inversion's numerators, so it builds no Fraction and
+  fills neither cache.
 
 `compute_bound_records` is the one source of `bound` and of Tables
 I-III, and the one place a verdict is composed; `k_upper_bound` is its
@@ -65,7 +65,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 
-from .enumerators import WeightEnumerator, _c_numerators, a_to_c
+from .enumerators import _c_numerators
 from .errors import NotApplicableError, check_party_count, exact_int
 from .exact import FrozenRecord, rat_to_str
 
@@ -89,6 +89,12 @@ def provenance_alpha(index: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+# (N, d) entries each alpha cache keeps: its one repeated reader is
+# `alpha_oracle`, index by index of one (N, d), and a vector at the party
+# cap holds megabytes
+_ALPHA_CACHE_SIZE = 4
+
+
 def _check_alpha_args(n_parties: int, local_dim: int, index: int) -> None:
     exact_int(n_parties, "n_parties", 1)
     exact_int(local_dim, "local_dim", 2)
@@ -99,14 +105,14 @@ def _check_alpha_args(n_parties: int, local_dim: int, index: int) -> None:
 
 
 def alpha_oracle(n_parties: int, local_dim: int, index: int) -> Fraction:
-    """Same coordinate via a_to_c; independent of the recurrence."""
+    """Same coordinate by series inversion; independent of the recurrence."""
     _check_alpha_args(n_parties, local_dim, index)
     return alpha_oracle_vector(n_parties, local_dim)[index]
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_ALPHA_CACHE_SIZE, typed=True)
 def alpha_oracle_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
-    """All alpha_i(N) for 0 <= i <= floor(N/2), from one a_to_c basis change.
+    """All alpha_i(N) for 0 <= i <= floor(N/2), from one solve of the unit prefix.
 
     N >= 1 and d >= 2 are exact ints (`errors.exact_int`).  The cache is
     typed, so 5.0 or True, which compare equal to 5 and 1, miss an int's
@@ -114,8 +120,7 @@ def alpha_oracle_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
     """
     exact_int(n_parties, "n_parties", 1)
     exact_int(local_dim, "local_dim", 2)
-    unit_prefix = (Fraction(1),) + (Fraction(0),) * n_parties
-    return a_to_c(WeightEnumerator(n_parties, local_dim, unit_prefix)).coeffs
+    return tuple(map(Fraction, _c_numerators([1], n_parties, local_dim)))
 
 
 def _recurrence(n: int, d: int) -> tuple[int, int, int]:
@@ -218,7 +223,7 @@ def alpha_closed_form(n_parties: int, local_dim: int, index: int) -> Fraction:
     return _alpha_from_sum(n_parties, local_dim, index, total)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_ALPHA_CACHE_SIZE, typed=True)
 def alpha_vector(n_parties: int, local_dim: int) -> tuple[Fraction, ...]:
     """All alpha_i(N) for 0 <= i <= floor(N/2), via the recurrence.
 
@@ -284,6 +289,7 @@ def scott_gap_condition(n_parties: int, local_dim: int) -> bool:
 
 
 _AME_NONEXISTENCE = {
+    2: frozenset({4, 9, 11}),
     3: frozenset({8, 12, 13, 14, 16, 17, 19, 21, 23}),
     4: frozenset({12, 16, 20, 24, 25, 26, 28, 29, 30, 33, 37, 39}),
     5: frozenset({28, 32, 36, 40, 44, 48}),
@@ -293,24 +299,20 @@ _AME_NONEXISTENCE = {
 def known_ame_nonexistence(n_parties: int, local_dim: int) -> bool:
     """True when (d, N) is a recorded AME non-existence fact.
 
-    For qubits the membership is the computed predicate "the piecewise
-    formula already forces k <= N//2 - 1"; for d = 3, 4, 5 it is the
-    published list `_AME_NONEXISTENCE` of Huber, Eltschka, Siewert and
-    Gühne, *Bounds on absolutely maximally entangled states from shadow
-    inequalities, and the quantum MacWilliams identity* (J. Phys. A,
-    2018); no other d has an entry.  Every listed N lies below the Scott
-    gap (`scott_gap_condition`), and each entry is the shadow inequality
-    on the AME enumerator of dxN: the tests derive the list from
-    `hetero.hetero_shadow` at every N below the gap for d = 3..8 (empty
-    for d >= 6), and the qubit predicate from it at N = 2..4096.
+    For d = 2..5 it is the published list `_AME_NONEXISTENCE` of Huber,
+    Eltschka, Siewert and Gühne, *Bounds on absolutely maximally entangled
+    states from shadow inequalities, and the quantum MacWilliams identity*
+    (J. Phys. A, 2018); no other d has an entry.  Every listed N lies
+    below the Scott gap (`scott_gap_condition`), and each entry is the
+    shadow inequality on the AME enumerator of dxN: the tests derive the
+    list from `hetero.hetero_shadow` at every N below the gap for
+    d = 2..8 (empty for d >= 6).
 
     The list is data and not a shadow test run per N, because the shadow
     costs far more than the rest of a verdict: run only where it could
     decide one, it still added 13-19% to a pass of Tables I-III and the
     per-N bounds (2-core VM, Python 3.11), with every output the same.
     """
-    if local_dim == 2:
-        return rains_bound(n_parties) <= n_parties // 2 - 1
     return n_parties in _AME_NONEXISTENCE.get(local_dim, frozenset())
 
 

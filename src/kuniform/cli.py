@@ -36,12 +36,14 @@ in-process caller sees the exit status `python -m kuniform.cli` exits
 with.
 
 Modules load on first use.  At import this module loads only
-`kuniform.errors`; each runner reads the modules it runs through `_lib`,
-and a choice named by a "module.NAME" string in `_SPEC` (the --paper
-tables) is read only when its flag is given.  So `--help` and most usage
-errors load no other module, `bound` loads `bounds` with `enumerators`
-and `exact` (and `tables` only for --format csv), `ame` loads `hetero`,
-and only `state` and `verify --suite shadow-oracle` load `oracle`.
+`kuniform.errors`; each runner reads the modules it runs off the package
+namespace `_lib`, which imports a submodule at its first read, and a
+choice named by a "module.NAME" string in `_SPEC` (the --paper tables) is
+read only when its flag is given.  So `--help` and most usage errors load
+no other module, `bound` and `table --paper I..III` load `bounds` with
+`enumerators` and `exact` (and `tables`, for --format csv or a table),
+`ame` and `table --paper IV` load `hetero`, and only `state` and
+`verify --suite shadow-oracle` load `oracle`.
 
 A run reads only its command-line arguments.  Usage errors are an
 empty command line, an unknown subcommand, a flag the subcommand does
@@ -102,23 +104,7 @@ _VERIFY_SUITES = {
 }
 
 
-class _Modules:
-    """The package's modules as attributes, each imported at its first read.
-
-    Later reads find a plain attribute and run no import statement.
-    """
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        qualified = f"{__package__}.{name}"
-        __import__(qualified)
-        module = sys.modules[qualified]
-        setattr(self, name, module)
-        return module
-
-
-_lib = _Modules()
+_lib = sys.modules[__package__]  # the package, which imports a submodule at its first read
 
 
 def _resolve(path: str):

@@ -197,14 +197,9 @@ def a_to_c(enum: WeightEnumerator) -> InvariantBasisCoeffs:
 
     Clears the denominators of a_0 .. a_h (h = floor(N/2)), solves on the
     numerators by `_c_numerators` and divides by their lcm once per c_i.
-    The numerators go in only up to the last nonzero one: the solve reads
-    missing ones as 0 and multiplies none of them (a unit prefix such as
-    `alpha_oracle_vector`'s is one entry, not h + 1).
     """
     n, d = enum.n_parties, enum.local_dim
     ints, den = clear_denominators(enum.coeffs[: n // 2 + 1])
-    while ints and not ints[-1]:
-        ints.pop()
     c = _c_numerators(ints, n, d)
     return InvariantBasisCoeffs(n, d, tuple(Fraction(v, den) for v in c))
 

@@ -27,7 +27,7 @@ divided out once per coefficient after.  `elem_sym_prefix` is the plain
 dynamic program, generic in its values: integers in give integers out,
 Fractions give Fractions.  No module of the package calls it; it is the
 tests' independent reference for `hetero_shadow`'s expansion of half
-the product, and the benchmark's spans name it until ROADMAP item 1.
+the product, and the benchmark's spans name it until ROADMAP item 2.
 """
 
 from __future__ import annotations

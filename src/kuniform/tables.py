@@ -21,7 +21,8 @@ of d1 x d2^(2n) are base + d1 slope (`hetero.pair_family_shadow`), so
 `shadow_certified_set` takes every d1 of one d2 at once and spends two
 substitutions per (d2, n), whatever the number of d1.  `_diff_hetero_table`
 groups the table's rows by d2 for it: 64 substitutions for the 302
-profiles the table's shadow sets cover.
+profiles the table's shadow sets cover.  Only these two import `hetero`,
+so Tables I-III and `bound_csv` run without it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from .bounds import BoundVerdict, compute_bound_records
 from .errors import exact_int, exact_ints
 from .exact import FrozenRecord
-from .hetero import check_pair_shadow_size, pair_family_shadow, scott_pair_threshold
 
 TABLE_IDS = ("I", "II", "III", "IV")
 
@@ -144,6 +144,8 @@ def shadow_certified_set(
     max(d1s) x d2^(2 (n_below - 1)): CapacityError as `hetero_shadow`
     raises it there.
     """
+    from .hetero import check_pair_shadow_size, pair_family_shadow
+
     d1s = exact_ints(d1s, "d1s", 2)
     if not d1s:
         raise ValueError("d1s needs at least one dimension")
@@ -185,6 +187,8 @@ def _diff_range_table(table_id: str) -> TableDiff:
 
 
 def _diff_hetero_table() -> TableDiff:
+    from .hetero import scott_pair_threshold
+
     rows = [
         (d1, d2, threshold, shadow_ns)
         for d1_lo, d1_hi, d2, threshold, shadow_ns in HETERO_TABLE

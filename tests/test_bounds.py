@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,8 @@ from kuniform.bounds import (
 from kuniform.errors import MAX_PARTIES, CapacityError, NotApplicableError
 from kuniform.exact import binom, falling_binom
 from kuniform.tables import RANGE_TABLE_DIMS, RANGE_TABLES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_alpha_base_cases():
@@ -186,17 +190,28 @@ def test_alpha_public_routes_agree():
 
 def test_alpha_oracle_sweep_solves_once(monkeypatch):
     solves = []
-    solve = bounds.a_to_c
+    solve = bounds._c_numerators
 
-    def counting_solve(enum):
-        solves.append((enum.n_parties, enum.local_dim))
-        return solve(enum)
+    def counting_solve(ints, n, d):
+        solves.append((n, d))
+        return solve(ints, n, d)
 
-    monkeypatch.setattr(bounds, "a_to_c", counting_solve)
+    monkeypatch.setattr(bounds, "_c_numerators", counting_solve)
     bounds.alpha_oracle_vector.cache_clear()
     values = [alpha_oracle(41, 3, i) for i in range(41 // 2 + 1)]
     assert solves == [(41, 3)]
     assert tuple(values) == bounds.alpha_oracle_vector(41, 3)
+
+
+def test_each_alpha_cache_keeps_at_most_its_bound():
+    # unbounded, the two caches once held every vector asked for: 83 MB
+    # after alpha_vector(N, 5) for every N up to 1200
+    pairs = [(n, d) for n in range(2, 42) for d in range(2, 7)]
+    assert len(pairs) == 200
+    for cache in (bounds.alpha_vector, bounds.alpha_oracle_vector):
+        for n, d in pairs:
+            cache(n, d)
+        assert cache.cache_info().currsize <= bounds._ALPHA_CACHE_SIZE
 
 
 def test_rains_bound_values():
@@ -219,10 +234,11 @@ def test_known_ame_nonexistence_lists():
     assert known_ame_nonexistence(39, 4)
     assert known_ame_nonexistence(48, 5)
     assert not known_ame_nonexistence(48, 7)
-    # qubit membership is the computed formula predicate
+    # qubits read the list too, empty above the Scott gap as for every d
     assert known_ame_nonexistence(4, 2)
-    assert known_ame_nonexistence(8, 2)
+    assert known_ame_nonexistence(11, 2)
     assert not known_ame_nonexistence(7, 2)
+    assert not known_ame_nonexistence(8, 2)
 
 
 def test_k_upper_bound_worked_examples():
@@ -262,16 +278,19 @@ def test_k_upper_bound_never_exceeds_trivial(n, d):
 # ---------------------------------------------------------------------------
 
 
+_spec = importlib.util.spec_from_file_location(
+    "check_bound_walk", ROOT / "scripts" / "check_bound_walk.py"
+)
+check_bound_walk = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_bound_walk)
+
+
 def _scanned(d, lo, hi):
     # the verdicts from a scan of each N's sums for the first i with
     # (-1)^i S_i > 0: a parity test on one sum, so the walk's pair test
-    # and the fact F1 it rests on are checked, not reused
-    records = []
-    for n in range(lo, hi + 1):
-        sums = enumerate(bounds._alpha_sums(n, d), 1)
-        hit = next(((i, s) for i, s in sums if (s < 0 if i & 1 else s > 0)), None)
-        records.append(bounds._verdict(n, d, hit).to_json_dict())
-    return records
+    # and the fact F1 it rests on are checked, not reused.  The scan is
+    # the script's, which CI runs at every N up to the party cap.
+    return [check_bound_walk.scanned(n, d) for n in range(lo, hi + 1)]
 
 
 @settings(max_examples=40)

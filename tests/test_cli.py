@@ -732,7 +732,7 @@ def test_importing_the_package_adds_no_stdlib_module(tmp_path):
 
 _FRONT = ("cli", "errors")
 _BOUND = (*_FRONT, "bounds", "enumerators", "exact")
-_TABLE = (*_BOUND, "hetero", "tables")
+_TABLE = (*_BOUND, "tables")
 _ORACLE = (*_FRONT, "enumerators", "exact", "hetero", "oracle")
 
 
@@ -745,7 +745,7 @@ _ORACLE = (*_FRONT, "enumerators", "exact", "hetero", "oracle")
         (["bound", "--d", "3", "--n", "14"], 0, _BOUND),
         (["bound", "--d", "3", "--n-range", "2:30", "--format", "csv"], 0, _TABLE),
         (["table", "--paper", "III"], 0, _TABLE),
-        (["table", "--paper", "IV"], 0, _TABLE),
+        (["table", "--paper", "IV"], 0, (*_TABLE, "hetero")),
         (["ame", "--dims", "3x1,2x8"], 0, (*_FRONT, "exact", "hetero")),
         (["state", "--file", "STATE", "--enumerate"], 0, _ORACLE),
         (["state", "--file", "STATE", "--check-uniform", "1"], 0, _ORACLE),
@@ -759,7 +759,8 @@ _ORACLE = (*_FRONT, "enumerators", "exact", "hetero", "oracle")
 )
 def test_a_run_loads_only_the_modules_its_subcommand_uses(tmp_path, argv, code, modules):
     # every module was once imported by every run: hetero, oracle and tables
-    # compiled for a bare `bound` or `--help` wherever no bytecode is cached
+    # compiled for a bare `bound` or `--help` wherever no bytecode is cached;
+    # Tables I-III and `bound --format csv` once loaded hetero for Table IV
     path = tmp_path / "ghz4.json"
     path.write_text(json.dumps(ghz_state(4, 2).to_json_dict()))
     argv = [str(path) if a == "STATE" else a for a in argv]
@@ -782,11 +783,12 @@ def test_a_run_loads_only_the_modules_its_subcommand_uses(tmp_path, argv, code, 
 
 
 def test_the_cli_module_passes_introspection():
-    # the lazy module namespace answers a protocol lookup, such as doctest's
+    # the lazy package namespace answers a protocol lookup, such as doctest's
     # `inspect.unwrap` on every module global, with AttributeError and not
     # with an attempt to import kuniform.__wrapped__
     finder = doctest.DocTestFinder()
     assert finder.find(kuniform.cli) is not None
+    assert kuniform.cli._lib is kuniform
     assert not hasattr(kuniform.cli._lib, "__wrapped__")
 
 

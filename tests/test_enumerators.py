@@ -428,8 +428,8 @@ def test_c_numerators_equal_the_y_domain_peel_at_n_1001(d):
 
 
 def test_a_to_c_with_trailing_zero_numerators_equals_the_peel():
-    # a_to_c hands the solve the numerators up to the last nonzero one; the
-    # answer is the solve of all h + 1 of them
+    # zeros after the last nonzero numerator change nothing: the answer is
+    # the solve of all h + 1 of them
     rng = random.Random(20261021)
     for n in range(1, 61):
         half = n // 2
@@ -448,10 +448,11 @@ def test_the_unit_prefix_reaches_the_solve_as_one_numerator(monkeypatch):
     # the h zeros after a_0 = 1 were once multiplied row by row, about h^2/2
     # products of zero at every alpha_oracle_vector call
     seen = []
-    real = enumerators._c_numerators
+    real = bounds._c_numerators
     monkeypatch.setattr(
-        enumerators, "_c_numerators", lambda ints, n, d: seen.append(list(ints)) or real(ints, n, d)
+        bounds, "_c_numerators", lambda ints, n, d: seen.append(list(ints)) or real(ints, n, d)
     )
+    bounds.alpha_oracle_vector.cache_clear()
     assert bounds.alpha_oracle_vector(200, 5) == bounds.alpha_vector(200, 5)
     assert seen == [[1]]
 

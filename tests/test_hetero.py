@@ -13,7 +13,6 @@ from kuniform import bounds, hetero, oracle, tables
 from kuniform.bounds import (
     alpha_vector,
     k_upper_bound,
-    known_ame_nonexistence,
     scott_gap_condition,
 )
 from kuniform.enumerators import InvariantBasisCoeffs, c_to_b
@@ -555,15 +554,11 @@ def test_the_ame_nonexistence_list_is_the_shadow_below_the_scott_gap():
     def shadow_negative(d, n):
         return hetero_shadow(DimensionProfile((d,) * n)).first_negative() is not None
 
-    for d in range(3, 9):
+    for d in range(2, 9):
         below = [n for n in range(2, 2 * d * (d + 1)) if not scott_gap_condition(n, d)]
         derived = {n for n in below if shadow_negative(d, n)}
         assert bounds._AME_NONEXISTENCE.get(d, frozenset()) == derived, d
-    assert set(bounds._AME_NONEXISTENCE) == {3, 4, 5}
-    # the qubit predicate, at every N the package takes
-    for n in range(2, MAX_PARTIES + 1):
-        expected = scott_gap_condition(n, 2) or shadow_negative(2, n)
-        assert known_ame_nonexistence(n, 2) == expected, n
+    assert set(bounds._AME_NONEXISTENCE) == {2, 3, 4, 5}
 
 
 def _family_numerators(d1, d2, n):
@@ -644,7 +639,7 @@ def test_shadow_certified_set_takes_exact_ints(args, match):
 def test_shadow_certified_set_caps_its_largest_profile_before_any_work(monkeypatch):
     # ((3,), 2, 600) once ran 27 s before a CapacityError at N = 1003
     calls = []
-    monkeypatch.setattr(tables, "pair_family_shadow", lambda d2, n: calls.append(n) or ((), ()))
+    monkeypatch.setattr(hetero, "pair_family_shadow", lambda d2, n: calls.append(n) or ((), ()))
     start = time.monotonic()
     with pytest.raises(CapacityError, match=f"at most {MAX_SHADOW_PARTIES} parties, got 1199"):
         tables.shadow_certified_set((3,), 2, 600)
